@@ -17,9 +17,15 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .connections import (
+    ChristoffelTable,
+    ConnectionLaw,
+    CurvatureTensor,
+    DifferenceTensor,
+    TorsionTensor,
     canonical_christoffels,
     canonical_connection,
     curvature,
@@ -39,6 +45,7 @@ from .diagnostics import (
     integrability_verdict,
     invariant_count,
     nijenhuis,
+    pair_values,
     transpose_invariance,
 )
 from .geometry import (
@@ -57,7 +64,7 @@ from .metrics import MetricError, bi_lagrangian_assembly, classify_metric
 from .poly import PolyParseError, parse_poly
 from .structure import BiparaStructure, StructureError, classify_triple
 
-__all__ = ["SchemaError", "StructureSpec", "load_spec", "main"]
+__all__ = ["Analysis", "SchemaError", "StructureSpec", "load_spec", "main"]
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -87,12 +94,16 @@ class StructureSpec:
     omega: PolyMatrix | None
     h_matrix: PolyMatrix | None
     seed_points: tuple[tuple[Fraction, ...], ...]
-    raw: dict
 
 
 def _schema(cond: bool, message: str):
     if not cond:
         raise SchemaError(message)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_matrix(data, variables, dim, where: str) -> PolyMatrix:
@@ -139,7 +150,7 @@ def load_spec(path: str) -> StructureSpec:
         f"{path}: backend must be '{CONSTANT_FRAME}' or '{POLYNOMIAL_CHART}'",
     )
     n = data.get("n")
-    _schema(isinstance(n, int) and n >= 1, f"{path}: n must be a positive integer")
+    _schema(_is_int(n) and n >= 1, f"{path}: n must be a positive integer")
     dim = 2 * n
     if backend == POLYNOMIAL_CHART:
         variables = data.get("variables")
@@ -168,7 +179,7 @@ def load_spec(path: str) -> StructureSpec:
             _schema(isinstance(entry, dict), f"{where}: must be an object")
             i, j = entry.get("i"), entry.get("j")
             _schema(
-                isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= dim,
+                _is_int(i) and _is_int(j) and 1 <= i < j <= dim,
                 f"{where}: need integer frame indices 1 <= i < j <= {dim}",
             )
             coeffs = entry.get("coeffs")
@@ -211,7 +222,6 @@ def load_spec(path: str) -> StructureSpec:
         omega=omega,
         h_matrix=h_matrix,
         seed_points=tuple(seed_points),
-        raw=data,
     )
 
 
@@ -239,6 +249,73 @@ def build_structure(spec: StructureSpec) -> BiparaStructure:
             )
             raise MathValidationError(detail) from err
         raise MathValidationError(str(err)) from err
+
+
+# ---------------------------------------------------------------------------
+# One analysis per structure
+# ---------------------------------------------------------------------------
+
+
+class Analysis:
+    """The derived tensors of one structure, each built on first use and kept.
+
+    Every subcommand prints a projection of one ``Analysis``.  ``kind`` is
+    ``canonical`` or ``well-adapted``.
+    """
+
+    def __init__(self, s: BiparaStructure):
+        self.s = s
+        self._built: dict = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    @cached_property
+    def canonical(self) -> ConnectionLaw:
+        return canonical_connection(self.s)
+
+    @cached_property
+    def difference(self) -> DifferenceTensor:
+        return difference_tensor(self.s, self.canonical, self.torsion("canonical"))
+
+    @cached_property
+    def well_adapted(self) -> ConnectionLaw:
+        return well_adapted_connection(self.s, difference=self.difference)
+
+    @cached_property
+    def christoffels_canonical(self) -> ChristoffelTable:
+        return canonical_christoffels(self.s)
+
+    @cached_property
+    def christoffels_well_adapted(self) -> ChristoffelTable:
+        return well_adapted_christoffels(self.s)
+
+    def law(self, kind: str) -> ConnectionLaw:
+        if kind == "canonical":
+            return self.canonical
+        if kind == "well-adapted":
+            return self.well_adapted
+        raise MathValidationError(f"unknown connection kind {kind!r}")
+
+    def torsion(self, kind: str) -> TorsionTensor:
+        return self._once(("torsion", kind), lambda: torsion(self.law(kind)))
+
+    def curvature(self, kind: str) -> CurvatureTensor:
+        return self._once(("curvature", kind), lambda: curvature(self.law(kind)))
+
+    def concomitant(self, tensor: str) -> dict:
+        """The N_F (``F``), N_P (``P``) or [F, P] (``FP``) table on pairs i < j."""
+
+        def build() -> dict:
+            if tensor == "FP":
+                evaluate = fn_bracket(self.s)
+            else:
+                evaluate = nijenhuis(self.s.F if tensor == "F" else self.s.P)
+            return dict(pair_values(evaluate, self.s.basis))
+
+        return self._once(("concomitant", tensor), build)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +421,9 @@ def _load_and_build(path: str) -> tuple[StructureSpec, BiparaStructure]:
     return spec, build_structure(spec)
 
 
-def _law_for(s: BiparaStructure, kind: str):
-    if kind == "canonical":
-        return canonical_connection(s)
-    if kind == "well-adapted":
-        return well_adapted_connection(s)
-    raise MathValidationError(f"unknown connection kind {kind!r}")
+def _load_analysis(path: str) -> tuple[StructureSpec, Analysis]:
+    spec, s = _load_and_build(path)
+    return spec, Analysis(s)
 
 
 def _christoffel_json(table) -> dict:
@@ -377,8 +451,9 @@ def cmd_validate(args) -> dict:
 
 
 def cmd_connection(args) -> dict:
-    _, s = _load_and_build(args.spec)
-    law = _law_for(s, args.kind)
+    _, a = _load_analysis(args.spec)
+    s = a.s
+    law = a.law(args.kind)
     payload = {
         "kind": args.kind,
         "frame_derivatives": _pair_table_json(
@@ -389,66 +464,66 @@ def cmd_connection(args) -> dict:
         if s.adapted_frame is None:
             raise MathValidationError("--christoffels requires an adapted_frame in the spec")
         table = (
-            canonical_christoffels(s) if args.kind == "canonical" else well_adapted_christoffels(s)
+            a.christoffels_canonical if args.kind == "canonical" else a.christoffels_well_adapted
         )
         payload["christoffels"] = _christoffel_json(table)
     return payload
 
 
-def cmd_torsion(args) -> dict:
-    _, s = _load_and_build(args.spec)
-    law = _law_for(s, args.kind)
-    t = torsion(law)
+def _torsion_json(t: TorsionTensor) -> dict:
+    return _pair_table_json(lambda i, j: t.table[i][j], t.law.context.dim, antisymmetric=True)
+
+
+def _curvature_json(r: CurvatureTensor) -> dict:
     return {
-        "kind": args.kind,
-        "torsion": _pair_table_json(lambda i, j: t.table[i][j], s.dim, antisymmetric=True),
-        "is_zero": t.is_zero,
+        f"[{i + 1},{j + 1};{k + 1}]": _field_json(v)
+        for (i, j, k), v in sorted(r.table.items())
+        if not v.is_zero
     }
 
 
+def _concomitant_json(a: Analysis, tensor: str) -> dict:
+    table = a.concomitant(tensor)
+    return _pair_table_json(lambda i, j: table[(i, j)], a.s.dim, antisymmetric=True)
+
+
+def cmd_torsion(args) -> dict:
+    _, a = _load_analysis(args.spec)
+    t = a.torsion(args.kind)
+    return {"kind": args.kind, "torsion": _torsion_json(t), "is_zero": t.is_zero}
+
+
 def cmd_curvature(args) -> dict:
-    _, s = _load_and_build(args.spec)
-    law = _law_for(s, args.kind)
-    r = curvature(law)
-    table = {}
-    for (i, j, k), value in sorted(r.table.items()):
-        if not value.is_zero:
-            table[f"[{i + 1},{j + 1};{k + 1}]"] = _field_json(value)
-    return {"kind": args.kind, "curvature": table, "is_zero": r.is_zero}
+    _, a = _load_analysis(args.spec)
+    r = a.curvature(args.kind)
+    return {"kind": args.kind, "curvature": _curvature_json(r), "is_zero": r.is_zero}
 
 
 def cmd_difference(args) -> dict:
-    _, s = _load_and_build(args.spec)
-    diff = difference_tensor(s)
+    _, a = _load_analysis(args.spec)
+    diff = a.difference
     return {
-        "difference": _pair_table_json(lambda i, j: diff.table[i][j], s.dim),
+        "difference": _pair_table_json(lambda i, j: diff.table[i][j], a.s.dim),
         "is_zero": diff.is_zero,
     }
 
 
 def cmd_nijenhuis(args) -> dict:
-    _, s = _load_and_build(args.spec)
-    if args.tensor == "F":
-        evaluate = nijenhuis(s.F)
-    elif args.tensor == "P":
-        evaluate = nijenhuis(s.P)
-    else:
-        evaluate = fn_bracket(s)
-    basis = s.basis
-    table = _pair_table_json(
-        lambda i, j: evaluate(basis[i], basis[j]), s.dim, antisymmetric=True
-    )
+    _, a = _load_analysis(args.spec)
+    table = _concomitant_json(a, args.tensor)
     return {"tensor": args.tensor, "table": table, "is_zero": not table}
 
 
 def cmd_classify(args) -> dict:
-    spec, s = _load_and_build(args.spec)
-    canon = canonical_connection(s)
+    spec, a = _load_analysis(args.spec)
+    s = a.s
+    t = a.torsion("canonical")
     payload = {
         "triple_kind": classify_triple(s.F, s.P),
+        # Without concomitant tables the verdict stops at a first nonzero pair.
         "verdicts": [
-            integrability_verdict(s, canon).to_json(),
-            flatness_verdict(s, canon).to_json(),
+            integrability_verdict(s, a.canonical, torsion_tensor=t).to_json(),
+            flatness_verdict(s, a.canonical, t, a.curvature("canonical")).to_json(),
         ],
     }
     if spec.metric is not None:
@@ -545,59 +620,30 @@ def cmd_bilagrangian(args) -> dict:
 
 
 def cmd_report(args) -> dict:
-    spec, s = _load_and_build(args.spec)
-    canon = canonical_connection(s)
-    t_canon = torsion(canon)
-    r_canon = curvature(canon)
-    wa = well_adapted_connection(s, canon)
-    t_wa = torsion(wa)
-    diff = difference_tensor(s, canon)
+    spec, a = _load_analysis(args.spec)
+    s = a.s
+    concomitants = tuple(a.concomitant(tensor).items() for tensor in ("F", "P", "FP"))
     verdicts = [
         Verdict("structure_valid", True),
-        integrability_verdict(s, canon),
-        flatness_verdict(s, canon),
+        integrability_verdict(s, a.canonical, concomitants, a.torsion("canonical")),
+        flatness_verdict(s, a.canonical, a.torsion("canonical"), a.curvature("canonical")),
     ]
     warnings: list[str] = []
     tensors = {
-        "torsion_canonical": _pair_table_json(
-            lambda i, j: t_canon.table[i][j], s.dim, antisymmetric=True
-        ),
-        "torsion_well_adapted": _pair_table_json(
-            lambda i, j: t_wa.table[i][j], s.dim, antisymmetric=True
-        ),
-        "difference": _pair_table_json(lambda i, j: diff.table[i][j], s.dim),
-        "curvature_canonical": {
-            f"[{i + 1},{j + 1};{k + 1}]": _field_json(v)
-            for (i, j, k), v in sorted(r_canon.table.items())
-            if not v.is_zero
-        },
-        "nijenhuis_F": _pair_table_json(
-            lambda i, j, nf=nijenhuis(s.F): nf(s.basis[i], s.basis[j]),
-            s.dim,
-            antisymmetric=True,
-        ),
-        "nijenhuis_P": _pair_table_json(
-            lambda i, j, np_=nijenhuis(s.P): np_(s.basis[i], s.basis[j]),
-            s.dim,
-            antisymmetric=True,
-        ),
-        "fn_bracket_FP": _pair_table_json(
-            lambda i, j, fb=fn_bracket(s): fb(s.basis[i], s.basis[j]),
-            s.dim,
-            antisymmetric=True,
-        ),
-    }
-    r_wa = curvature(wa)
-    tensors["curvature_well_adapted"] = {
-        f"[{i + 1},{j + 1};{k + 1}]": _field_json(v)
-        for (i, j, k), v in sorted(r_wa.table.items())
-        if not v.is_zero
+        "torsion_canonical": _torsion_json(a.torsion("canonical")),
+        "torsion_well_adapted": _torsion_json(a.torsion("well-adapted")),
+        "difference": _pair_table_json(lambda i, j: a.difference.table[i][j], s.dim),
+        "curvature_canonical": _curvature_json(a.curvature("canonical")),
+        "curvature_well_adapted": _curvature_json(a.curvature("well-adapted")),
+        "nijenhuis_F": _concomitant_json(a, "F"),
+        "nijenhuis_P": _concomitant_json(a, "P"),
+        "fn_bracket_FP": _concomitant_json(a, "FP"),
     }
     classification = {"triple_kind": classify_triple(s.F, s.P)}
     if s.adapted_frame is not None:
-        tensors["christoffels_canonical"] = _christoffel_json(canonical_christoffels(s))
-        tensors["christoffels_well_adapted"] = _christoffel_json(well_adapted_christoffels(s))
-        routes_ok = well_adapted_routes_agree(s)
+        tensors["christoffels_canonical"] = _christoffel_json(a.christoffels_canonical)
+        tensors["christoffels_well_adapted"] = _christoffel_json(a.christoffels_well_adapted)
+        routes_ok = well_adapted_routes_agree(s, a.well_adapted, a.christoffels_well_adapted)
         verdicts.append(
             Verdict(
                 "well_adapted_routes_agree",
@@ -605,7 +651,7 @@ def cmd_report(args) -> dict:
                 None if routes_ok else {"reason": "table and frame-free routes differ"},
             )
         )
-        trace_ok = trace_condition_holds(s, wa)
+        trace_ok = trace_condition_holds(s, a.well_adapted, a.torsion("well-adapted"))
         verdicts.append(
             Verdict(
                 "trace_condition_well_adapted",

@@ -46,7 +46,6 @@ from .geometry import (
     pushforward_endo,
     pushforward_vector,
 )
-from .linalg import PolyMatrix, poly_matrix_inverse
 from .poly import MultiPoly
 from .structure import BiparaStructure, StructureError, pushforward_structure
 
@@ -128,16 +127,6 @@ class ConnectionLaw:
                         out[t] = out[t] + wm * comp
         return VectorField(ctx, out)
 
-    def nabla_via_table(self, x: VectorField, w: VectorField) -> VectorField:
-        """Table route for nabla_X W; equals the evaluator for genuine laws."""
-        ctx = self.context
-        acc = VectorField(ctx, [ctx.zero_poly()] * ctx.dim)
-        for i, xi in enumerate(x.components):
-            if xi.is_zero:
-                continue
-            acc = acc + self.nabla_of_field(i, w).scale(xi)
-        return acc
-
 
 def canonical_connection(s: BiparaStructure) -> ConnectionLaw:
     """The unique connection parallelizing F and P with T(T_F^+, T_F^-) = 0."""
@@ -162,6 +151,21 @@ def canonical_connection(s: BiparaStructure) -> ConnectionLaw:
 # ---------------------------------------------------------------------------
 # Torsion and curvature
 # ---------------------------------------------------------------------------
+
+
+def _contract(ctx: FrameContext, table, x: VectorField, y: VectorField) -> VectorField:
+    """sum_ij x_i y_j table[i][j]: a (1,2)-tensor from its frame-pair table."""
+    acc = VectorField(ctx, [ctx.zero_poly()] * ctx.dim)
+    for i, xi in enumerate(x.components):
+        if xi.is_zero:
+            continue
+        for j, yj in enumerate(y.components):
+            if yj.is_zero:
+                continue
+            cell = table[i][j]
+            if not cell.is_zero:
+                acc = acc + cell.scale(xi * yj)
+    return acc
 
 
 class TorsionTensor:
@@ -191,18 +195,7 @@ class TorsionTensor:
 
     def evaluate(self, x: VectorField, y: VectorField) -> VectorField:
         """Tensorial contraction of the frame table against the components."""
-        ctx = self.law.context
-        acc = VectorField(ctx, [ctx.zero_poly()] * ctx.dim)
-        for i, xi in enumerate(x.components):
-            if xi.is_zero:
-                continue
-            for j, yj in enumerate(y.components):
-                if yj.is_zero:
-                    continue
-                cell = self.table[i][j]
-                if not cell.is_zero:
-                    acc = acc + cell.scale(xi * yj)
-        return acc
+        return _contract(self.law.context, self.table, x, y)
 
     @property
     def is_zero(self) -> bool:
@@ -316,17 +309,7 @@ def endo_covariant_derivative(law: ConnectionLaw, e: EndoField):
     table = tuple(table)
 
     def evaluate(x: VectorField, y: VectorField) -> VectorField:
-        acc = VectorField(ctx, [ctx.zero_poly()] * dim)
-        for i, xi in enumerate(x.components):
-            if xi.is_zero:
-                continue
-            for j, yj in enumerate(y.components):
-                if yj.is_zero:
-                    continue
-                cell = table[i][j]
-                if not cell.is_zero:
-                    acc = acc + cell.scale(xi * yj)
-        return acc
+        return _contract(ctx, table, x, y)
 
     return table, evaluate
 
@@ -386,15 +369,9 @@ class ChristoffelTable:
     yy: tuple | None = None
 
 
-def _coframe_rows(s: BiparaStructure) -> PolyMatrix:
-    if s.adapted_frame is None:
-        raise StructureError([{"name": "missing adapted frame", "witness": None}])
-    return poly_matrix_inverse(s.adapted_frame)
-
-
 def _pairings(s: BiparaStructure):
     """omega_b and eta_b as row functionals of the adapted coframe."""
-    rows = _coframe_rows(s)
+    rows = s.coframe
     n = s.n
 
     def omega(b: int, v: VectorField) -> MultiPoly:
@@ -554,13 +531,19 @@ class DifferenceTensor:
 
     ``evaluate`` contracts the frame table (torsion route); ``bracket_route``
     is the independent bracket-only expansion.  Both must agree exactly,
-    which the constructor checks on all frame pairs.
+    which the constructor checks on all frame pairs.  ``torsion_tensor``, if
+    given, is the torsion of ``canonical``.
     """
 
-    def __init__(self, s: BiparaStructure, canonical: ConnectionLaw | None = None):
+    def __init__(
+        self,
+        s: BiparaStructure,
+        canonical: ConnectionLaw | None = None,
+        torsion_tensor: TorsionTensor | None = None,
+    ):
         self.structure = s
         self.canonical = canonical if canonical is not None else canonical_connection(s)
-        self._torsion = torsion(self.canonical)
+        self._torsion = torsion_tensor if torsion_tensor is not None else torsion(self.canonical)
         mismatch = self._first_route_mismatch()
         if mismatch is not None:  # pragma: no cover - would falsify the build
             raise StructureError(
@@ -624,34 +607,32 @@ class DifferenceTensor:
         return None
 
     def evaluate(self, x: VectorField, y: VectorField) -> VectorField:
-        ctx = self.structure.context
-        acc = VectorField(ctx, [ctx.zero_poly()] * ctx.dim)
-        for i, xi in enumerate(x.components):
-            if xi.is_zero:
-                continue
-            for j, yj in enumerate(y.components):
-                if yj.is_zero:
-                    continue
-                cell = self.table[i][j]
-                if not cell.is_zero:
-                    acc = acc + cell.scale(xi * yj)
-        return acc
+        return _contract(self.structure.context, self.table, x, y)
 
     @property
     def is_zero(self) -> bool:
         return all(cell.is_zero for row in self.table for cell in row)
 
 
-def difference_tensor(s: BiparaStructure, canonical: ConnectionLaw | None = None) -> DifferenceTensor:
-    return DifferenceTensor(s, canonical)
+def difference_tensor(
+    s: BiparaStructure,
+    canonical: ConnectionLaw | None = None,
+    torsion_tensor: TorsionTensor | None = None,
+) -> DifferenceTensor:
+    return DifferenceTensor(s, canonical, torsion_tensor)
 
 
 def well_adapted_connection(
-    s: BiparaStructure, canonical: ConnectionLaw | None = None
+    s: BiparaStructure,
+    canonical: ConnectionLaw | None = None,
+    difference: DifferenceTensor | None = None,
 ) -> ConnectionLaw:
-    """Frame-free construction: canonical law minus the difference tensor."""
-    canon = canonical if canonical is not None else canonical_connection(s)
-    diff = difference_tensor(s, canon)
+    """Frame-free construction: canonical law minus the difference tensor.
+
+    A given ``difference`` is used as is, together with its canonical law.
+    """
+    diff = difference if difference is not None else difference_tensor(s, canonical)
+    canon = diff.canonical
 
     def law(x: VectorField, y: VectorField) -> VectorField:
         return canon.nabla(x, y) - diff.evaluate(x, y)
@@ -663,10 +644,17 @@ def well_adapted_connection(
     return ConnectionLaw(s, "well_adapted", law, frame_table=table)
 
 
-def well_adapted_routes_agree(s: BiparaStructure) -> bool:
+def well_adapted_routes_agree(
+    s: BiparaStructure,
+    frame_free: ConnectionLaw | None = None,
+    christoffels: ChristoffelTable | None = None,
+) -> bool:
     """Cross-validate the two well-adapted constructions on frame pairs."""
-    frame_free = well_adapted_connection(s)
-    via_table = connection_from_table(s, well_adapted_christoffels(s), kind="well_adapted")
+    if frame_free is None:
+        frame_free = well_adapted_connection(s)
+    if christoffels is None:
+        christoffels = well_adapted_christoffels(s)
+    via_table = connection_from_table(s, christoffels, kind="well_adapted")
     basis = s.basis
     for i, ei in enumerate(basis):
         for j, ej in enumerate(basis):
@@ -675,15 +663,18 @@ def well_adapted_routes_agree(s: BiparaStructure) -> bool:
     return True
 
 
-def trace_condition_holds(s: BiparaStructure, law: ConnectionLaw) -> bool:
+def trace_condition_holds(
+    s: BiparaStructure, law: ConnectionLaw, torsion_tensor: TorsionTensor | None = None
+) -> bool:
     """The well-adaptedness criterion on an adapted frame, checked exactly.
 
     For all a, b, h:  omega_b(T'(X_h, X_a)) + eta_b(T'(X_h, Y_a)) = 0  and
-    omega_b(T'(Y_h, X_a)) + eta_b(T'(Y_h, Y_a)) = 0.
+    omega_b(T'(Y_h, X_a)) + eta_b(T'(Y_h, Y_a)) = 0.  ``torsion_tensor``,
+    if given, is the torsion T' of ``law``.
     """
     n = s.n
     omega, eta = _pairings(s)
-    t = torsion(law)
+    t = torsion_tensor if torsion_tensor is not None else torsion(law)
     xs = [s.x_field(i) for i in range(n)]
     ys = [s.y_field(i) for i in range(n)]
     for h in range(n):

@@ -22,7 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .connections import ConnectionLaw, canonical_connection, curvature, pushforward_connection, torsion
+from .connections import (
+    ConnectionLaw,
+    CurvatureTensor,
+    TorsionTensor,
+    canonical_connection,
+    curvature,
+    pushforward_connection,
+    torsion,
+)
 from .geometry import (
     ContextMismatch,
     EndoField,
@@ -52,6 +60,7 @@ __all__ = [
     "involutivity_flags",
     "fp_torsion_identities",
     "nijenhuis",
+    "pair_values",
     "trace_pairing_condition",
     "transpose_invariance",
 ]
@@ -107,12 +116,17 @@ def nijenhuis(e: EndoField) -> Callable[[VectorField, VectorField], VectorField]
     return evaluate
 
 
-def _table_is_zero(evaluate, basis) -> tuple[bool, tuple | None]:
+def pair_values(evaluate, basis):
+    """Yield ((i, j), evaluate(E_i, E_j)) over frame pairs i < j, lazily."""
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            value = evaluate(basis[i], basis[j])
-            if not value.is_zero:
-                return False, ((i, j), value)
+            yield (i, j), evaluate(basis[i], basis[j])
+
+
+def _table_is_zero(pairs) -> tuple[bool, tuple | None]:
+    for pair, value in pairs:
+        if not value.is_zero:
+            return False, (pair, value)
     return True, None
 
 
@@ -211,11 +225,24 @@ def involutivity_flags(s: BiparaStructure) -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 
-def integrability_verdict(s: BiparaStructure, canonical: ConnectionLaw | None = None) -> Verdict:
-    """Evaluate the three equivalent integrability conditions independently."""
+def integrability_verdict(
+    s: BiparaStructure,
+    canonical: ConnectionLaw | None = None,
+    concomitants: tuple | None = None,
+    torsion_tensor: TorsionTensor | None = None,
+) -> Verdict:
+    """Evaluate the three equivalent integrability conditions independently.
+
+    ``concomitants`` gives the N_F, N_P and [F, P] values already built, as
+    ``pair_values`` yields them; by default each is evaluated lazily, up to
+    its first nonzero pair.  ``torsion_tensor`` is the canonical torsion.
+    """
     basis = s.basis
-    nf_zero, nf_witness = _table_is_zero(nijenhuis(s.F), basis)
-    np_zero, np_witness = _table_is_zero(nijenhuis(s.P), basis)
+    nf_pairs, np_pairs, fp_pairs = concomitants or (
+        pair_values(evaluate, basis) for evaluate in (nijenhuis(s.F), nijenhuis(s.P), fn_bracket(s))
+    )
+    nf_zero, nf_witness = _table_is_zero(nf_pairs)
+    np_zero, np_witness = _table_is_zero(np_pairs)
     cond_nijenhuis = nf_zero and np_zero
 
     flags = involutivity_flags(s)
@@ -225,10 +252,10 @@ def integrability_verdict(s: BiparaStructure, canonical: ConnectionLaw | None = 
             f"Nijenhuis convention disagrees with direct involutivity: {flags}"
         )
 
-    fp_zero, fp_witness = _table_is_zero(fn_bracket(s), basis)
+    fp_zero, fp_witness = _table_is_zero(fp_pairs)
 
     law = canonical if canonical is not None else canonical_connection(s)
-    t = torsion(law)
+    t = torsion_tensor if torsion_tensor is not None else torsion(law)
     torsion_zero = t.is_zero
 
     if not (cond_nijenhuis == fp_zero == torsion_zero):
@@ -251,11 +278,19 @@ def integrability_verdict(s: BiparaStructure, canonical: ConnectionLaw | None = 
     return Verdict("integrable", False, witness)
 
 
-def flatness_verdict(s: BiparaStructure, canonical: ConnectionLaw | None = None) -> Verdict:
-    """Locally flat iff the canonical torsion and curvature both vanish."""
+def flatness_verdict(
+    s: BiparaStructure,
+    canonical: ConnectionLaw | None = None,
+    torsion_tensor: TorsionTensor | None = None,
+    curvature_tensor: CurvatureTensor | None = None,
+) -> Verdict:
+    """Locally flat iff the canonical torsion and curvature both vanish.
+
+    ``torsion_tensor`` and ``curvature_tensor`` are those of the canonical law.
+    """
     law = canonical if canonical is not None else canonical_connection(s)
-    t = torsion(law)
-    r = curvature(law)
+    t = torsion_tensor if torsion_tensor is not None else torsion(law)
+    r = curvature_tensor if curvature_tensor is not None else curvature(law)
     if t.is_zero and r.is_zero:
         return Verdict("flat", True)
     if not t.is_zero:
@@ -317,10 +352,7 @@ def commutant_check(s: BiparaStructure, endo: EndoField) -> Verdict:
     commutes_p = (endo.matrix @ s.P.matrix - s.P.matrix @ endo.matrix).is_zero
     commutes = commutes_f and commutes_p
 
-    from .linalg import poly_matrix_inverse
-
-    frame_inv = poly_matrix_inverse(s.adapted_frame)
-    in_frame = frame_inv @ endo.matrix @ s.adapted_frame
+    in_frame = s.coframe @ endo.matrix @ s.adapted_frame
     if not in_frame.is_constant:
         raise StructureError(
             [{"name": "endomorphism is not constant in the adapted frame", "witness": None}]

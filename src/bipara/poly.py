@@ -373,10 +373,21 @@ class _Lexer:
         return kind, value, start
 
 
+# Parentheses and unary minus each recurse; a bound well below the interpreter's
+# recursion limit turns hostile nesting into a parse error.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
         self.lexer = _Lexer(text)
         self.variables = tuple(variables)
+        self.depth = 0
+
+    def _nest(self, start: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PolyParseError(f"nesting deeper than {MAX_NESTING}", start)
 
     def parse(self) -> MultiPoly:
         poly = self._expr()
@@ -409,10 +420,13 @@ class _Parser:
                 return acc
 
     def _factor(self) -> MultiPoly:
-        kind, _, _ = self.lexer.peek()
+        kind, _, start = self.lexer.peek()
         if kind == "-":
             self.lexer.next()
-            return -self._factor()
+            self._nest(start)
+            negated = -self._factor()
+            self.depth -= 1
+            return negated
         base = self._primary()
         kind, _, _ = self.lexer.peek()
         if kind == "^":
@@ -443,10 +457,12 @@ class _Parser:
                 raise PolyParseError(f"unknown variable {value!r}", start)
             return MultiPoly.var(self.variables, value)
         if kind == "(":
+            self._nest(start)
             inner = self._expr()
             kind2, _, start2 = self.lexer.next()
             if kind2 != ")":
                 raise PolyParseError("expected ')'", start2)
+            self.depth -= 1
             return inner
         raise PolyParseError(
             "expected a number, variable or parenthesized expression", start

@@ -37,7 +37,7 @@ from .geometry import (
     pushforward_endo,
     pushforward_vector,
 )
-from .linalg import PolyMatrix, rat_inverse, rat_matmul, rat_rank
+from .linalg import PolyMatrix, poly_matrix_inverse, rat_inverse, rat_matmul, rat_rank
 from .poly import MultiPoly
 
 __all__ = [
@@ -110,6 +110,13 @@ class BiparaStructure:
     @cached_property
     def basis(self) -> tuple[VectorField, ...]:
         return basis_fields(self.context)
+
+    @cached_property
+    def coframe(self) -> PolyMatrix:
+        """Inverse of the adapted frame; its rows pair with X_1..X_n, Y_1..Y_n."""
+        if self.adapted_frame is None:
+            raise StructureError([{"name": "missing adapted frame", "witness": None}])
+        return poly_matrix_inverse(self.adapted_frame)
 
     @classmethod
     def validate(

@@ -1,11 +1,19 @@
 import json
 import subprocess
 import sys
+from collections import Counter
+from functools import cached_property
+from pathlib import Path
+
+import pytest
 
 from bipara.cli import main
+from bipara.connections import ConnectionLaw, DifferenceTensor
 from bipara.poly import parse_poly
 
 BIN = [sys.executable, "-m", "bipara.cli"]
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+FIXTURES = ("flat_n1", "flat_n2", "heis_n2", "aff_n2")
 
 
 def run_cli(*args, cwd=None):
@@ -307,3 +315,71 @@ def test_main_entry_point_in_process(fixture_dir, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["general"] == "4"
+
+
+@pytest.mark.parametrize("command", ["report", "classify"])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_output_matches_golden_file(fixture_dir, capsys, fixture, command):
+    assert main([command, str(fixture_dir / f"{fixture}.json")]) == 0
+    expected = (GOLDEN_DIR / f"{fixture}.{command}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_report_builds_difference_tensor_and_frame_table_once(fixture_dir, monkeypatch, capsys):
+    counts = Counter()
+    original_init = DifferenceTensor.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["difference"] += 1
+        original_init(self, *args, **kwargs)
+
+    original_table = ConnectionLaw.__dict__["frame_table"].func
+
+    def counted_table(self):
+        counts[f"frame_table.{self.kind}"] += 1
+        return original_table(self)
+
+    replacement = cached_property(counted_table)
+    replacement.__set_name__(ConnectionLaw, "frame_table")
+    monkeypatch.setattr(DifferenceTensor, "__init__", counted_init)
+    monkeypatch.setattr(ConnectionLaw, "frame_table", replacement)
+    assert main(["report", str(fixture_dir / "aff_n2.json")]) == 0
+    capsys.readouterr()
+    assert counts == {"difference": 1, "frame_table.canonical": 1}
+
+
+def _flat_n1_spec(**overrides):
+    spec = {
+        "backend": "constant_frame",
+        "n": 1,
+        "F": [["1", "0"], ["0", "-1"]],
+        "P": [["0", "1"], ["1", "0"]],
+    }
+    spec.update(overrides)
+    return spec
+
+
+def test_boolean_half_dimension_is_schema_error(tmp_path):
+    proc = run_cli("validate", write(tmp_path, "bool_n.json", _flat_n1_spec(n=True)))
+    assert proc.returncode == 2
+    assert "n must be a positive integer" in proc.stderr
+
+
+def test_boolean_frame_index_is_schema_error(tmp_path):
+    constants = [{"i": True, "j": 2, "coeffs": ["0", "0"]}]
+    proc = run_cli(
+        "validate", write(tmp_path, "bool_ij.json", _flat_n1_spec(structure_constants=constants))
+    )
+    assert proc.returncode == 2
+    assert "integer frame indices" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "deep", ["(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1"], ids=["parentheses", "unary_minus"]
+)
+def test_deeply_nested_expression_is_schema_error(tmp_path, deep):
+    spec = _flat_n1_spec(F=[[deep, "0"], ["0", "-1"]])
+    proc = run_cli("validate", write(tmp_path, "deep.json", spec))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "nesting deeper than 100 (at offset 100)" in proc.stderr
