@@ -184,11 +184,11 @@ class VectorField:
         components = tuple(components)
         if len(components) != context.dim:
             raise GeometryError("component count does not match dimension")
+        # A constant-frame context has no variables, so this ring check alone
+        # forces its components to be constant.
         for c in components:
             if c.variables != context.variables:
                 raise PolyError("component lives in the wrong ring")
-            if context.backend == CONSTANT_FRAME and not c.is_constant:
-                raise GeometryError("constant-frame vector fields must have constant components")
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "components", components)
 
@@ -250,10 +250,9 @@ class EndoField:
     def __init__(self, context: FrameContext, matrix: PolyMatrix):
         if matrix.rows != context.dim or matrix.cols != context.dim:
             raise GeometryError("endomorphism matrix must be square of size dim")
+        # Constant-frame entries are constant by this ring check (no variables).
         if matrix.variables != context.variables:
             raise PolyError("matrix lives in the wrong ring")
-        if context.backend == CONSTANT_FRAME and not matrix.is_constant:
-            raise GeometryError("constant-frame endomorphisms must be constant")
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "matrix", matrix)
 

@@ -38,9 +38,13 @@ class LinAlgError(ValueError):
 
 
 class PolyMatrix:
-    """A rows x cols matrix of polynomials sharing one variable tuple."""
+    """A rows x cols matrix of polynomials sharing one variable tuple.
 
-    __slots__ = ("rows", "cols", "entries", "variables")
+    ``_sparse_rows[i]`` holds the ``(column, entry)`` pairs of the nonzero
+    entries of row ``i``, in column order; the products visit only those.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "variables", "_sparse_rows")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[MultiPoly]):
         entries = tuple(entries)
@@ -56,6 +60,14 @@ class PolyMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "variables", variables)
+        object.__setattr__(
+            self,
+            "_sparse_rows",
+            tuple(
+                tuple((k, e) for k, e in enumerate(entries[i * cols : (i + 1) * cols]) if e.terms)
+                for i in range(rows)
+            ),
+        )
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("PolyMatrix is immutable")
@@ -128,19 +140,13 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise LinAlgError("inner dimensions do not match")
         out: list[MultiPoly] = []
-        for i in range(self.rows):
-            row = self.row(i)
-            for j in range(other.cols):
-                acc = MultiPoly.zero(self.variables)
-                for k in range(self.cols):
-                    left = row[k]
-                    if left.is_zero:
-                        continue
-                    right = other.get(k, j)
-                    if right.is_zero:
-                        continue
-                    acc = acc + left * right
-                out.append(acc)
+        zero = MultiPoly.zero(self.variables)
+        for row in self._sparse_rows:
+            accs = [zero] * other.cols
+            for k, left in row:
+                for j, right in other._sparse_rows[k]:
+                    accs[j] = accs[j] + left * right
+            out.extend(accs)
         return PolyMatrix(self.rows, other.cols, out)
 
     def scale(self, scalar) -> "PolyMatrix":
@@ -150,13 +156,13 @@ class PolyMatrix:
         if len(vector) != self.cols:
             raise LinAlgError("vector length does not match column count")
         out = []
-        for i in range(self.rows):
-            acc = MultiPoly.zero(self.variables)
-            for k, v in enumerate(vector):
-                entry = self.get(i, k)
-                if entry.is_zero or v.is_zero:
-                    continue
-                acc = acc + entry * v
+        zero = MultiPoly.zero(self.variables)
+        for row in self._sparse_rows:
+            acc = zero
+            for k, entry in row:
+                v = vector[k]
+                if v.terms:
+                    acc = acc + entry * v
             out.append(acc)
         return out
 

@@ -18,7 +18,8 @@ constant-frame backend of :mod:`bipara.geometry` uses that degenerate ring.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from operator import add, mul
+from typing import Callable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -78,14 +79,32 @@ class MultiPoly:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, *a):  # pragma: no cover - guarded by __slots__ anyway
+    def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "MultiPoly":
+        """Wrap terms that are canonical by construction, without re-checking them.
+
+        Only for results of ring operations on validated polynomials of the
+        ring ``variables``: every coefficient a nonzero ``Fraction``, every
+        exponent vector a tuple of ``len(variables)`` nonnegative ints.
+        """
+        poly = object.__new__(cls)
+        _set_variables(poly, variables)
+        _set_terms(poly, terms)
+        return poly
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "MultiPoly":
-        return cls(variables, {})
+        """The zero of the ring, one shared instance per variable tuple."""
+        variables = tuple(variables)
+        shared = _ZEROS.get(variables)
+        if shared is None:
+            shared = _ZEROS[variables] = cls(variables, {})
+        return shared
 
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "MultiPoly":
@@ -148,12 +167,16 @@ class MultiPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            agg = out.get(exps, Fraction(0)) + coeff
+            old = out.get(exps)
+            if old is None:
+                out[exps] = coeff
+                continue
+            agg = old + coeff
             if agg:
                 out[exps] = agg
             else:
-                out.pop(exps, None)
-        return MultiPoly(self.variables, out)
+                del out[exps]
+        return MultiPoly._trusted(self.variables, out)
 
     __radd__ = __add__
 
@@ -161,18 +184,22 @@ class MultiPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            agg = out.get(exps, Fraction(0)) - coeff
+            old = out.get(exps)
+            if old is None:
+                out[exps] = -coeff
+                continue
+            agg = old - coeff
             if agg:
                 out[exps] = agg
             else:
-                out.pop(exps, None)
-        return MultiPoly(self.variables, out)
+                del out[exps]
+        return MultiPoly._trusted(self.variables, out)
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other).__sub__(self)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce(other)
@@ -181,13 +208,17 @@ class MultiPoly:
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                agg = out.get(exps, Fraction(0)) + c1 * c2
-                if agg:
-                    out[exps] = agg
+                exps = tuple(map(add, e1, e2))
+                old = out.get(exps)
+                if old is None:
+                    out[exps] = c1 * c2
                 else:
-                    out.pop(exps, None)
-        return MultiPoly(self.variables, out)
+                    agg = old + c1 * c2
+                    if agg:
+                        out[exps] = agg
+                    else:
+                        del out[exps]
+        return MultiPoly._trusted(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -200,21 +231,13 @@ class MultiPoly:
     def __pow__(self, power: int) -> "MultiPoly":
         if not isinstance(power, int) or power < 0:
             raise PolyError(f"polynomial exponent must be a nonnegative int, got {power}")
-        result = MultiPoly.const(self.variables, 1)
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            power >>= 1
-            if power:
-                base = base * base
-        return result
+        return _power(self, power, mul)
 
     def scale(self, scalar) -> "MultiPoly":
         scalar = _as_fraction(scalar)
         if scalar == 0:
             return MultiPoly.zero(self.variables)
-        return MultiPoly(self.variables, {e: c * scalar for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.variables, {e: c * scalar for e, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -242,7 +265,7 @@ class MultiPoly:
             lowered = list(exps)
             lowered[idx] = k - 1
             out[tuple(lowered)] = coeff * k
-        return MultiPoly(self.variables, out)
+        return MultiPoly._trusted(self.variables, out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """Evaluate at a rational point (one value per variable)."""
@@ -323,6 +346,25 @@ class MultiPoly:
         return f"MultiPoly({self.variables!r}, {dict(self.terms)!r})"
 
 
+def _power(base: MultiPoly, exponent: int, multiply: Callable) -> MultiPoly:
+    """``base ** exponent`` by repeated squaring, every product by ``multiply``."""
+    result = MultiPoly.const(base.variables, 1)
+    while exponent:
+        if exponent & 1:
+            result = multiply(result, base)
+        exponent >>= 1
+        if exponent:
+            base = multiply(base, base)
+    return result
+
+
+# The slot setters, called directly: on the hot path of every ring operation
+# they cost less than object.__setattr__.
+_set_variables = MultiPoly.variables.__set__
+_set_terms = MultiPoly.terms.__set__
+_ZEROS: dict[tuple[str, ...], MultiPoly] = {}
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -376,6 +418,18 @@ class _Lexer:
 # Parentheses and unary minus each recurse; a bound well below the interpreter's
 # recursion limit turns hostile nesting into a parse error.
 MAX_NESTING = 100
+# Expansion work is bounded per expression: the largest '^' exponent, and the
+# term products (len(a.terms) * len(b.terms) summed over every multiplication
+# the expression needs).  Benchmark specs need at most 6 and about 800.
+MAX_EXPONENT = 100
+MAX_TERM_PRODUCTS = 50_000
+
+
+def _integer(digits: str, start: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int conversion limit
+        raise PolyParseError(f"number of {len(digits)} digits is too long", start) from None
 
 
 class _Parser:
@@ -383,11 +437,21 @@ class _Parser:
         self.lexer = _Lexer(text)
         self.variables = tuple(variables)
         self.depth = 0
+        self.term_products = 0
 
     def _nest(self, start: int) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise PolyParseError(f"nesting deeper than {MAX_NESTING}", start)
+
+    def _multiply(self, a: MultiPoly, b: MultiPoly, start: int) -> MultiPoly:
+        self.term_products += len(a.terms) * len(b.terms)
+        if self.term_products > MAX_TERM_PRODUCTS:
+            raise PolyParseError(
+                f"expansion needs more than MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS} term products",
+                start,
+            )
+        return a * b
 
     def parse(self) -> MultiPoly:
         poly = self._expr()
@@ -412,10 +476,10 @@ class _Parser:
     def _term(self) -> MultiPoly:
         acc = self._factor()
         while True:
-            kind, _, _ = self.lexer.peek()
+            kind, _, start = self.lexer.peek()
             if kind == "*":
                 self.lexer.next()
-                acc = acc * self._factor()
+                acc = self._multiply(acc, self._factor(), start)
             else:
                 return acc
 
@@ -428,26 +492,29 @@ class _Parser:
             self.depth -= 1
             return negated
         base = self._primary()
-        kind, _, _ = self.lexer.peek()
+        kind, _, caret = self.lexer.peek()
         if kind == "^":
             self.lexer.next()
             kind, value, start = self.lexer.next()
             if kind != "number":
                 raise PolyParseError("exponent must be a nonnegative integer", start)
-            return base ** int(value)
+            exponent = _integer(value, start)
+            if exponent > MAX_EXPONENT:
+                raise PolyParseError(f"exponent above MAX_EXPONENT = {MAX_EXPONENT}", start)
+            return _power(base, exponent, lambda a, b: self._multiply(a, b, caret))
         return base
 
     def _primary(self) -> MultiPoly:
         kind, value, start = self.lexer.next()
         if kind == "number":
-            numerator = int(value)
+            numerator = _integer(value, start)
             kind2, _, _ = self.lexer.peek()
             if kind2 == "/":
                 self.lexer.next()
                 kind3, value3, start3 = self.lexer.next()
                 if kind3 != "number":
                     raise PolyParseError("denominator must be an integer", start3)
-                denominator = int(value3)
+                denominator = _integer(value3, start3)
                 if denominator == 0:
                     raise PolyParseError("zero denominator", start3)
                 return MultiPoly.const(self.variables, Fraction(numerator, denominator))

@@ -383,3 +383,21 @@ def test_deeply_nested_expression_is_schema_error(tmp_path, deep):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "nesting deeper than 100 (at offset 100)" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("(x1+x2+y1+y2+1)^16", "MAX_TERM_PRODUCTS = 50000 term products (at offset 15)"),
+        ("y1^101", "exponent above MAX_EXPONENT = 100 (at offset 3)"),
+        ("9" * 5000, "number of 5000 digits is too long (at offset 0)"),
+    ],
+    ids=["term_products", "exponent", "long_number"],
+)
+def test_oversized_expression_is_schema_error(tmp_path, fixture_dir, entry, message):
+    spec = json.loads((fixture_dir / "flat_n2.json").read_text(encoding="utf-8"))
+    spec["F"][0][0] = entry
+    proc = run_cli("validate", write(tmp_path, "big.json", spec))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr

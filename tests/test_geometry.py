@@ -21,7 +21,7 @@ from bipara.geometry import (
     pushforward_vector,
 )
 from bipara.linalg import LinAlgError, PolyMatrix
-from bipara.poly import MultiPoly, parse_poly
+from bipara.poly import MultiPoly, PolyError, parse_poly
 from bipara.structure import flat_structure, heisenberg_structure, random_unipotent_map
 
 CHART = chart_context(("x1", "x2", "y1", "y2"))
@@ -250,3 +250,16 @@ def test_bilinear_value():
     e = basis_fields(ctx)
     assert g.value(e[0], e[0]) == 1
     assert g.value(e[0], e[1]).is_zero
+
+
+def test_constant_frame_fields_reject_chart_ring_polynomials():
+    # the ring check is what keeps constant-frame components constant
+    ctx = algebra_context(2)
+    chart_ring = ("x1", "y1")
+    for entry in (parse_poly("x1*y1", chart_ring), MultiPoly.const(chart_ring, 2)):
+        zero = MultiPoly.zero(chart_ring)
+        with pytest.raises(PolyError):
+            VectorField(ctx, [entry, zero])
+        with pytest.raises(PolyError):
+            EndoField(ctx, PolyMatrix.from_rows([[entry, zero], [zero, entry]]))
+    assert VectorField.from_rationals(ctx, [1, 2]).components[1] == 2

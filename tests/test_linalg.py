@@ -160,3 +160,64 @@ def test_trace_and_transpose():
     m = PolyMatrix.from_rows([[x, one], [one, x]])
     assert m.trace() == x + x
     assert m.transpose() == m
+
+
+def _dense_matvec(m, vector):
+    out = []
+    for i in range(m.rows):
+        acc = MultiPoly.zero(m.variables)
+        for k in range(m.cols):
+            acc = acc + m.get(i, k) * vector[k]
+        out.append(acc)
+    return out
+
+
+def _dense_matmul(a, b):
+    entries = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = MultiPoly.zero(a.variables)
+            for k in range(a.cols):
+                acc = acc + a.get(i, k) * b.get(k, j)
+            entries.append(acc)
+    return PolyMatrix(a.rows, b.cols, entries)
+
+
+def _random_poly(rng, variables, density):
+    if rng.random() >= density:
+        return MultiPoly.zero(variables)
+    terms = {
+        tuple(rng.randint(0, 2) for _ in variables): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        for _ in range(rng.randint(1, 3))
+    }
+    return MultiPoly(variables, terms)
+
+
+def _random_sparse_matrix(rng, rows, cols, variables, density):
+    zero_rows = {i for i in range(rows) if rng.random() < 0.3}
+    return PolyMatrix(
+        rows,
+        cols,
+        [
+            MultiPoly.zero(variables) if i in zero_rows else _random_poly(rng, variables, density)
+            for i in range(rows)
+            for _ in range(cols)
+        ],
+    )
+
+
+@pytest.mark.parametrize("variables", [(), ("x1", "y1")], ids=["constant", "chart"])
+def test_sparse_kernels_match_dense_reference(variables):
+    rng = random.Random(20260)
+    for _ in range(60):
+        rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
+        density = rng.choice([0.0, 0.15, 0.4, 1.0])
+        a = _random_sparse_matrix(rng, rows, inner, variables, density)
+        b = _random_sparse_matrix(rng, inner, cols, variables, density)
+        assert a @ b == _dense_matmul(a, b)
+        for vector in (
+            [MultiPoly.zero(variables)] * inner,
+            [_random_poly(rng, variables, density) for _ in range(inner)],
+            [_random_poly(rng, variables, 1.0) for _ in range(inner)],
+        ):
+            assert a.matvec(vector) == _dense_matvec(a, vector)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipara.poly import MultiPoly, PolyError, PolyParseError, parse_poly
+from bipara.poly import (
+    MAX_EXPONENT,
+    MAX_TERM_PRODUCTS,
+    MultiPoly,
+    PolyError,
+    PolyParseError,
+    parse_poly,
+)
 
 VARS = ("x1", "x2", "y1", "y2")
 
@@ -101,6 +108,75 @@ def test_ring_axioms(a, b, c):
     one = MultiPoly.const(("x1", "x2"), 1)
     assert a + zero == a
     assert a * one == a
+
+
+@given(polys, polys, coeffs)
+@settings(max_examples=120, deadline=None)
+def test_ring_results_stay_canonical(a, b, scalar):
+    # ring operations build their results without re-validation; a second
+    # pass through the public constructor must find nothing to change
+    for p in (a + b, a - b, a * b, -a, a.scale(scalar), a.derivative("x1"), a**2):
+        assert MultiPoly(p.variables, p.terms) == p
+        assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values())
+        assert all(len(e) == len(p.variables) and min(e) >= 0 for e in p.terms)
+
+
+def test_zero_is_shared_and_immutable():
+    zero = MultiPoly.zero(("x1", "x2"))
+    assert zero is MultiPoly.zero(("x1", "x2"))
+    assert zero is MultiPoly.zero(["x1", "x2"])
+    assert zero is not MultiPoly.zero(("x1",))
+    assert zero.is_zero and zero.variables == ("x1", "x2")
+    with pytest.raises(AttributeError):
+        zero.terms = {(1, 0): Fraction(1)}
+    with pytest.raises(AttributeError):
+        zero.variables = ("x1",)
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(PolyError):
+        MultiPoly(("x1",), {(1, 0): Fraction(1)})
+    with pytest.raises(PolyError):
+        MultiPoly(("x1",), {(-1,): Fraction(1)})
+    with pytest.raises(PolyError):
+        MultiPoly(("x1",), {(1,): 0.5})
+
+
+def test_parser_power_matches_ring_power():
+    base = parse_poly("x1 - 2*x2 + 1/3", ("x1", "x2"))
+    for e in (0, 1, 5, 8):
+        assert parse_poly(f"(x1 - 2*x2 + 1/3)^{e}", ("x1", "x2")) == base**e
+
+
+def test_exponent_limit_names_limit_and_offset():
+    parse_poly(f"x1^{MAX_EXPONENT}", ("x1",))
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(f"x1^{MAX_EXPONENT + 1}", ("x1",))
+    assert "MAX_EXPONENT" in str(err.value)
+    assert err.value.offset == 3
+
+
+def test_term_product_budget_stops_expansion_early():
+    variables = ("x1", "x2", "y1", "y2")
+    # 4845 terms would take about 250k term products
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("(x1+x2+y1+y2+1)^16", variables)
+    assert "MAX_TERM_PRODUCTS" in str(err.value)
+    assert err.value.offset == 15
+    # the budget is spent across every product of one expression
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("(x1+x2+y1+y2+1)^8 * (x1+x2+y1+y2+1)^8", variables)
+    assert err.value.offset == 18  # the "*"
+    assert len(parse_poly("(x1+x2+y1+y2+1)^8", variables).terms) == 495
+    assert MAX_TERM_PRODUCTS >= 10 * 495
+
+
+def test_overlong_number_is_parse_error():
+    digits = "7" * 5000
+    for text in (digits, f"1/{digits}", f"x1^{digits}"):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, ("x1",))
+        assert "digits" in str(err.value)
 
 
 @given(polys)
