@@ -19,7 +19,6 @@ from .connections import (
     canonical_connection,
     connection_from_table,
     curvature,
-    difference_tensor,
     endo_covariant_derivative,
     is_parallel,
     preserves_distributions,

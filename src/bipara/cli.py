@@ -29,7 +29,6 @@ from .connections import (
     canonical_christoffels,
     canonical_connection,
     curvature,
-    difference_tensor,
     torsion,
     trace_condition_holds,
     well_adapted_christoffels,
@@ -278,11 +277,11 @@ class Analysis:
 
     @cached_property
     def difference(self) -> DifferenceTensor:
-        return difference_tensor(self.s, self.canonical, self.torsion("canonical"))
+        return DifferenceTensor(self.torsion("canonical"))
 
     @cached_property
     def well_adapted(self) -> ConnectionLaw:
-        return well_adapted_connection(self.s, difference=self.difference)
+        return well_adapted_connection(self.difference)
 
     @cached_property
     def christoffels_canonical(self) -> ChristoffelTable:
@@ -308,14 +307,18 @@ class Analysis:
     def concomitant(self, tensor: str) -> dict:
         """The N_F (``F``), N_P (``P``) or [F, P] (``FP``) table on pairs i < j."""
 
-        def build() -> dict:
-            if tensor == "FP":
-                evaluate = fn_bracket(self.s)
-            else:
-                evaluate = nijenhuis(self.s.F if tensor == "F" else self.s.P)
-            return dict(pair_values(evaluate, self.s.basis))
+        return self._once(
+            ("concomitant", tensor), lambda: dict(_concomitant_pairs(self.s, tensor))
+        )
 
-        return self._once(("concomitant", tensor), build)
+
+def _concomitant_pairs(s: BiparaStructure, tensor: str):
+    """The N_F, N_P or [F, P] values on pairs i < j, evaluated lazily."""
+    if tensor == "FP":
+        evaluate = fn_bracket(s)
+    else:
+        evaluate = nijenhuis(s.F if tensor == "F" else s.P)
+    return pair_values(evaluate, s.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +339,6 @@ def _pair_table_json(table_fn, dim: int, antisymmetric: bool = False) -> dict:
     for i in range(dim):
         start = i + 1 if antisymmetric else 0
         for j in range(start, dim):
-            if j == i and antisymmetric:
-                continue
             value = table_fn(i, j)
             if not value.is_zero:
                 out[f"[{i + 1},{j + 1}]"] = _field_json(value)
@@ -518,12 +519,13 @@ def cmd_classify(args) -> dict:
     spec, a = _load_analysis(args.spec)
     s = a.s
     t = a.torsion("canonical")
+    # Lazy concomitants: the verdict stops at the first nonzero pair of each.
+    concomitants = tuple(_concomitant_pairs(s, tensor) for tensor in ("F", "P", "FP"))
     payload = {
         "triple_kind": classify_triple(s.F, s.P),
-        # Without concomitant tables the verdict stops at a first nonzero pair.
         "verdicts": [
-            integrability_verdict(s, a.canonical, torsion_tensor=t).to_json(),
-            flatness_verdict(s, a.canonical, t, a.curvature("canonical")).to_json(),
+            integrability_verdict(s, concomitants, t).to_json(),
+            flatness_verdict(t, a.curvature("canonical")).to_json(),
         ],
     }
     if spec.metric is not None:
@@ -625,8 +627,8 @@ def cmd_report(args) -> dict:
     concomitants = tuple(a.concomitant(tensor).items() for tensor in ("F", "P", "FP"))
     verdicts = [
         Verdict("structure_valid", True),
-        integrability_verdict(s, a.canonical, concomitants, a.torsion("canonical")),
-        flatness_verdict(s, a.canonical, a.torsion("canonical"), a.curvature("canonical")),
+        integrability_verdict(s, concomitants, a.torsion("canonical")),
+        flatness_verdict(a.torsion("canonical"), a.curvature("canonical")),
     ]
     warnings: list[str] = []
     tensors = {
@@ -643,7 +645,7 @@ def cmd_report(args) -> dict:
     if s.adapted_frame is not None:
         tensors["christoffels_canonical"] = _christoffel_json(a.christoffels_canonical)
         tensors["christoffels_well_adapted"] = _christoffel_json(a.christoffels_well_adapted)
-        routes_ok = well_adapted_routes_agree(s, a.well_adapted, a.christoffels_well_adapted)
+        routes_ok = well_adapted_routes_agree(a.well_adapted, a.christoffels_well_adapted)
         verdicts.append(
             Verdict(
                 "well_adapted_routes_agree",
@@ -651,7 +653,7 @@ def cmd_report(args) -> dict:
                 None if routes_ok else {"reason": "table and frame-free routes differ"},
             )
         )
-        trace_ok = trace_condition_holds(s, a.well_adapted, a.torsion("well-adapted"))
+        trace_ok = trace_condition_holds(a.torsion("well-adapted"))
         verdicts.append(
             Verdict(
                 "trace_condition_well_adapted",

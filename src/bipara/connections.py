@@ -59,7 +59,6 @@ __all__ = [
     "canonical_connection",
     "connection_from_table",
     "curvature",
-    "difference_tensor",
     "endo_covariant_derivative",
     "is_parallel",
     "preserves_distributions",
@@ -527,25 +526,21 @@ def connection_from_table(
 
 
 class DifferenceTensor:
-    """A = nabla - nabla', expressed through the canonical torsion.
+    """A = nabla - nabla', expressed through the canonical torsion ``t``.
 
-    ``evaluate`` contracts the frame table (torsion route); ``bracket_route``
-    is the independent bracket-only expansion.  Both must agree exactly,
-    which the constructor checks on all frame pairs.  ``torsion_tensor``, if
-    given, is the torsion of ``canonical``.
+    ``t.law`` is taken as the canonical law.  ``evaluate`` contracts the
+    frame table (torsion route); ``bracket_route`` is the independent
+    bracket-only expansion.  Both must agree exactly, which the constructor
+    checks on all frame pairs, so a torsion that changes the torsion route
+    is rejected there.
     """
 
-    def __init__(
-        self,
-        s: BiparaStructure,
-        canonical: ConnectionLaw | None = None,
-        torsion_tensor: TorsionTensor | None = None,
-    ):
-        self.structure = s
-        self.canonical = canonical if canonical is not None else canonical_connection(s)
-        self._torsion = torsion_tensor if torsion_tensor is not None else torsion(self.canonical)
+    def __init__(self, t: TorsionTensor):
+        self.canonical = t.law
+        self.structure = t.law.structure
+        self._torsion = t
         mismatch = self._first_route_mismatch()
-        if mismatch is not None:  # pragma: no cover - would falsify the build
+        if mismatch is not None:
             raise StructureError(
                 [{"name": "difference-tensor routes disagree", "witness": mismatch}]
             )
@@ -614,24 +609,9 @@ class DifferenceTensor:
         return all(cell.is_zero for row in self.table for cell in row)
 
 
-def difference_tensor(
-    s: BiparaStructure,
-    canonical: ConnectionLaw | None = None,
-    torsion_tensor: TorsionTensor | None = None,
-) -> DifferenceTensor:
-    return DifferenceTensor(s, canonical, torsion_tensor)
-
-
-def well_adapted_connection(
-    s: BiparaStructure,
-    canonical: ConnectionLaw | None = None,
-    difference: DifferenceTensor | None = None,
-) -> ConnectionLaw:
-    """Frame-free construction: canonical law minus the difference tensor.
-
-    A given ``difference`` is used as is, together with its canonical law.
-    """
-    diff = difference if difference is not None else difference_tensor(s, canonical)
+def well_adapted_connection(diff: DifferenceTensor) -> ConnectionLaw:
+    """Frame-free construction: canonical law minus the difference tensor."""
+    s = diff.structure
     canon = diff.canonical
 
     def law(x: VectorField, y: VectorField) -> VectorField:
@@ -644,16 +624,9 @@ def well_adapted_connection(
     return ConnectionLaw(s, "well_adapted", law, frame_table=table)
 
 
-def well_adapted_routes_agree(
-    s: BiparaStructure,
-    frame_free: ConnectionLaw | None = None,
-    christoffels: ChristoffelTable | None = None,
-) -> bool:
+def well_adapted_routes_agree(frame_free: ConnectionLaw, christoffels: ChristoffelTable) -> bool:
     """Cross-validate the two well-adapted constructions on frame pairs."""
-    if frame_free is None:
-        frame_free = well_adapted_connection(s)
-    if christoffels is None:
-        christoffels = well_adapted_christoffels(s)
+    s = frame_free.structure
     via_table = connection_from_table(s, christoffels, kind="well_adapted")
     basis = s.basis
     for i, ei in enumerate(basis):
@@ -663,18 +636,16 @@ def well_adapted_routes_agree(
     return True
 
 
-def trace_condition_holds(
-    s: BiparaStructure, law: ConnectionLaw, torsion_tensor: TorsionTensor | None = None
-) -> bool:
+def trace_condition_holds(t: TorsionTensor) -> bool:
     """The well-adaptedness criterion on an adapted frame, checked exactly.
 
-    For all a, b, h:  omega_b(T'(X_h, X_a)) + eta_b(T'(X_h, Y_a)) = 0  and
-    omega_b(T'(Y_h, X_a)) + eta_b(T'(Y_h, Y_a)) = 0.  ``torsion_tensor``,
-    if given, is the torsion T' of ``law``.
+    ``t`` is the torsion T' of the law being checked.  For all a, b, h:
+    omega_b(T'(X_h, X_a)) + eta_b(T'(X_h, Y_a)) = 0  and
+    omega_b(T'(Y_h, X_a)) + eta_b(T'(Y_h, Y_a)) = 0.
     """
+    s = t.law.structure
     n = s.n
     omega, eta = _pairings(s)
-    t = torsion_tensor if torsion_tensor is not None else torsion(law)
     xs = [s.x_field(i) for i in range(n)]
     ys = [s.y_field(i) for i in range(n)]
     for h in range(n):

@@ -23,11 +23,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .connections import (
-    ConnectionLaw,
     CurvatureTensor,
     TorsionTensor,
     canonical_connection,
-    curvature,
     pushforward_connection,
     torsion,
 )
@@ -123,11 +121,8 @@ def pair_values(evaluate, basis):
             yield (i, j), evaluate(basis[i], basis[j])
 
 
-def _table_is_zero(pairs) -> tuple[bool, tuple | None]:
-    for pair, value in pairs:
-        if not value.is_zero:
-            return False, (pair, value)
-    return True, None
+def _all_zero(pairs) -> bool:
+    return all(value.is_zero for _, value in pairs)
 
 
 def fn_bracket(s: BiparaStructure) -> Callable[[VectorField, VectorField], VectorField]:
@@ -226,24 +221,17 @@ def involutivity_flags(s: BiparaStructure) -> dict[str, bool]:
 
 
 def integrability_verdict(
-    s: BiparaStructure,
-    canonical: ConnectionLaw | None = None,
-    concomitants: tuple | None = None,
-    torsion_tensor: TorsionTensor | None = None,
+    s: BiparaStructure, concomitants: tuple, t: TorsionTensor
 ) -> Verdict:
     """Evaluate the three equivalent integrability conditions independently.
 
-    ``concomitants`` gives the N_F, N_P and [F, P] values already built, as
-    ``pair_values`` yields them; by default each is evaluated lazily, up to
-    its first nonzero pair.  ``torsion_tensor`` is the canonical torsion.
+    ``concomitants`` gives the N_F, N_P and [F, P] values as ``pair_values``
+    yields them, built already or lazily; a lazy one is evaluated up to its
+    first nonzero pair.  ``t`` is the canonical torsion, and the witness of a
+    failing verdict: the consistency check leaves no other.
     """
-    basis = s.basis
-    nf_pairs, np_pairs, fp_pairs = concomitants or (
-        pair_values(evaluate, basis) for evaluate in (nijenhuis(s.F), nijenhuis(s.P), fn_bracket(s))
-    )
-    nf_zero, nf_witness = _table_is_zero(nf_pairs)
-    np_zero, np_witness = _table_is_zero(np_pairs)
-    cond_nijenhuis = nf_zero and np_zero
+    nf_pairs, np_pairs, fp_pairs = concomitants
+    cond_nijenhuis = _all_zero(nf_pairs) and _all_zero(np_pairs)
 
     flags = involutivity_flags(s)
     cond_involutive = all(flags.values())
@@ -252,12 +240,8 @@ def integrability_verdict(
             f"Nijenhuis convention disagrees with direct involutivity: {flags}"
         )
 
-    fp_zero, fp_witness = _table_is_zero(fp_pairs)
-
-    law = canonical if canonical is not None else canonical_connection(s)
-    t = torsion_tensor if torsion_tensor is not None else torsion(law)
+    fp_zero = _all_zero(fp_pairs)
     torsion_zero = t.is_zero
-
     if not (cond_nijenhuis == fp_zero == torsion_zero):
         raise InconsistencyError(
             "equivalent integrability conditions disagree: "
@@ -265,32 +249,12 @@ def integrability_verdict(
         )
     if cond_nijenhuis:
         return Verdict("integrable", True)
-    witness = None
-    if not torsion_zero:
-        i, j, value = t.first_nonzero()
-        witness = {"tensor": "torsion", **_field_witness((i, j), value)}
-    elif nf_witness is not None:
-        witness = {"tensor": "N_F", **_field_witness(*nf_witness)}
-    elif np_witness is not None:
-        witness = {"tensor": "N_P", **_field_witness(*np_witness)}
-    else:  # pragma: no cover - unreachable given the consistency check
-        witness = {"tensor": "fn_bracket", **_field_witness(*fp_witness)}
-    return Verdict("integrable", False, witness)
+    i, j, value = t.first_nonzero()
+    return Verdict("integrable", False, {"tensor": "torsion", **_field_witness((i, j), value)})
 
 
-def flatness_verdict(
-    s: BiparaStructure,
-    canonical: ConnectionLaw | None = None,
-    torsion_tensor: TorsionTensor | None = None,
-    curvature_tensor: CurvatureTensor | None = None,
-) -> Verdict:
-    """Locally flat iff the canonical torsion and curvature both vanish.
-
-    ``torsion_tensor`` and ``curvature_tensor`` are those of the canonical law.
-    """
-    law = canonical if canonical is not None else canonical_connection(s)
-    t = torsion_tensor if torsion_tensor is not None else torsion(law)
-    r = curvature_tensor if curvature_tensor is not None else curvature(law)
+def flatness_verdict(t: TorsionTensor, r: CurvatureTensor) -> Verdict:
+    """Locally flat iff the canonical torsion ``t`` and curvature ``r`` both vanish."""
     if t.is_zero and r.is_zero:
         return Verdict("flat", True)
     if not t.is_zero:

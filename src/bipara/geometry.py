@@ -18,6 +18,7 @@ keeps every pushforward exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -124,22 +125,16 @@ class FrameContext:
         return out
 
     def _check_jacobi(self):
-        dim = self.dim
-        for i in range(dim):
-            ei = [Fraction(1) if t == i else Fraction(0) for t in range(dim)]
-            for j in range(i + 1, dim):
-                ej = [Fraction(1) if t == j else Fraction(0) for t in range(dim)]
-                for k in range(j + 1, dim):
-                    ek = [Fraction(1) if t == k else Fraction(0) for t in range(dim)]
-                    total = [Fraction(0)] * dim
-                    for a, b, c in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)):
-                        inner = self._vector_bracket(a, b)
-                        outer = self._vector_bracket(inner, c)
-                        total = [t + o for t, o in zip(total, outer)]
-                    if any(total):
-                        raise GeometryError(
-                            f"Jacobi identity fails on basis triple ({i},{j},{k})"
-                        )
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            total = [Fraction(0)] * self.dim
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                # [[E_a, E_b], E_c] = sum_m [E_a, E_b]^m [E_m, E_c]
+                for m, coeff in enumerate(self.basis_bracket(a, b)):
+                    if coeff:
+                        for t, outer in enumerate(self.basis_bracket(m, c)):
+                            total[t] += coeff * outer
+            if any(total):
+                raise GeometryError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     # -- ring helpers ---------------------------------------------------------
 

@@ -92,11 +92,6 @@ class PolyMatrix:
         return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, variables: Sequence[str]) -> "PolyMatrix":
-        zero = MultiPoly.zero(variables)
-        return cls(rows, cols, [zero] * (rows * cols))
-
-    @classmethod
     def from_rational_rows(
         cls, rows: Sequence[Sequence[Fraction]], variables: Sequence[str]
     ) -> "PolyMatrix":
@@ -272,38 +267,16 @@ def rat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return inv
 
 
-def rat_rank(m: Sequence[Sequence[Fraction]]) -> int:
-    a = _rat_copy(m)
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(row, nrows) if a[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        a[row], a[pivot_row] = a[pivot_row], a[row]
-        pivot = a[row][col]
-        a[row] = [v / pivot for v in a[row]]
-        for r in range(nrows):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def rat_nullspace(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace, via reduced row echelon form."""
+def _rat_rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], dict[int, int]]:
+    """Reduced row echelon form, and the row of the pivot in each pivot column."""
     a = _rat_copy(m)
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivots: dict[int, int] = {}
     row = 0
     for col in range(ncols):
+        if row == nrows:
+            break
         pivot_row = next((r for r in range(row, nrows) if a[r][col] != 0), None)
         if pivot_row is None:
             continue
@@ -316,11 +289,19 @@ def rat_nullspace(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
                 a[r] = [v - factor * w for v, w in zip(a[r], a[row])]
         pivots[col] = row
         row += 1
-        if row == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    return a, pivots
+
+
+def rat_rank(m: Sequence[Sequence[Fraction]]) -> int:
+    return len(_rat_rref(m)[1])
+
+
+def rat_nullspace(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Basis of the right nullspace, via reduced row echelon form."""
+    a, pivots = _rat_rref(m)
+    ncols = len(a[0]) if a else 0
     basis = []
-    for free in free_cols:
+    for free in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for col, prow in pivots.items():

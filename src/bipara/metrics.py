@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .connections import ConnectionLaw, canonical_connection, torsion
+from .connections import ConnectionLaw, is_parallel, torsion
 from .diagnostics import InconsistencyError, Verdict
 from .geometry import (
     CONSTANT_FRAME,
@@ -169,12 +169,12 @@ def _lowered_torsion_totally_skew(law: ConnectionLaw, g: BilinearField) -> bool:
 
 
 def special_metric_predicates(
-    s: BiparaStructure, g: BilinearField, law: ConnectionLaw | None = None
+    s: BiparaStructure, g: BilinearField, law: ConnectionLaw
 ) -> dict[str, Verdict]:
     """Exact predicates for the named metric classes.
 
-    The parallel-torsion predicate is evaluated against a supplied connection
-    (default: the canonical one); no existence search is performed.
+    The parallel-torsion predicate is evaluated against the connection
+    ``law``; no existence search is performed.
     """
     if not g.is_symmetric:
         raise MetricError("metric is not symmetric")
@@ -219,19 +219,16 @@ def special_metric_predicates(
         None if ok else {"reason": "needs eps1 = + and positive definiteness"},
     )
 
-    the_law = law if law is not None else canonical_connection(s)
     failures = []
-    if not metric_covariant_derivative_is_zero(the_law, g):
+    if not metric_covariant_derivative_is_zero(law, g):
         failures.append("nabla g != 0")
-    from .connections import is_parallel
-
-    if not is_parallel(the_law, s.F):
+    if not is_parallel(law, s.F):
         failures.append("nabla F != 0")
-    if not is_parallel(the_law, s.P):
+    if not is_parallel(law, s.P):
         failures.append("nabla P != 0")
-    if not is_parallel(the_law, s.J):
+    if not is_parallel(law, s.J):
         failures.append("nabla J != 0")
-    if not _lowered_torsion_totally_skew(the_law, g):
+    if not _lowered_torsion_totally_skew(law, g):
         failures.append("lowered torsion is not totally skew")
     ok = not failures
     verdicts["parallel_skew_torsion"] = Verdict(

@@ -423,6 +423,19 @@ MAX_NESTING = 100
 # the expression needs).  Benchmark specs need at most 6 and about 800.
 MAX_EXPONENT = 100
 MAX_TERM_PRODUCTS = 50_000
+# Coefficient size is bounded too, so every coefficient stays printable: a
+# numerator or denominator above this many bits (about 1,233 decimal digits)
+# is rejected on literals and after every product, before '^' can square it.
+MAX_COEFFICIENT_BITS = 4096
+
+
+def _bounded(poly: MultiPoly, start: int) -> MultiPoly:
+    for c in poly.terms.values():
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+            raise PolyParseError(
+                f"coefficient above MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS} bits", start
+            )
+    return poly
 
 
 def _integer(digits: str, start: int) -> int:
@@ -451,7 +464,7 @@ class _Parser:
                 f"expansion needs more than MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS} term products",
                 start,
             )
-        return a * b
+        return _bounded(a * b, start)
 
     def parse(self) -> MultiPoly:
         poly = self._expr()
@@ -517,8 +530,10 @@ class _Parser:
                 denominator = _integer(value3, start3)
                 if denominator == 0:
                     raise PolyParseError("zero denominator", start3)
-                return MultiPoly.const(self.variables, Fraction(numerator, denominator))
-            return MultiPoly.const(self.variables, numerator)
+                return _bounded(
+                    MultiPoly.const(self.variables, Fraction(numerator, denominator)), start
+                )
+            return _bounded(MultiPoly.const(self.variables, numerator), start)
         if kind == "name":
             if value not in self.variables:
                 raise PolyParseError(f"unknown variable {value!r}", start)

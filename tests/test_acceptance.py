@@ -14,12 +14,13 @@ from fractions import Fraction
 
 import pytest
 
+from bipara.cli import Analysis
 from bipara.connections import (
+    DifferenceTensor,
     canonical_christoffels,
     canonical_connection,
     connection_from_table,
     curvature,
-    difference_tensor,
     is_parallel,
     pushforward_connection,
     torsion,
@@ -34,6 +35,7 @@ from bipara.diagnostics import (
     first_prolongation_dim,
     nijenhuis,
     fn_bracket,
+    pair_values,
     transpose_invariance,
 )
 from bipara.geometry import BilinearField, EndoField, algebra_context
@@ -56,6 +58,14 @@ BIN = [sys.executable, "-m", "bipara.cli"]
 
 def report(name: str):
     print(f"ACCEPTANCE {name}: PASS")
+
+
+def concomitants(s):
+    """Lazy N_F, N_P and [F, P] pair values, as integrability_verdict reads them."""
+    return tuple(
+        pair_values(evaluate, s.basis)
+        for evaluate in (nijenhuis(s.F), nijenhuis(s.P), fn_bracket(s))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +120,7 @@ def test_criterion_3_fixture_tables(flat_n2, heis, aff):
     law = canonical_connection(flat_n2)
     assert torsion(law).is_zero
     assert curvature(law).is_zero
-    assert difference_tensor(flat_n2, law).is_zero
+    assert DifferenceTensor(torsion(law)).is_zero
 
     # HEIS: T(X1,X2) = -Y1, R = 0, N_F(X1,X2) = 4 Y1,
     #       [F,P](X1,X2) = -2 X1 = 2 P T(X1,X2), A = 0
@@ -123,7 +133,7 @@ def test_criterion_3_fixture_tables(flat_n2, heis, aff):
     fp_value = fn_bracket(heis)(x1, x2)
     assert fp_value == x1.scale(-2)
     assert fp_value == heis.P.apply(t.evaluate(x1, x2)).scale(2)
-    assert difference_tensor(heis, law).is_zero
+    assert DifferenceTensor(t).is_zero
 
     # AFF: T(X1,X2) = -X1, Gamma'^1_{12} = 1/3, nabla'_{X1}X2 = X1/3,
     #      T'(X1,X2) = -X1/3, A(X1,X2) = -X1/3
@@ -133,14 +143,15 @@ def test_criterion_3_fixture_tables(flat_n2, heis, aff):
     assert t.evaluate(a1, a2) == -a1
     table = well_adapted_christoffels(aff)
     assert table.xx[0][1][0] == Fraction(1, 3)
-    wa = well_adapted_connection(aff, law)
+    diff = DifferenceTensor(t)
+    wa = well_adapted_connection(diff)
     assert wa.nabla(a1, a2) == a1.scale(Fraction(1, 3))
     assert torsion(wa).evaluate(a1, a2) == a1.scale(Fraction(-1, 3))
-    assert difference_tensor(aff, law).evaluate(a1, a2) == a1.scale(Fraction(-1, 3))
+    assert diff.evaluate(a1, a2) == a1.scale(Fraction(-1, 3))
 
     # both well-adapted constructions agree exactly on all three fixtures
     for s in (flat_n2, heis, aff):
-        frame_free = well_adapted_connection(s)
+        frame_free = Analysis(s).well_adapted
         via_table = connection_from_table(s, well_adapted_christoffels(s))
         for i in range(s.dim):
             for j in range(s.dim):
@@ -157,9 +168,11 @@ def test_criterion_4_integrability_biconditional(pool_with_laws, flat_n2, heis, 
     # integrability_verdict raises InconsistencyError if its three
     # independently evaluated conditions ever disagree
     for s, law in pool_with_laws:
-        integrability_verdict(s, law)
+        integrability_verdict(s, concomitants(s), torsion(law))
     for s in (flat_n2, heis, aff):
-        integrability_verdict(s)
+        a = Analysis(s)
+        tables = tuple(a.concomitant(tensor).items() for tensor in ("F", "P", "FP"))
+        integrability_verdict(s, tables, a.torsion("canonical"))
     report("4 three integrability conditions agree on every structure")
 
 
@@ -176,11 +189,11 @@ def test_criterion_5_flatness(pool_with_laws, heis):
     for s, law in conjugates:
         assert torsion(law).is_zero
         assert curvature(law).is_zero
-        assert flatness_verdict(s, law).holds
+        assert flatness_verdict(torsion(law), curvature(law)).holds
     heis_law = canonical_connection(heis)
     assert curvature(heis_law).is_zero
     assert not torsion(heis_law).is_zero
-    verdict = flatness_verdict(heis, heis_law)
+    verdict = flatness_verdict(torsion(heis_law), curvature(heis_law))
     assert not verdict.holds
     report("5 flat conjugates are flat; the torsion fixture is not")
 
@@ -190,17 +203,18 @@ def test_criterion_5_flatness(pool_with_laws, heis):
 
 def test_criterion_6_difference_tensor_ties_connections(pool_with_laws, aff):
     for s, law in pool_with_laws:
-        diff = difference_tensor(s, law)  # constructor cross-checks both routes
-        wa = well_adapted_connection(s, law)
-        integrable = integrability_verdict(s, law).holds
+        t = torsion(law)
+        diff = DifferenceTensor(t)  # constructor cross-checks both routes
+        wa = well_adapted_connection(diff)
+        integrable = integrability_verdict(s, concomitants(s), t).holds
         for i in range(s.dim):
             for j in range(s.dim):
                 assert law.frame_table[i][j] - wa.frame_table[i][j] == diff.table[i][j]
                 if integrable:
                     assert diff.table[i][j].is_zero
         if s.adapted_frame is not None:
-            assert trace_condition_holds(s, wa)
-    assert not trace_condition_holds(aff, canonical_connection(aff))
+            assert trace_condition_holds(torsion(wa))
+    assert not trace_condition_holds(torsion(canonical_connection(aff)))
     report("6 difference tensor ties the two connections together")
 
 

@@ -391,8 +391,10 @@ def test_deeply_nested_expression_is_schema_error(tmp_path, deep):
         ("(x1+x2+y1+y2+1)^16", "MAX_TERM_PRODUCTS = 50000 term products (at offset 15)"),
         ("y1^101", "exponent above MAX_EXPONENT = 100 (at offset 3)"),
         ("9" * 5000, "number of 5000 digits is too long (at offset 0)"),
+        # 10^10000 would pass the other limits and overflow int-to-str when printed
+        ("(10^100)^100", "coefficient above MAX_COEFFICIENT_BITS = 4096 bits (at offset 8)"),
     ],
-    ids=["term_products", "exponent", "long_number"],
+    ids=["term_products", "exponent", "long_number", "coefficient_bits"],
 )
 def test_oversized_expression_is_schema_error(tmp_path, fixture_dir, entry, message):
     spec = json.loads((fixture_dir / "flat_n2.json").read_text(encoding="utf-8"))
@@ -401,3 +403,4 @@ def test_oversized_expression_is_schema_error(tmp_path, fixture_dir, entry, mess
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from bipara.cli import Analysis
 from bipara.connections import (
     ChristoffelTable,
     ConnectionLaw,
+    DifferenceTensor,
     canonical_christoffels,
     canonical_connection,
     connection_from_table,
     curvature,
-    difference_tensor,
     endo_covariant_derivative,
     is_parallel,
     preserves_distributions,
@@ -25,6 +26,7 @@ from bipara.connections import (
 from bipara.geometry import VectorField, lie_bracket
 from bipara.poly import parse_poly
 from bipara.structure import (
+    StructureError,
     flat_structure,
     pushforward_structure,
     random_structure,
@@ -66,7 +68,7 @@ def test_heis_canonical_values(heis):
     t = torsion(law)
     assert t.evaluate(x1, x2) == -y1
     assert curvature(law).is_zero
-    assert difference_tensor(heis).is_zero
+    assert DifferenceTensor(t).is_zero
 
 
 def test_aff_canonical_values(aff):
@@ -101,7 +103,7 @@ def test_christoffels_require_adapted_frame():
     with pytest.raises(StructureError, match="adapted frame"):
         well_adapted_christoffels(bare)
     with pytest.raises(StructureError, match="adapted frame"):
-        trace_condition_holds(bare, canonical_connection(bare))
+        trace_condition_holds(torsion(canonical_connection(bare)))
 
 
 def test_christoffel_reconstruction_matches_law(generated_pool):
@@ -289,7 +291,7 @@ def test_preservation_lemma_on_generated(generated_pool):
 
 def test_preservation_lemma_on_well_adapted(generated_pool):
     for s in generated_pool[::9]:
-        wa = well_adapted_connection(s)
+        wa = Analysis(s).well_adapted
         assert preserves_distributions(wa, s)
         assert is_parallel(wa, s.F) and is_parallel(wa, s.P)
 
@@ -322,7 +324,7 @@ def test_preservation_lemma_on_mutated_table_law(heis):
 
 def test_well_adapted_equals_canonical_on_flat(flat_n2):
     canon = canonical_connection(flat_n2)
-    wa = well_adapted_connection(flat_n2, canon)
+    wa = well_adapted_connection(DifferenceTensor(torsion(canon)))
     for i in range(flat_n2.dim):
         for j in range(flat_n2.dim):
             assert wa.frame_table[i][j] == canon.frame_table[i][j]
@@ -350,24 +352,25 @@ def test_heis_well_adapted_table_vanishes(heis):
 
 
 def test_aff_well_adapted_values(aff):
-    wa = well_adapted_connection(aff)
+    a = Analysis(aff)
+    wa = a.well_adapted
     x1, x2, y1, y2 = fields(aff)
     third = Fraction(1, 3)
     assert wa.nabla(x1, x2) == x1.scale(third)
     t = torsion(wa)
     assert t.evaluate(x1, x2) == x1.scale(-third)
-    a_tensor = difference_tensor(aff)
-    assert a_tensor.evaluate(x1, x2) == x1.scale(-third)
+    assert a.difference.evaluate(x1, x2) == x1.scale(-third)
 
 
 def test_well_adapted_routes_agree_on_fixtures(flat_n2, heis, aff):
     for s in (flat_n2, heis, aff):
-        assert well_adapted_routes_agree(s)
+        a = Analysis(s)
+        assert well_adapted_routes_agree(a.well_adapted, a.christoffels_well_adapted)
 
 
 def test_well_adapted_parallelizes_structure(generated_pool):
     for s in generated_pool[::6]:
-        wa = well_adapted_connection(s)
+        wa = Analysis(s).well_adapted
         assert is_parallel(wa, s.F)
         assert is_parallel(wa, s.P)
         assert is_parallel(wa, s.J)
@@ -402,8 +405,8 @@ def test_well_adapted_connection_is_functorial():
         m = PolyMap(ctx, target_ctx, matrix=mat, matrix_inverse=inv)
         target = pushforward_structure(m, base)
         # AFF is the strong case: its well-adapted law differs from canonical
-        pushed = pushforward_connection(m, well_adapted_connection(base), target_structure=target)
-        direct = well_adapted_connection(target)
+        pushed = pushforward_connection(m, Analysis(base).well_adapted, target_structure=target)
+        direct = Analysis(target).well_adapted
         for i in range(dim):
             for j in range(dim):
                 assert pushed.frame_table[i][j] == direct.frame_table[i][j]
@@ -411,33 +414,39 @@ def test_well_adapted_connection_is_functorial():
 
 def test_difference_tensor_both_routes_on_fixtures(flat_n2, heis, aff):
     for s in (flat_n2, heis, aff):
-        diff = difference_tensor(s)
+        diff = Analysis(s).difference
         basis = fields(s)
         for i in range(s.dim):
             for j in range(s.dim):
                 assert diff.table[i][j] == diff.bracket_route(basis[i], basis[j])
 
 
+def test_difference_tensor_rejects_a_non_canonical_torsion(aff):
+    # T' differs from T on AFF, so its torsion route misses the bracket route
+    a = Analysis(aff)
+    with pytest.raises(StructureError, match="difference-tensor routes disagree"):
+        DifferenceTensor(a.torsion("well-adapted"))
+    assert DifferenceTensor(a.torsion("canonical")).canonical is a.canonical
+
+
 def test_difference_vanishes_iff_integrable(flat_n2, heis, aff):
-    assert difference_tensor(flat_n2).is_zero
-    assert difference_tensor(heis).is_zero  # nonzero torsion, zero difference
-    assert not difference_tensor(aff).is_zero
+    assert Analysis(flat_n2).difference.is_zero
+    assert Analysis(heis).difference.is_zero  # nonzero torsion, zero difference
+    assert not Analysis(aff).difference.is_zero
 
 
 def test_trace_condition(aff, heis, flat_n2):
-    wa = well_adapted_connection(aff)
-    assert trace_condition_holds(aff, wa)
-    canon = canonical_connection(aff)
-    assert not trace_condition_holds(aff, canon)
+    a = Analysis(aff)
+    assert trace_condition_holds(a.torsion("well-adapted"))
+    assert not trace_condition_holds(a.torsion("canonical"))
     # any law is well adapted on the flat model
-    assert trace_condition_holds(flat_n2, canonical_connection(flat_n2))
-    assert trace_condition_holds(heis, canonical_connection(heis))
+    assert trace_condition_holds(torsion(canonical_connection(flat_n2)))
+    assert trace_condition_holds(torsion(canonical_connection(heis)))
 
 
 def test_trace_condition_worked_entry(aff):
     # omega_1(T'(X1,X2)) = -1/3 is balanced by eta_1(T'(X1,Y2)) = 1/3
-    wa = well_adapted_connection(aff)
-    t = torsion(wa)
+    t = Analysis(aff).torsion("well-adapted")
     x1, x2, y1, y2 = fields(aff)
     assert t.evaluate(x1, x2) == x1.scale(Fraction(-1, 3))
     assert t.evaluate(x1, y2) == y1.scale(Fraction(1, 3))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bipara.cli import Analysis
 from bipara.connections import canonical_connection, curvature, torsion
 from bipara.diagnostics import (
     Verdict,
@@ -16,6 +17,7 @@ from bipara.diagnostics import (
     involutivity_flags,
     fp_torsion_identities,
     nijenhuis,
+    pair_values,
     trace_pairing_condition,
     transpose_invariance,
 )
@@ -82,9 +84,18 @@ def test_involutivity_flags_match_nijenhuis(heis, flat_n2):
     assert not all(flags.values())
 
 
+def lazy_integrability(s):
+    """The verdict on lazily evaluated concomitants, as ``classify`` runs it."""
+    concomitants = tuple(
+        pair_values(evaluate, s.basis)
+        for evaluate in (nijenhuis(s.F), nijenhuis(s.P), fn_bracket(s))
+    )
+    return integrability_verdict(s, concomitants, torsion(canonical_connection(s)))
+
+
 def test_integrability_verdicts(flat_n2, heis):
-    assert integrability_verdict(flat_n2).holds
-    verdict = integrability_verdict(heis)
+    assert lazy_integrability(flat_n2).holds
+    verdict = lazy_integrability(heis)
     assert not verdict.holds
     assert verdict.witness["tensor"] == "torsion"
     # witness re-evaluates to a nonzero field
@@ -93,12 +104,14 @@ def test_integrability_verdicts(flat_n2, heis):
 
 def test_integrability_of_conjugated_flat():
     s = random_structure(2, "polynomial_chart", degree=2, seed=808)
-    assert integrability_verdict(s).holds
+    assert lazy_integrability(s).holds
 
 
 def test_flatness_verdicts(flat_n2, heis):
-    assert flatness_verdict(flat_n2).holds
-    verdict = flatness_verdict(heis)
+    a = Analysis(flat_n2)
+    assert flatness_verdict(a.torsion("canonical"), a.curvature("canonical")).holds
+    a = Analysis(heis)
+    verdict = flatness_verdict(a.torsion("canonical"), a.curvature("canonical"))
     assert not verdict.holds
     assert verdict.witness["tensor"] == "torsion"
     # torsion obstructs although the curvature vanishes

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +8,7 @@ from bipara.geometry import (
     BilinearField,
     ContextMismatch,
     EndoField,
+    FrameContext,
     GeometryError,
     PolyMap,
     VectorField,
@@ -42,6 +44,45 @@ def test_context_rejects_jacobi_failure():
                 (0, 2): (0, 1, 0, 0),
             },
         )
+
+
+def _dense_jacobi_failure(dim, table):
+    """The first failing basis triple, from brackets of dense unit vectors."""
+    ctx = SimpleNamespace(dim=dim, brackets=table)
+    units = [[Fraction(int(t == i)) for t in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                total = [Fraction(0)] * dim
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner = FrameContext._vector_bracket(ctx, units[a], units[b])
+                    outer = FrameContext._vector_bracket(ctx, inner, units[c])
+                    total = [t + o for t, o in zip(total, outer)]
+                if any(total):
+                    return f"Jacobi identity fails on basis triple ({i},{j},{k})"
+    return None
+
+
+def test_jacobi_check_matches_dense_reference():
+    rng = random.Random(1729)
+    outcomes = set()
+    for _ in range(150):
+        dim = rng.choice((4, 4, 6))
+        table = {
+            (i, j): tuple(Fraction(rng.choice((-1, 0, 0, 1, 2))) for _ in range(dim))
+            for i in range(dim)
+            for j in range(i + 1, dim)
+            if rng.random() < 0.3
+        }
+        expected = _dense_jacobi_failure(dim, table)
+        outcomes.add(expected is None)
+        if expected is None:
+            algebra_context(dim, table)
+        else:
+            with pytest.raises(GeometryError) as err:
+                algebra_context(dim, table)
+            assert str(err.value) == expected
+    assert outcomes == {True, False}  # both valid and failing tables were drawn
 
 
 def test_coordinate_fields_commute():
@@ -205,12 +246,12 @@ def test_dual_pairing_standard_frame():
 
 
 def test_dual_pairing_torsion_component_on_aff():
-    from bipara.connections import torsion, well_adapted_connection
+    from bipara.cli import Analysis
     from bipara.structure import affine_structure
 
     s = affine_structure()
     frame = EndoField(s.context, s.adapted_frame)
-    t_prime = torsion(well_adapted_connection(s)).evaluate(s.basis[0], s.basis[1])
+    t_prime = Analysis(s).torsion("well-adapted").evaluate(s.basis[0], s.basis[1])
     assert dual_pairing(frame, 0, t_prime) == Fraction(-1, 3)
 
 

@@ -115,9 +115,20 @@ def test_rank_and_nullspace():
     assert rat_rank(m) == 2
     basis = rat_nullspace(m)
     assert len(basis) == 1
-    for vec in basis:
-        image = rat_matmul(m, [[v] for v in vec])
-        assert all(entry[0] == 0 for entry in image)
+    rng = random.Random(2718)
+    matrices = [m] + [
+        rational_matrix(
+            [[rng.choice([0, 0, 0, 1, -1, 2, Fraction(1, 3)]) for _ in range(cols)] for _ in range(rows)]
+        )
+        for rows, cols in ((rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60))
+    ]
+    for m in matrices:
+        basis = rat_nullspace(m)
+        assert rat_rank(m) + len(basis) == len(m[0])
+        assert rat_rank(m) == rat_rank([list(col) for col in zip(*m)])
+        for vec in basis:
+            image = rat_matmul(m, [[v] for v in vec])
+            assert all(entry[0] == 0 for entry in image)
 
 
 def test_rat_inverse_round_trip():

@@ -150,7 +150,7 @@ def test_hypersymplectic_solution_on_flat(flat2):
     g = solve_hypersymplectic_metric(flat2)
     assert g is not None
     assert rat_signature(g.matrix.constant_rows()) == (2, 2, 0)
-    verdicts = special_metric_predicates(flat2, g)
+    verdicts = special_metric_predicates(flat2, g, canonical_connection(flat2))
     assert verdicts["hypersymplectic"].holds
     klass = classify_metric(flat2, g)
     assert (klass.eps1, klass.eps2) == (-1, -1)
@@ -160,7 +160,7 @@ def test_hypersymplectic_solution_on_flat(flat2):
 
 def test_euclidean_not_hypersymplectic(flat2):
     g = bilinear(flat2.context, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    verdicts = special_metric_predicates(flat2, g)
+    verdicts = special_metric_predicates(flat2, g, canonical_connection(flat2))
     assert not verdicts["hypersymplectic"].holds
     assert verdicts["riemannian_product"].holds
     assert not verdicts["norden"].holds
@@ -220,7 +220,7 @@ def test_parallel_skew_torsion_predicate_on_chart_structure(flat2):
 def test_hypersymplectic_dimension_guard():
     s = flat_structure(1, "constant_frame")
     g = bilinear(s.context, [[1, 0], [0, 1]])
-    verdicts = special_metric_predicates(s, g)
+    verdicts = special_metric_predicates(s, g, canonical_connection(s))
     assert not verdicts["hypersymplectic"].holds
     assert "divisible by 4" in verdicts["hypersymplectic"].witness["reason"]
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipara.poly import (
+    MAX_COEFFICIENT_BITS,
     MAX_EXPONENT,
     MAX_TERM_PRODUCTS,
     MultiPoly,
@@ -177,6 +178,25 @@ def test_overlong_number_is_parse_error():
         with pytest.raises(PolyParseError) as err:
             parse_poly(text, ("x1",))
         assert "digits" in str(err.value)
+
+
+def test_coefficient_size_limit_names_limit_and_offset():
+    largest = 2**MAX_COEFFICIENT_BITS - 1
+    assert parse_poly(str(largest), ()).constant_value() == largest
+    assert parse_poly(f"1/{largest}", ()).constant_value() == Fraction(1, largest)
+    for text, offset in (
+        (str(largest + 1), 0),
+        (f"x1 + 1/{largest + 1}", 5),
+        # checked on every product: the fourth squaring of 10^100 stops it
+        ("(10^100)^100", 8),
+        (f"{largest} * 2", len(str(largest)) + 1),  # the "*"
+    ):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, ("x1",))
+        assert f"MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS}" in str(err.value)
+        assert err.value.offset == offset
+    # the largest accepted coefficient prints within the int-to-str limit
+    assert len(str(parse_poly(str(largest), ()))) < 4300
 
 
 @given(polys)

@@ -201,13 +201,13 @@ def test_generated_structures_validate(generated_pool):
 def test_dim_eight_structure_end_to_end():
     # n = 4 sanity pass on the constant backend: generation, validation,
     # connection axioms and the difference machinery all scale past dim 6
-    from bipara.connections import canonical_connection, difference_tensor, is_parallel
+    from bipara.connections import DifferenceTensor, canonical_connection, is_parallel, torsion
 
     s = random_structure(4, "constant_frame", seed=4096)
     assert s.dim == 8
     law = canonical_connection(s)
     assert is_parallel(law, s.F) and is_parallel(law, s.P) and is_parallel(law, s.J)
-    difference_tensor(s, law)  # route cross-check runs internally
+    DifferenceTensor(torsion(law))  # route cross-check runs internally
 
 
 def test_delta_gl_membership():
