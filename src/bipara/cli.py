@@ -132,16 +132,22 @@ def _parse_rational(text: str, where: str) -> Fraction:
     return value.constant_value()
 
 
-def load_spec(path: str) -> StructureSpec:
-    """Read and schema-validate a spec file (mathematical checks come later)."""
+def _read_json(path: str):
     try:
         raw_text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SchemaError(f"cannot read {path}: {err}") from err
     try:
-        data = json.loads(raw_text)
+        return json.loads(raw_text)
     except json.JSONDecodeError as err:
         raise SchemaError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from err
+    except (ValueError, RecursionError) as err:  # over-long integers, deep nesting
+        raise SchemaError(f"{path}: invalid JSON: {err}") from err
+
+
+def load_spec(path: str) -> StructureSpec:
+    """Read and schema-validate a spec file (mathematical checks come later)."""
+    data = _read_json(path)
     _schema(isinstance(data, dict), f"{path}: top level must be an object")
     backend = data.get("backend")
     _schema(
@@ -202,8 +208,10 @@ def load_spec(path: str) -> StructureSpec:
     omega = optional_matrix("omega")
     h_matrix = optional_matrix("H")
 
+    points = data.get("seed_points")
+    _schema(points is None or isinstance(points, list), f"{path}: seed_points must be a list of points")
     seed_points = []
-    for t, point in enumerate(data.get("seed_points", []) or []):
+    for t, point in enumerate(points or []):
         where = f"{path}: seed_points[{t + 1}]"
         _schema(backend == POLYNOMIAL_CHART, f"{where}: seed points need the chart backend")
         _schema(isinstance(point, list) and len(point) == dim, f"{where}: need {dim} coordinates")
@@ -550,31 +558,29 @@ def _metric_class_json(spec: StructureSpec, s: BiparaStructure, metric: Bilinear
     return out
 
 
+def _parse_components(data, variables, dim, where: str) -> list:
+    _schema(isinstance(data, list) and len(data) == dim, f"{where}: expected a list of {dim} expressions")
+    parsed = []
+    for k, text in enumerate(data):
+        _schema(isinstance(text, str), f"{where}[{k + 1}]: entries are strings")
+        try:
+            parsed.append(parse_poly(text, variables))
+        except PolyParseError as err:
+            raise SchemaError(f"{where}[{k + 1}]: {err}") from err
+    return parsed
+
+
 def _load_map(path: str, source: FrameContext, target: FrameContext) -> PolyMap:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
-        raise SchemaError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}: invalid JSON at line {err.lineno}") from err
+    data = _read_json(path)
     _schema(isinstance(data, dict), f"{path}: top level must be an object")
+    dim = source.dim
     try:
         if source.backend == POLYNOMIAL_CHART:
-            fwd = data.get("forward")
-            inv = data.get("inverse")
-            _schema(
-                isinstance(fwd, list) and isinstance(inv, list),
-                f"{path}: chart maps need 'forward' and 'inverse' lists",
-            )
-            forward = [parse_poly(t, source.variables) for t in fwd]
-            inverse = [parse_poly(t, target.variables) for t in inv]
+            forward = _parse_components(data.get("forward"), source.variables, dim, f"{path}: forward")
+            inverse = _parse_components(data.get("inverse"), target.variables, dim, f"{path}: inverse")
             return PolyMap(source, target, forward=forward, inverse=inverse)
-        matrix = data.get("matrix")
-        _schema(isinstance(matrix, list), f"{path}: constant maps need a 'matrix'")
-        rows = [[_parse_rational(v, f"{path}: matrix") for v in row] for row in matrix]
+        rows = _parse_matrix(data.get("matrix"), (), dim, f"{path}: matrix").constant_rows()
         return PolyMap(source, target, matrix=rows)
-    except PolyParseError as err:
-        raise SchemaError(f"{path}: {err}") from err
     except (GeometryError, LinAlgError) as err:
         raise MathValidationError(f"{path}: {err}") from err
 

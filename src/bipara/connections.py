@@ -32,8 +32,6 @@ from functools import cached_property
 from typing import Callable
 
 from .geometry import (
-    CONSTANT_FRAME,
-    POLYNOMIAL_CHART,
     BilinearField,
     ContextMismatch,
     EndoField,
@@ -117,10 +115,9 @@ class ConnectionLaw:
         out = [ctx.zero_poly() for _ in range(ctx.dim)]
         for m, wm in enumerate(w.components):
             if not wm.is_zero:
-                if ctx.backend == POLYNOMIAL_CHART:
-                    dwm = wm.derivative(ctx.variables[i])
-                    if not dwm.is_zero:
-                        out[m] = out[m] + dwm
+                dwm = ctx.frame_derivative(i, wm)
+                if not dwm.is_zero:
+                    out[m] = out[m] + dwm
                 for t, comp in enumerate(table[i][m].components):
                     if not comp.is_zero:
                         out[t] = out[t] + wm * comp
@@ -227,16 +224,12 @@ class CurvatureTensor:
         out: dict[tuple[int, int, int], VectorField] = {}
         for i in range(dim):
             for j in range(i + 1, dim):
-                if ctx.backend == CONSTANT_FRAME:
-                    bracket_coeffs = ctx.basis_bracket(i, j)
-                else:
-                    bracket_coeffs = None
+                bracket_coeffs = ctx.basis_bracket(i, j)
                 for k in range(dim):
                     value = law.nabla_of_field(i, ft[j][k]) - law.nabla_of_field(j, ft[i][k])
-                    if bracket_coeffs is not None:
-                        for m, c in enumerate(bracket_coeffs):
-                            if c:
-                                value = value - ft[m][k].scale(c)
+                    for m, c in enumerate(bracket_coeffs):
+                        if c:
+                            value = value - ft[m][k].scale(c)
                     out[(i, j, k)] = value
         return out
 
@@ -528,11 +521,11 @@ def connection_from_table(
 class DifferenceTensor:
     """A = nabla - nabla', expressed through the canonical torsion ``t``.
 
-    ``t.law`` is taken as the canonical law.  ``evaluate`` contracts the
+    ``t.law`` must be the canonical law.  ``evaluate`` contracts the
     frame table (torsion route); ``bracket_route`` is the independent
     bracket-only expansion.  Both must agree exactly, which the constructor
-    checks on all frame pairs, so a torsion that changes the torsion route
-    is rejected there.
+    checks on all frame pairs.  A law with the canonical torsion table passes
+    that check, so the constructor also requires ``t.law.kind == "canonical"``.
     """
 
     def __init__(self, t: TorsionTensor):
@@ -543,6 +536,10 @@ class DifferenceTensor:
         if mismatch is not None:
             raise StructureError(
                 [{"name": "difference-tensor routes disagree", "witness": mismatch}]
+            )
+        if t.law.kind != "canonical":
+            raise StructureError(
+                [{"name": "difference tensor needs the canonical torsion", "witness": t.law.kind}]
             )
 
     def torsion_route(self, x: VectorField, y: VectorField) -> VectorField:

@@ -1,6 +1,6 @@
 """Frames, vector fields, tensor fields, Lie brackets and pushforwards.
 
-Two backends share one interface:
+Two backends share one interface and every kernel; they differ only in data:
 
 * ``polynomial_chart`` -- the frame is the coordinate frame of a single
   polynomial chart; brackets use exact partial derivatives.
@@ -67,27 +67,23 @@ class FrameContext:
     """A 2n-dimensional frame with a Lie bracket.
 
     ``variables`` is empty for the constant backend; ``bracket_table`` is
-    empty for the chart backend (coordinate fields commute).
+    empty for the chart backend (coordinate fields commute).  Kernels read
+    both, so ``backend`` is derived, not stored.
     """
 
-    backend: str
     dim: int
     variables: tuple[str, ...]
     bracket_table: BracketTable
 
     def __post_init__(self):
-        if self.backend not in (CONSTANT_FRAME, POLYNOMIAL_CHART):
-            raise GeometryError(f"unknown backend {self.backend!r}")
         if self.dim <= 0 or self.dim % 2 != 0:
             raise GeometryError(f"dimension must be a positive even number, got {self.dim}")
-        if self.backend == POLYNOMIAL_CHART:
+        if self.variables:
             if len(self.variables) != self.dim:
                 raise GeometryError("chart context needs one variable per dimension")
             if self.bracket_table:
                 raise GeometryError("chart context must not carry structure constants")
         else:
-            if self.variables:
-                raise GeometryError("constant-frame context carries no variables")
             seen = set()
             for i, j, coeffs in self.bracket_table:
                 if not (0 <= i < j < self.dim):
@@ -99,12 +95,16 @@ class FrameContext:
                     raise GeometryError("structure constant coefficient vector has wrong length")
             self._check_jacobi()
 
+    @property
+    def backend(self) -> str:
+        return POLYNOMIAL_CHART if self.variables else CONSTANT_FRAME
+
     @cached_property
     def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
         return {(i, j): coeffs for i, j, coeffs in self.bracket_table}
 
     def basis_bracket(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """[E_i, E_j] as a coefficient vector (constant backend only)."""
+        """[E_i, E_j] as a coefficient vector (zero on a chart: coordinate fields commute)."""
         if i == j:
             return (Fraction(0),) * self.dim
         if i < j:
@@ -136,6 +136,12 @@ class FrameContext:
             if any(total):
                 raise GeometryError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
+    def frame_derivative(self, i: int, f: MultiPoly) -> MultiPoly:
+        """E_i(f): d f / d v_i on a chart, zero on a constant frame."""
+        if not self.variables:
+            return self.zero_poly()
+        return f.derivative(self.variables[i])
+
     # -- ring helpers ---------------------------------------------------------
 
     def zero_poly(self) -> MultiPoly:
@@ -151,7 +157,7 @@ class FrameContext:
 
 
 def chart_context(variables: Sequence[str]) -> FrameContext:
-    return FrameContext(POLYNOMIAL_CHART, len(variables), tuple(variables), ())
+    return FrameContext(len(variables), tuple(variables), ())
 
 def algebra_context(
     dim: int, brackets: Mapping[tuple[int, int], Sequence[Fraction]] | None = None
@@ -159,7 +165,7 @@ def algebra_context(
     table = tuple(
         sorted((i, j, tuple(Fraction(c) for c in coeffs)) for (i, j), coeffs in (brackets or {}).items())
     )
-    return FrameContext(CONSTANT_FRAME, dim, (), table)
+    return FrameContext(dim, (), table)
 
 
 def _require_same_context(*objects):
@@ -342,30 +348,30 @@ class BilinearField:
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y], exact on both backends."""
+    """[X, Y]^i = sum_k (X^k d_k Y^i - Y^k d_k X^i) + sum_{a<b} (X^a Y^b - X^b Y^a) c^i_ab."""
     ctx = _require_same_context(x, y)
-    if ctx.backend == POLYNOMIAL_CHART:
-        comps = []
-        for i in range(ctx.dim):
-            acc = ctx.zero_poly()
-            yi = y.components[i]
-            xi = x.components[i]
-            for k, name in enumerate(ctx.variables):
-                xk = x.components[k]
-                yk = y.components[k]
-                if not xk.is_zero:
-                    dyi = yi.derivative(name)
-                    if not dyi.is_zero:
-                        acc = acc + xk * dyi
-                if not yk.is_zero:
-                    dxi = xi.derivative(name)
-                    if not dxi.is_zero:
-                        acc = acc - yk * dxi
-            comps.append(acc)
-        return VectorField(ctx, comps)
-    out = [ctx.zero_poly() for _ in range(ctx.dim)]
-    for (i, j), coeffs in ctx.brackets.items():
-        factor = x.components[i] * y.components[j] - x.components[j] * y.components[i]
+    xs, ys = x.components, y.components
+    out = []
+    for i in range(ctx.dim):
+        acc = ctx.zero_poly()
+        yi = ys[i]
+        xi = xs[i]
+        for k, name in enumerate(ctx.variables):
+            xk = xs[k]
+            yk = ys[k]
+            if not xk.is_zero:
+                dyi = yi.derivative(name)
+                if not dyi.is_zero:
+                    acc = acc + xk * dyi
+            if not yk.is_zero:
+                dxi = xi.derivative(name)
+                if not dxi.is_zero:
+                    acc = acc - yk * dxi
+        out.append(acc)
+    for (a, b), coeffs in ctx.brackets.items():
+        if (xs[a].is_zero or ys[b].is_zero) and (xs[b].is_zero or ys[a].is_zero):
+            continue
+        factor = xs[a] * ys[b] - xs[b] * ys[a]
         if factor.is_zero:
             continue
         for m, c in enumerate(coeffs):
@@ -379,8 +385,6 @@ def directional_derivative(x: VectorField, f: MultiPoly) -> MultiPoly:
     ctx = x.context
     if f.variables != ctx.variables:
         raise PolyError("scalar lives in the wrong ring")
-    if ctx.backend == CONSTANT_FRAME:
-        return ctx.zero_poly()
     acc = ctx.zero_poly()
     for k, name in enumerate(ctx.variables):
         xk = x.components[k]
@@ -419,7 +423,8 @@ class PolyMap:
     Chart backend: ``forward`` lists the target coordinates as polynomials in
     the source variables, ``inverse`` the other way round; both compositions
     are verified to be the identity.  Constant backend: a bracket-preserving
-    invertible matrix and its exact inverse.
+    invertible matrix and its exact inverse, which are also the Jacobians;
+    ``forward`` and ``inverse`` are empty.
     """
 
     def __init__(
@@ -446,8 +451,8 @@ class PolyMap:
         else:
             if matrix is None:
                 raise GeometryError("constant-frame map needs a matrix")
-            self.forward = None
-            self.inverse = None
+            self.forward = ()
+            self.inverse = ()
             self.matrix = [[Fraction(v) for v in row] for row in matrix]
             self.matrix_inverse = (
                 [[Fraction(v) for v in row] for row in matrix_inverse]
@@ -455,6 +460,10 @@ class PolyMap:
                 else rat_inverse(self.matrix)
             )
             self._validate_constant()
+            self.__dict__["jacobian_at_inverse"] = PolyMatrix.from_rational_rows(self.matrix, ())
+            self.__dict__["jacobian_of_inverse"] = PolyMatrix.from_rational_rows(
+                self.matrix_inverse, ()
+            )
 
     def _validate_chart(self):
         dim = self.source.dim
@@ -510,7 +519,7 @@ class PolyMap:
 
     @cached_property
     def jacobian_at_inverse(self) -> PolyMatrix:
-        """D(forward) composed with the inverse map, in target variables."""
+        """D(forward) composed with the inverse map (``matrix`` on a constant frame)."""
         rows = []
         for f in self.forward:
             rows.append(
@@ -520,6 +529,7 @@ class PolyMap:
 
     @cached_property
     def jacobian_of_inverse(self) -> PolyMatrix:
+        """D(inverse) (``matrix_inverse`` on a constant frame)."""
         rows = []
         for g in self.inverse:
             rows.append([g.derivative(v) for v in self.target.variables])
@@ -562,15 +572,6 @@ def identity_map(context: FrameContext) -> PolyMap:
 def pushforward_vector(m: PolyMap, x: VectorField) -> VectorField:
     if x.context != m.source:
         raise ContextMismatch("field does not live on the map source")
-    if m.source.backend == CONSTANT_FRAME:
-        values = [
-            sum(
-                (Fraction(m.matrix[i][k]) * x.components[k].constant_value() for k in range(m.source.dim)),
-                Fraction(0),
-            )
-            for i in range(m.source.dim)
-        ]
-        return VectorField.from_rationals(m.target, values)
     moved = [c.substitute(m._sub_inverse) for c in x.components]
     return VectorField(m.target, m.jacobian_at_inverse.matvec(moved))
 
@@ -578,9 +579,6 @@ def pushforward_vector(m: PolyMap, x: VectorField) -> VectorField:
 def pushforward_endo(m: PolyMap, e: EndoField) -> EndoField:
     if e.context != m.source:
         raise ContextMismatch("field does not live on the map source")
-    if m.source.backend == CONSTANT_FRAME:
-        rows = rat_matmul(rat_matmul(m.matrix, e.matrix.constant_rows()), m.matrix_inverse)
-        return EndoField(m.target, PolyMatrix.from_rational_rows(rows, m.target.variables))
     moved = e.matrix.substitute(m._sub_inverse)
     # D(inverse) is the pointwise inverse Jacobian: no matrix inversion needed.
     out = m.jacobian_at_inverse @ moved @ m.jacobian_of_inverse
@@ -590,16 +588,6 @@ def pushforward_endo(m: PolyMap, e: EndoField) -> EndoField:
 def pushforward_bilinear(m: PolyMap, g: BilinearField) -> BilinearField:
     if g.context != m.source:
         raise ContextMismatch("field does not live on the map source")
-    if m.source.backend == CONSTANT_FRAME:
-        rows = rat_matmul(
-            rat_matmul(_transpose(m.matrix_inverse), g.matrix.constant_rows()),
-            m.matrix_inverse,
-        )
-        return BilinearField(m.target, PolyMatrix.from_rational_rows(rows, m.target.variables))
     moved = g.matrix.substitute(m._sub_inverse)
     jac_inv = m.jacobian_of_inverse
     return BilinearField(m.target, jac_inv.transpose() @ moved @ jac_inv)
-
-
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)]

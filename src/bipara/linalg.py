@@ -244,29 +244,6 @@ def rat_matmul(a, b) -> list[list[Fraction]]:
     ]
 
 
-def rat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination; raises if singular."""
-    n = len(m)
-    a = _rat_copy(m)
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise LinAlgError("matrix is singular")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        a[col] = [v / pivot for v in a[col]]
-        inv[col] = [v / pivot for v in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col]
-            a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-            inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
-    return inv
-
-
 def _rat_rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], dict[int, int]]:
     """Reduced row echelon form, and the row of the pivot in each pivot column."""
     a = _rat_copy(m)
@@ -290,6 +267,18 @@ def _rat_rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], di
         pivots[col] = row
         row += 1
     return a, pivots
+
+
+def rat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse: the right half of the reduced form of [m | Id]; raises if singular."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise LinAlgError("inverse of a non-square matrix")
+    augmented = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    a, pivots = _rat_rref(augmented)
+    if any(col not in pivots for col in range(n)):
+        raise LinAlgError("matrix is singular")
+    return [row[n:] for row in a]
 
 
 def rat_rank(m: Sequence[Sequence[Fraction]]) -> int:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .connections import ConnectionLaw, is_parallel, torsion
 from .diagnostics import InconsistencyError, Verdict
 from .geometry import (
-    CONSTANT_FRAME,
     BilinearField,
     ContextMismatch,
     EndoField,
@@ -73,8 +72,6 @@ def _base_point(ctx) -> list[Fraction]:
 
 
 def _constant_matrix_at(g: BilinearField, point=None) -> list[list[Fraction]]:
-    if g.context.backend == CONSTANT_FRAME:
-        return g.matrix.constant_rows()
     return g.matrix.evaluate(point if point is not None else _base_point(g.context))
 
 

@@ -297,11 +297,8 @@ def adapted_basis(
             raise StructureError(
                 [{"name": f"input {k + 1} is not in T_F^+ (F*X != X)", "witness": None}]
             )
-    if s.context.backend == POLYNOMIAL_CHART:
-        origin = [Fraction(0)] * s.dim
-        columns = [[c.evaluate(origin) for c in x.components] for x in xs]
-    else:
-        columns = [[c.constant_value() for c in x.components] for x in xs]
+    origin = [Fraction(0)] * len(s.context.variables)
+    columns = [[c.evaluate(origin) for c in x.components] for x in xs]
     if rat_rank([list(col) for col in zip(*columns)]) != n:
         raise StructureError(
             [{"name": "inputs are dependent at the evaluation point", "witness": None}]

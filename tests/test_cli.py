@@ -404,3 +404,75 @@ def test_oversized_expression_is_schema_error(tmp_path, fixture_dir, entry, mess
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
 
+
+
+IDENTITY_CHART_MAP = {"forward": ["x1", "x2", "y1", "y2"], "inverse": ["x1", "x2", "y1", "y2"]}
+
+
+@pytest.mark.parametrize(
+    "fixture, spec_update, map_data, message",
+    [
+        ("flat_n2", {"seed_points": 5}, None, "spec.json: seed_points must be a list of points"),
+        ("flat_n2", {"seed_points": {"a": 1}}, None, "spec.json: seed_points must be a list of points"),
+        (
+            "flat_n2",
+            {},
+            {**IDENTITY_CHART_MAP, "forward": [1, "x2", "y1", "y2"]},
+            "map.json: forward[1]: entries are strings",
+        ),
+        (
+            "flat_n2",
+            {},
+            {**IDENTITY_CHART_MAP, "inverse": ["x1", "x2"]},
+            "map.json: inverse: expected a list of 4 expressions",
+        ),
+        ("heis_n2", {}, {"matrix": [1, 2]}, "map.json: matrix: expected 4 rows"),
+        ("heis_n2", {}, {"matrix": [[1]]}, "map.json: matrix: expected 4 rows"),
+        (
+            "heis_n2",
+            {},
+            {"matrix": [["1", "0", "0", "0"], ["0", "1"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
+            "map.json: matrix: row 2 must have 4 entries",
+        ),
+        (
+            "heis_n2",
+            {},
+            {"matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+            "map.json: matrix[1][1]: entries are strings",
+        ),
+    ],
+    ids=["seed_points_int", "seed_points_object", "forward_int", "inverse_short", "matrix_flat",
+         "matrix_1x1", "matrix_short_row", "matrix_numbers"],
+)
+def test_malformed_spec_or_map_is_schema_error(
+    tmp_path, fixture_dir, capsys, fixture, spec_update, map_data, message
+):
+    spec = json.loads((fixture_dir / f"{fixture}.json").read_text(encoding="utf-8"))
+    spec_path = str(write(tmp_path, "spec.json", {**spec, **spec_update}))
+    argv = ["validate", spec_path]
+    if map_data is not None:
+        argv = ["equivalent", spec_path, spec_path, "--map", str(write(tmp_path, "map.json", map_data))]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"n": ' + b"9" * 5000 + b"}", "bad.json"),  # longer than int() converts
+        (b"[" * 100000 + b"]" * 100000, "bad.json: invalid JSON"),
+        (b'{"n": "\xff"}', "cannot read"),
+    ],
+    ids=["long_integer", "deep_nesting", "not_utf8"],
+)
+def test_unreadable_json_is_schema_error(tmp_path, fixture_dir, capsys, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    flat = str(fixture_dir / "flat_n2.json")
+    for argv in (["validate", str(bad)], ["equivalent", flat, flat, "--map", str(bad)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err

@@ -429,6 +429,24 @@ def test_difference_tensor_rejects_a_non_canonical_torsion(aff):
     assert DifferenceTensor(a.torsion("canonical")).canonical is a.canonical
 
 
+def test_difference_tensor_rejects_a_custom_law_with_the_canonical_torsion(aff):
+    # canonical + S with S(X, Y) = (sum x_i y_i) E_1 symmetric: the torsion
+    # table is the canonical one, so only the law's kind tells them apart
+    canon = Analysis(aff).canonical
+    e1 = aff.basis[0]
+
+    def law(x, y):
+        weight = aff.context.zero_poly()
+        for xi, yi in zip(x.components, y.components):
+            weight = weight + xi * yi
+        return canon.nabla(x, y) + e1.scale(weight)
+
+    custom = torsion(ConnectionLaw(aff, "custom", law))
+    assert custom.table == torsion(canon).table
+    with pytest.raises(StructureError, match="difference tensor needs the canonical torsion"):
+        DifferenceTensor(custom)
+
+
 def test_difference_vanishes_iff_integrable(flat_n2, heis, aff):
     assert Analysis(flat_n2).difference.is_zero
     assert Analysis(heis).difference.is_zero  # nonzero torsion, zero difference

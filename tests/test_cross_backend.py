@@ -1,0 +1,155 @@
+"""The two backends agree where both apply.
+
+A polynomial frame E_1..E_2n on a chart whose brackets are constant,
+[E_a, E_b] = c^m_ab E_m, is a left-invariant frame of the Lie algebra with
+structure constants c.  The chart structure that is adapted to E (F and P
+have the standard adapted blocks in E) and the constant-frame structure on
+that algebra must then have the same torsion, curvature and difference tensor
+in the frame: evaluated on the E_a and paired with the coframe, each chart
+component is the constant-frame component.
+
+None of the frames is integrable: the torsion is nonzero on each, and on the
+affine frame the difference tensor and the well-adapted curvature are too.
+The other chart structures of the suites are conjugates of the flat model,
+where all of these vanish.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from bipara import (
+    BiparaStructure,
+    EndoField,
+    PolyMatrix,
+    VectorField,
+    algebra_context,
+    chart_context,
+    lie_bracket,
+    parse_poly,
+    poly_matrix_inverse,
+)
+from bipara.cli import Analysis
+
+
+def chart_variables(n: int) -> tuple[str, ...]:
+    return tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n))
+
+
+def adapted_blocks(n: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """F = diag(I, -I) and P = the block swap in an adapted frame."""
+    dim = 2 * n
+    f = [[Fraction(0)] * dim for _ in range(dim)]
+    p = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(n):
+        f[i][i] = Fraction(1)
+        f[n + i][n + i] = Fraction(-1)
+        p[n + i][i] = Fraction(1)
+        p[i][n + i] = Fraction(1)
+    return f, p
+
+
+def constant_twin(n: int, table: dict) -> BiparaStructure:
+    ctx = algebra_context(2 * n, table)
+    f, p = adapted_blocks(n)
+    return BiparaStructure.validate(
+        EndoField(ctx, PolyMatrix.from_rational_rows(f, ())),
+        EndoField(ctx, PolyMatrix.from_rational_rows(p, ())),
+        adapted_frame=PolyMatrix.identity(2 * n, ()),
+    )
+
+
+def chart_twin(n: int, columns: list[list[str]]) -> BiparaStructure:
+    """The chart structure adapted to the frame whose fields are ``columns``."""
+    variables = chart_variables(n)
+    ctx = chart_context(variables)
+    dim = 2 * n
+    frame = PolyMatrix.from_rows(
+        [[parse_poly(columns[c][r], variables) for c in range(dim)] for r in range(dim)]
+    )
+    f, p = adapted_blocks(n)
+    coframe = poly_matrix_inverse(frame)
+    return BiparaStructure.validate(
+        EndoField(ctx, frame @ PolyMatrix.from_rational_rows(f, variables) @ coframe),
+        EndoField(ctx, frame @ PolyMatrix.from_rational_rows(p, variables) @ coframe),
+        adapted_frame=frame,
+    )
+
+
+def nilpotent_frame(n: int, rng: random.Random) -> tuple[list[list[str]], dict]:
+    """X_j = d/dx_j + sum_{i<j} c^k_ij x_i d/dy_k and Y_k = d/dy_k.
+
+    [X_i, X_j] = sum_k c^k_ij Y_k; every c^k_ij with k = (i + j) mod n is
+    nonzero, the others are drawn from {0, 1, -2}.
+    """
+    dim = 2 * n
+    variables = chart_variables(n)
+    columns = [["1" if r == c else "0" for r in range(dim)] for c in range(dim)]
+    table = {}
+    for j in range(n):
+        for i in range(j):
+            coeffs = [Fraction(0)] * dim
+            for k in range(n):
+                c = rng.choice((1, -1, Fraction(1, 2))) if k == (i + j) % n else rng.choice((0, 1, -2))
+                if c:
+                    coeffs[n + k] = Fraction(c)
+                    columns[j][n + k] += f" + ({c})*{variables[i]}"
+            table[(i, j)] = tuple(coeffs)
+    return columns, table
+
+
+AFFINE_FRAME = (
+    # X1 = d/dx1, X2 = d/dx2 + x1 d/dx1, Y_k = d/dy_k: [X1, X2] = X1
+    [["1", "0", "0", "0"], ["x1", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    {(0, 1): (Fraction(1), Fraction(0), Fraction(0), Fraction(0))},
+)
+
+
+def _frame_components(s: BiparaStructure, v: VectorField) -> list[Fraction]:
+    """The coframe pairings of ``v``; each must be a constant."""
+    pairings = s.coframe.matvec(list(v.components))
+    assert all(c.is_constant for c in pairings), pairings
+    return [c.constant_value() for c in pairings]
+
+
+def _tensor_components(s: BiparaStructure, frame: list[VectorField]) -> dict:
+    """(tensor, slots) -> frame components of that tensor on those frame fields."""
+    a = Analysis(s)
+    dim = s.dim
+    out = {}
+    for i in range(dim):
+        for j in range(dim):
+            out[("A", i, j)] = a.difference.evaluate(frame[i], frame[j])
+            for kind in ("canonical", "well-adapted"):
+                out[(f"T {kind}", i, j)] = a.torsion(kind).evaluate(frame[i], frame[j])
+                r = a.curvature(kind)
+                for k in range(dim):
+                    out[(f"R {kind}", i, j, k)] = r.evaluate(frame[i], frame[j], frame[k])
+    return {key: _frame_components(s, v) for key, v in out.items()}
+
+
+_rng = random.Random(1729)
+CASES = [pytest.param("affine", 2, *AFFINE_FRAME, id="affine")] + [
+    pytest.param("nilpotent", n, *nilpotent_frame(n, _rng), id=f"nilpotent_n{n}") for n in (2, 3)
+]
+
+
+@pytest.mark.parametrize("family, n, columns, table", CASES)
+def test_chart_and_constant_frame_agree_in_the_frame(family, n, columns, table):
+    chart = chart_twin(n, columns)
+    const = constant_twin(n, table)
+    chart_frame = [VectorField(chart.context, chart.adapted_frame.column(c)) for c in range(2 * n)]
+    # the frame really has the structure constants of the table
+    for a in range(2 * n):
+        for b in range(2 * n):
+            assert _frame_components(chart, lie_bracket(chart_frame[a], chart_frame[b])) == list(
+                const.context.basis_bracket(a, b)
+            )
+    on_chart = _tensor_components(chart, chart_frame)
+    on_const = _tensor_components(const, list(const.basis))
+    assert on_chart == on_const
+    nonzero = {key[0] for key, v in on_const.items() if any(v)}
+    assert "T canonical" in nonzero
+    if family == "affine":
+        assert {"A", "T well-adapted", "R well-adapted"} <= nonzero

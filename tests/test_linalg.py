@@ -137,6 +137,19 @@ def test_rat_inverse_round_trip():
     assert rat_matmul(m, inv) == rational_matrix([[1, 0], [0, 1]])
     with pytest.raises(LinAlgError):
         rat_inverse(rational_matrix([[1, 2], [2, 4]]))
+    with pytest.raises(LinAlgError, match="non-square"):
+        rat_inverse(rational_matrix([[1, 2]]))
+    rng = random.Random(3141)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m = rational_matrix([[rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)]) for _ in range(n)] for _ in range(n)])
+        eye = rational_matrix([[int(i == j) for j in range(n)] for i in range(n)])
+        if rat_rank(m) < n:
+            with pytest.raises(LinAlgError, match="singular"):
+                rat_inverse(m)
+            continue
+        inv = rat_inverse(m)
+        assert rat_matmul(m, inv) == eye and rat_matmul(inv, m) == eye
 
 
 def test_poly_matrix_inverse_constant():
