@@ -342,14 +342,13 @@ def _matrix_json(m: PolyMatrix) -> list[list[str]]:
     return [[str(m.get(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def _pair_table_json(table_fn, dim: int, antisymmetric: bool = False) -> dict:
+def _cells_json(cells) -> dict:
+    """The nonzero cells of a tensor, keyed ``[i,j]`` or ``[i,j;k]`` (1-based)."""
     out = {}
-    for i in range(dim):
-        start = i + 1 if antisymmetric else 0
-        for j in range(start, dim):
-            value = table_fn(i, j)
-            if not value.is_zero:
-                out[f"[{i + 1},{j + 1}]"] = _field_json(value)
+    for key, value in cells:
+        if not value.is_zero:
+            pair = f"{key[0] + 1},{key[1] + 1}"
+            out[f"[{pair}]" if len(key) == 2 else f"[{pair};{key[2] + 1}]"] = _field_json(value)
     return out
 
 
@@ -465,9 +464,7 @@ def cmd_connection(args) -> dict:
     law = a.law(args.kind)
     payload = {
         "kind": args.kind,
-        "frame_derivatives": _pair_table_json(
-            lambda i, j: law.frame_table[i][j], s.dim
-        ),
+        "frame_derivatives": _cells_json(law.cells()),
     }
     if args.christoffels:
         if s.adapted_frame is None:
@@ -479,47 +476,30 @@ def cmd_connection(args) -> dict:
     return payload
 
 
-def _torsion_json(t: TorsionTensor) -> dict:
-    return _pair_table_json(lambda i, j: t.table[i][j], t.law.context.dim, antisymmetric=True)
-
-
-def _curvature_json(r: CurvatureTensor) -> dict:
-    return {
-        f"[{i + 1},{j + 1};{k + 1}]": _field_json(v)
-        for (i, j, k), v in sorted(r.table.items())
-        if not v.is_zero
-    }
-
-
-def _concomitant_json(a: Analysis, tensor: str) -> dict:
-    table = a.concomitant(tensor)
-    return _pair_table_json(lambda i, j: table[(i, j)], a.s.dim, antisymmetric=True)
-
-
 def cmd_torsion(args) -> dict:
     _, a = _load_analysis(args.spec)
     t = a.torsion(args.kind)
-    return {"kind": args.kind, "torsion": _torsion_json(t), "is_zero": t.is_zero}
+    return {"kind": args.kind, "torsion": _cells_json(t.cells()), "is_zero": t.is_zero}
 
 
 def cmd_curvature(args) -> dict:
     _, a = _load_analysis(args.spec)
     r = a.curvature(args.kind)
-    return {"kind": args.kind, "curvature": _curvature_json(r), "is_zero": r.is_zero}
+    return {"kind": args.kind, "curvature": _cells_json(r.cells()), "is_zero": r.is_zero}
 
 
 def cmd_difference(args) -> dict:
     _, a = _load_analysis(args.spec)
     diff = a.difference
     return {
-        "difference": _pair_table_json(lambda i, j: diff.table[i][j], a.s.dim),
+        "difference": _cells_json(diff.cells()),
         "is_zero": diff.is_zero,
     }
 
 
 def cmd_nijenhuis(args) -> dict:
     _, a = _load_analysis(args.spec)
-    table = _concomitant_json(a, args.tensor)
+    table = _cells_json(a.concomitant(args.tensor).items())
     return {"tensor": args.tensor, "table": table, "is_zero": not table}
 
 
@@ -588,6 +568,9 @@ def _load_map(path: str, source: FrameContext, target: FrameContext) -> PolyMap:
 def cmd_equivalent(args) -> dict:
     _, sa = _load_and_build(args.spec_a)
     _, sb = _load_and_build(args.spec_b)
+    # Before the map is parsed: its shape and variables depend on the endpoints.
+    if sa.context.backend != sb.context.backend or sa.dim != sb.dim:
+        raise MathValidationError(f"{args.map}: map endpoints must share backend and dimension")
     m = _load_map(args.map, sa.context, sb.context)
     verdict = equivalence_check(sa, sb, m)
     return {"verdicts": [verdict.to_json()]}
@@ -638,14 +621,14 @@ def cmd_report(args) -> dict:
     ]
     warnings: list[str] = []
     tensors = {
-        "torsion_canonical": _torsion_json(a.torsion("canonical")),
-        "torsion_well_adapted": _torsion_json(a.torsion("well-adapted")),
-        "difference": _pair_table_json(lambda i, j: a.difference.table[i][j], s.dim),
-        "curvature_canonical": _curvature_json(a.curvature("canonical")),
-        "curvature_well_adapted": _curvature_json(a.curvature("well-adapted")),
-        "nijenhuis_F": _concomitant_json(a, "F"),
-        "nijenhuis_P": _concomitant_json(a, "P"),
-        "fn_bracket_FP": _concomitant_json(a, "FP"),
+        "torsion_canonical": _cells_json(a.torsion("canonical").cells()),
+        "torsion_well_adapted": _cells_json(a.torsion("well-adapted").cells()),
+        "difference": _cells_json(a.difference.cells()),
+        "curvature_canonical": _cells_json(a.curvature("canonical").cells()),
+        "curvature_well_adapted": _cells_json(a.curvature("well-adapted").cells()),
+        "nijenhuis_F": _cells_json(a.concomitant("F").items()),
+        "nijenhuis_P": _cells_json(a.concomitant("P").items()),
+        "fn_bracket_FP": _cells_json(a.concomitant("FP").items()),
     }
     classification = {"triple_kind": classify_triple(s.F, s.P)}
     if s.adapted_frame is not None:

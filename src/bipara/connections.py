@@ -39,12 +39,12 @@ from .geometry import (
     PolyMap,
     VectorField,
     directional_derivative,
+    first_nonzero,
     lie_bracket,
     pushforward_bilinear,
     pushforward_endo,
     pushforward_vector,
 )
-from .poly import MultiPoly
 from .structure import BiparaStructure, StructureError, pushforward_structure
 
 __all__ = [
@@ -73,7 +73,7 @@ __all__ = [
 class ConnectionLaw:
     """A derivation law usable on arbitrary fields.
 
-    ``kind`` is one of ``canonical``, ``well_adapted``, ``custom``.  The law
+    ``kind`` is one of ``canonical``, ``well-adapted``, ``custom``.  The law
     is immutable; the frame-pair table is computed once from the evaluator
     and reused by every tensor computation.
     """
@@ -107,6 +107,10 @@ class ConnectionLaw:
         return tuple(
             tuple(self._evaluator(ei, ej) for ej in basis) for ei in basis
         )
+
+    def cells(self):
+        """((i, j), nabla_{E_i} E_j) over all frame pairs, in index order."""
+        return _pair_cells(self.frame_table)
 
     def nabla_of_field(self, i: int, w: VectorField) -> VectorField:
         """nabla_{E_i} W via the frame table and Leibniz expansion."""
@@ -149,13 +153,20 @@ def canonical_connection(s: BiparaStructure) -> ConnectionLaw:
 # ---------------------------------------------------------------------------
 
 
-def _contract(ctx: FrameContext, table, x: VectorField, y: VectorField) -> VectorField:
-    """sum_ij x_i y_j table[i][j]: a (1,2)-tensor from its frame-pair table."""
+def _pair_cells(table):
+    """((i, j), table[i][j]) over all pairs of a frame-pair table, in index order."""
+    for i, row in enumerate(table):
+        for j, cell in enumerate(row):
+            yield (i, j), cell
+
+
+def _contract(ctx: FrameContext, table, xs, ys) -> VectorField:
+    """sum_ij xs[i] ys[j] table[i][j]: a (1,2)-tensor on frame components xs, ys."""
     acc = VectorField(ctx, [ctx.zero_poly()] * ctx.dim)
-    for i, xi in enumerate(x.components):
+    for i, xi in enumerate(xs):
         if xi.is_zero:
             continue
-        for j, yj in enumerate(y.components):
+        for j, yj in enumerate(ys):
             if yj.is_zero:
                 continue
             cell = table[i][j]
@@ -189,24 +200,17 @@ class TorsionTensor:
             rows.append(row)
         return tuple(tuple(r) for r in rows)
 
+    def cells(self):
+        """((i, j), T(E_i, E_j)) over the independent pairs i < j, in index order."""
+        return (((i, j), cell) for (i, j), cell in _pair_cells(self.table) if i < j)
+
     def evaluate(self, x: VectorField, y: VectorField) -> VectorField:
         """Tensorial contraction of the frame table against the components."""
-        return _contract(self.law.context, self.table, x, y)
+        return _contract(self.law.context, self.table, x.components, y.components)
 
     @property
     def is_zero(self) -> bool:
-        dim = self.law.context.dim
-        return all(
-            self.table[i][j].is_zero for i in range(dim) for j in range(i + 1, dim)
-        )
-
-    def first_nonzero(self):
-        dim = self.law.context.dim
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                if not self.table[i][j].is_zero:
-                    return (i, j, self.table[i][j])
-        return None
+        return first_nonzero(self.cells()) is None
 
 
 class CurvatureTensor:
@@ -233,38 +237,26 @@ class CurvatureTensor:
                     out[(i, j, k)] = value
         return out
 
+    def cells(self):
+        """((i, j, k), R(E_i, E_j)E_k) over i < j and all k, in index order."""
+        return iter(self.table.items())
+
     def evaluate(self, x: VectorField, y: VectorField, z: VectorField) -> VectorField:
         ctx = self.law.context
+        xs, ys, zs = x.components, y.components, z.components
         acc = VectorField(ctx, [ctx.zero_poly()] * ctx.dim)
-        dim = ctx.dim
-        for i in range(dim):
-            xi = x.components[i]
-            if xi.is_zero:
+        for (i, j, k), cell in self.cells():
+            if cell.is_zero or zs[k].is_zero:
                 continue
-            for j in range(dim):
-                yj = y.components[j]
-                if yj.is_zero or i == j:
-                    continue
-                sign = 1 if i < j else -1
-                key = (i, j, 0) if i < j else (j, i, 0)
-                for k in range(dim):
-                    zk = z.components[k]
-                    if zk.is_zero:
-                        continue
-                    cell = self.table[(key[0], key[1], k)]
-                    if not cell.is_zero:
-                        acc = acc + cell.scale((xi * yj * zk).scale(sign))
+            # R(E_j, E_i) = -R(E_i, E_j): both orders of the pair share a cell.
+            coeff = xs[i] * ys[j] - xs[j] * ys[i]
+            if not coeff.is_zero:
+                acc = acc + cell.scale(coeff * zs[k])
         return acc
 
     @property
     def is_zero(self) -> bool:
-        return all(v.is_zero for v in self.table.values())
-
-    def first_nonzero(self):
-        for key in sorted(self.table):
-            if not self.table[key].is_zero:
-                return (*key, self.table[key])
-        return None
+        return first_nonzero(self.cells()) is None
 
 
 def torsion(law: ConnectionLaw) -> TorsionTensor:
@@ -301,7 +293,7 @@ def endo_covariant_derivative(law: ConnectionLaw, e: EndoField):
     table = tuple(table)
 
     def evaluate(x: VectorField, y: VectorField) -> VectorField:
-        return _contract(ctx, table, x, y)
+        return _contract(ctx, table, x.components, y.components)
 
     return table, evaluate
 
@@ -309,7 +301,7 @@ def endo_covariant_derivative(law: ConnectionLaw, e: EndoField):
 def is_parallel(law: ConnectionLaw, e: EndoField) -> bool:
     """True iff the covariant derivative of ``e`` vanishes identically."""
     table, _ = endo_covariant_derivative(law, e)
-    return all(cell.is_zero for row in table for cell in row)
+    return first_nonzero(_pair_cells(table)) is None
 
 
 def preserves_distributions(law: ConnectionLaw, s: BiparaStructure) -> bool:
@@ -348,7 +340,8 @@ class ChristoffelTable:
     """Connection coefficients on an adapted frame.
 
     ``xx[h][a][i]`` is the X_i-coefficient of nabla_{X_h} X_a and
-    ``yx[h][a][i]`` the X_i-coefficient of nabla_{Y_h} X_a.  The remaining
+    ``yx[h][a][i]`` the X_i-coefficient of nabla_{Y_h} X_a.  Below, omega_i
+    and eta_i are the coframe rows dual to X_i and Y_i.  The remaining
     blocks follow from nabla_. Y_a = P nabla_. X_a unless explicit ``xy`` /
     ``yy`` blocks are injected (used to build custom laws that do not
     parallelize P).
@@ -361,44 +354,22 @@ class ChristoffelTable:
     yy: tuple | None = None
 
 
-def _pairings(s: BiparaStructure):
-    """omega_b and eta_b as row functionals of the adapted coframe."""
-    rows = s.coframe
-    n = s.n
-
-    def omega(b: int, v: VectorField) -> MultiPoly:
-        acc = s.context.zero_poly()
-        for entry, comp in zip(rows.row(b), v.components):
-            if not (entry.is_zero or comp.is_zero):
-                acc = acc + entry * comp
-        return acc
-
-    def eta(b: int, v: VectorField) -> MultiPoly:
-        return omega(n + b, v)
-
-    return omega, eta
-
-
 def canonical_christoffels(s: BiparaStructure) -> ChristoffelTable:
     """Adapted-frame coefficients of the canonical connection.
 
-    Extracted purely from coframe pairings of frame brackets, independently
-    of the invariant law; reconstructing the connection from this table must
-    reproduce the law exactly (the uniqueness cross-check).
+    The X_i-coefficient of nabla_{X_h} X_a is eta_i([X_h, Y_a]) and that of
+    nabla_{Y_h} X_a is omega_i([Y_h, X_a]).  Extracted purely from coframe
+    pairings of frame brackets, independently of the invariant law;
+    reconstructing the connection from this table must reproduce the law
+    exactly (the uniqueness cross-check).
     """
     n = s.n
-    omega, eta = _pairings(s)
-    xs = [s.x_field(i) for i in range(n)]
-    ys = [s.y_field(i) for i in range(n)]
-    bracket_xy = [[lie_bracket(xs[h], ys[a]) for a in range(n)] for h in range(n)]
+    br = s.frame_brackets
     xx = tuple(
-        tuple(tuple(eta(i, bracket_xy[h][a]) for i in range(n)) for a in range(n))
-        for h in range(n)
+        tuple(tuple(br[h][n + a][n + i] for i in range(n)) for a in range(n)) for h in range(n)
     )
-    # omega_i([Y_h, X_a]) = -omega_i([X_a, Y_h])
     yx = tuple(
-        tuple(tuple(-omega(i, bracket_xy[a][h]) for i in range(n)) for a in range(n))
-        for h in range(n)
+        tuple(tuple(br[n + h][a][i] for i in range(n)) for a in range(n)) for h in range(n)
     )
     return ChristoffelTable(n=n, xx=xx, yx=yx)
 
@@ -413,22 +384,12 @@ def well_adapted_christoffels(s: BiparaStructure) -> ChristoffelTable:
     other blocks follow from P-parallelism.
     """
     n = s.n
-    omega, eta = _pairings(s)
-    xs = [s.x_field(i) for i in range(n)]
-    ys = [s.y_field(i) for i in range(n)]
+    br = s.frame_brackets
     third = Fraction(1, 3)
-    bracket_xx = [[lie_bracket(xs[a], xs[h]) for h in range(n)] for a in range(n)]
-    bracket_xy = [[lie_bracket(xs[a], ys[h]) for h in range(n)] for a in range(n)]
-    bracket_yx = [[lie_bracket(ys[a], xs[h]) for h in range(n)] for a in range(n)]
-    bracket_yy = [[lie_bracket(ys[a], ys[h]) for h in range(n)] for a in range(n)]
     xx = tuple(
         tuple(
             tuple(
-                (
-                    omega(b, bracket_xx[a][h])
-                    + eta(b, bracket_xy[a][h]).scale(2)
-                    + eta(b, bracket_xy[h][a])
-                ).scale(third)
+                (br[a][h][b] + br[a][n + h][n + b].scale(2) + br[h][n + a][n + b]).scale(third)
                 for b in range(n)
             )
             for h in range(n)
@@ -438,11 +399,7 @@ def well_adapted_christoffels(s: BiparaStructure) -> ChristoffelTable:
     yx = tuple(
         tuple(
             tuple(
-                (
-                    omega(b, bracket_yx[h][a])
-                    + omega(b, bracket_yx[a][h]).scale(2)
-                    + eta(b, bracket_yy[a][h])
-                ).scale(third)
+                (br[n + h][a][b] + br[n + a][h][b].scale(2) + br[n + a][n + h][n + b]).scale(third)
                 for b in range(n)
             )
             for h in range(n)
@@ -455,60 +412,34 @@ def well_adapted_christoffels(s: BiparaStructure) -> ChristoffelTable:
 def connection_from_table(
     s: BiparaStructure, table: ChristoffelTable, kind: str = "custom"
 ) -> ConnectionLaw:
-    """Reconstruct a derivation law from adapted-frame coefficients."""
+    """Reconstruct a derivation law from adapted-frame coefficients.
+
+    With F = (X_1..X_n, Y_1..Y_n) and u = coframe . Y, the law is
+    nabla_X Y = sum_b X(u_b) F_b + sum_ab (coframe . X)_a u_b nabla_{F_a} F_b.
+    """
     n = s.n
     ctx = s.context
-    xs = [s.x_field(i) for i in range(n)]
-    ys = [s.y_field(i) for i in range(n)]
+    coframe = s.coframe
+    frame = s.adapted_frame
+    zeros = [ctx.zero_poly()] * n
 
-    def combine(coeffs) -> VectorField:
-        acc = VectorField(ctx, [ctx.zero_poly()] * ctx.dim)
-        for i, c in enumerate(coeffs):
-            if not c.is_zero:
-                acc = acc + xs[i].scale(c)
-        return acc
+    def block(coeffs, x_block=None):
+        """nabla_. X_a from X-coefficients, or nabla_. Y_a = P nabla_. X_a from the X block."""
+        if coeffs is None:
+            return [[s.P.apply(v) for v in row] for row in x_block]
+        return [[VectorField(ctx, frame.matvec([*c, *zeros])) for c in row] for row in coeffs]
 
-    nab_xx = [[combine(table.xx[h][a]) for a in range(n)] for h in range(n)]
-    nab_yx = [[combine(table.yx[h][a]) for a in range(n)] for h in range(n)]
-    if table.xy is not None:
-        nab_xy = [[combine(table.xy[h][a]) for a in range(n)] for h in range(n)]
-    else:
-        nab_xy = [[s.P.apply(nab_xx[h][a]) for a in range(n)] for h in range(n)]
-    if table.yy is not None:
-        nab_yy = [[combine(table.yy[h][a]) for a in range(n)] for h in range(n)]
-    else:
-        nab_yy = [[s.P.apply(nab_yx[h][a]) for a in range(n)] for h in range(n)]
-
-    omega, eta = _pairings(s)
+    nab_xx, nab_yx = block(table.xx), block(table.yx)
+    nab_xy, nab_yy = block(table.xy, nab_xx), block(table.yy, nab_yx)
+    frame_table = [nab_xx[h] + nab_xy[h] for h in range(n)] + [
+        nab_yx[h] + nab_yy[h] for h in range(n)
+    ]
 
     def law(x: VectorField, y: VectorField) -> VectorField:
-        a_coeffs = [omega(h, x) for h in range(n)]
-        b_coeffs = [eta(h, x) for h in range(n)]
-        c_coeffs = [omega(a, y) for a in range(n)]
-        d_coeffs = [eta(a, y) for a in range(n)]
-        out = VectorField(ctx, [ctx.zero_poly()] * ctx.dim)
-        for a in range(n):
-            dc = directional_derivative(x, c_coeffs[a])
-            if not dc.is_zero:
-                out = out + xs[a].scale(dc)
-            dd = directional_derivative(x, d_coeffs[a])
-            if not dd.is_zero:
-                out = out + ys[a].scale(dd)
-        for h in range(n):
-            ah = a_coeffs[h]
-            bh = b_coeffs[h]
-            for a in range(n):
-                if not ah.is_zero:
-                    if not c_coeffs[a].is_zero and not nab_xx[h][a].is_zero:
-                        out = out + nab_xx[h][a].scale(ah * c_coeffs[a])
-                    if not d_coeffs[a].is_zero and not nab_xy[h][a].is_zero:
-                        out = out + nab_xy[h][a].scale(ah * d_coeffs[a])
-                if not bh.is_zero:
-                    if not c_coeffs[a].is_zero and not nab_yx[h][a].is_zero:
-                        out = out + nab_yx[h][a].scale(bh * c_coeffs[a])
-                    if not d_coeffs[a].is_zero and not nab_yy[h][a].is_zero:
-                        out = out + nab_yy[h][a].scale(bh * d_coeffs[a])
-        return out
+        xs = coframe.matvec(list(x.components))
+        ys = coframe.matvec(list(y.components))
+        moved = VectorField(ctx, frame.matvec([directional_derivative(x, c) for c in ys]))
+        return moved + _contract(ctx, frame_table, xs, ys)
 
     return ConnectionLaw(s, kind, law)
 
@@ -598,12 +529,16 @@ class DifferenceTensor:
                     return {"pair": (i, j)}
         return None
 
+    def cells(self):
+        """((i, j), A(E_i, E_j)) over all frame pairs, in index order."""
+        return _pair_cells(self.table)
+
     def evaluate(self, x: VectorField, y: VectorField) -> VectorField:
-        return _contract(self.structure.context, self.table, x, y)
+        return _contract(self.structure.context, self.table, x.components, y.components)
 
     @property
     def is_zero(self) -> bool:
-        return all(cell.is_zero for row in self.table for cell in row)
+        return first_nonzero(self.cells()) is None
 
 
 def well_adapted_connection(diff: DifferenceTensor) -> ConnectionLaw:
@@ -618,13 +553,13 @@ def well_adapted_connection(diff: DifferenceTensor) -> ConnectionLaw:
         tuple(canon.frame_table[i][j] - diff.table[i][j] for j in range(s.dim))
         for i in range(s.dim)
     )
-    return ConnectionLaw(s, "well_adapted", law, frame_table=table)
+    return ConnectionLaw(s, "well-adapted", law, frame_table=table)
 
 
 def well_adapted_routes_agree(frame_free: ConnectionLaw, christoffels: ChristoffelTable) -> bool:
     """Cross-validate the two well-adapted constructions on frame pairs."""
     s = frame_free.structure
-    via_table = connection_from_table(s, christoffels, kind="well_adapted")
+    via_table = connection_from_table(s, christoffels, kind="well-adapted")
     basis = s.basis
     for i, ei in enumerate(basis):
         for j, ej in enumerate(basis):
@@ -636,26 +571,20 @@ def well_adapted_routes_agree(frame_free: ConnectionLaw, christoffels: Christoff
 def trace_condition_holds(t: TorsionTensor) -> bool:
     """The well-adaptedness criterion on an adapted frame, checked exactly.
 
-    ``t`` is the torsion T' of the law being checked.  For all a, b, h:
+    ``t`` is the torsion T' of the law being checked.  With omega_b and
+    eta_b the coframe rows dual to X_b and Y_b, for all a, b, h:
     omega_b(T'(X_h, X_a)) + eta_b(T'(X_h, Y_a)) = 0  and
     omega_b(T'(Y_h, X_a)) + eta_b(T'(Y_h, Y_a)) = 0.
     """
     s = t.law.structure
     n = s.n
-    omega, eta = _pairings(s)
-    xs = [s.x_field(i) for i in range(n)]
-    ys = [s.y_field(i) for i in range(n)]
-    for h in range(n):
+    frame = [s.frame_field(a) for a in range(s.dim)]
+    for u in frame:  # u = X_h, then u = Y_h
         for a in range(n):
-            t_xx = t.evaluate(xs[h], xs[a])
-            t_xy = t.evaluate(xs[h], ys[a])
-            t_yx = t.evaluate(ys[h], xs[a])
-            t_yy = t.evaluate(ys[h], ys[a])
-            for b in range(n):
-                if not (omega(b, t_xx) + eta(b, t_xy)).is_zero:
-                    return False
-                if not (omega(b, t_yx) + eta(b, t_yy)).is_zero:
-                    return False
+            on_x = s.coframe.matvec(list(t.evaluate(u, frame[a]).components))
+            on_y = s.coframe.matvec(list(t.evaluate(u, frame[n + a]).components))
+            if any(not (on_x[b] + on_y[n + b]).is_zero for b in range(n)):
+                return False
     return True
 
 

@@ -34,6 +34,7 @@ from .geometry import (
     EndoField,
     PolyMap,
     VectorField,
+    first_nonzero,
     lie_bracket,
     pushforward_endo,
 )
@@ -42,6 +43,7 @@ from .structure import (
     BiparaStructure,
     StructureError,
     delta_gl_algebra_membership,
+    matrix_witness,
 )
 
 __all__ = [
@@ -119,10 +121,6 @@ def pair_values(evaluate, basis):
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             yield (i, j), evaluate(basis[i], basis[j])
-
-
-def _all_zero(pairs) -> bool:
-    return all(value.is_zero for _, value in pairs)
 
 
 def fn_bracket(s: BiparaStructure) -> Callable[[VectorField, VectorField], VectorField]:
@@ -231,7 +229,7 @@ def integrability_verdict(
     failing verdict: the consistency check leaves no other.
     """
     nf_pairs, np_pairs, fp_pairs = concomitants
-    cond_nijenhuis = _all_zero(nf_pairs) and _all_zero(np_pairs)
+    cond_nijenhuis = first_nonzero(nf_pairs) is None and first_nonzero(np_pairs) is None
 
     flags = involutivity_flags(s)
     cond_involutive = all(flags.values())
@@ -240,8 +238,9 @@ def integrability_verdict(
             f"Nijenhuis convention disagrees with direct involutivity: {flags}"
         )
 
-    fp_zero = _all_zero(fp_pairs)
-    torsion_zero = t.is_zero
+    fp_zero = first_nonzero(fp_pairs) is None
+    torsion_witness = first_nonzero(t.cells())
+    torsion_zero = torsion_witness is None
     if not (cond_nijenhuis == fp_zero == torsion_zero):
         raise InconsistencyError(
             "equivalent integrability conditions disagree: "
@@ -249,21 +248,16 @@ def integrability_verdict(
         )
     if cond_nijenhuis:
         return Verdict("integrable", True)
-    i, j, value = t.first_nonzero()
-    return Verdict("integrable", False, {"tensor": "torsion", **_field_witness((i, j), value)})
+    return Verdict("integrable", False, {"tensor": "torsion", **_field_witness(*torsion_witness)})
 
 
 def flatness_verdict(t: TorsionTensor, r: CurvatureTensor) -> Verdict:
     """Locally flat iff the canonical torsion ``t`` and curvature ``r`` both vanish."""
-    if t.is_zero and r.is_zero:
-        return Verdict("flat", True)
-    if not t.is_zero:
-        i, j, value = t.first_nonzero()
-        witness = {"tensor": "torsion", **_field_witness((i, j), value)}
-    else:
-        i, j, k, value = r.first_nonzero()
-        witness = {"tensor": "curvature", **_field_witness((i, j, k), value)}
-    return Verdict("flat", False, witness)
+    for name, tensor in (("torsion", t), ("curvature", r)):
+        hit = first_nonzero(tensor.cells())
+        if hit is not None:
+            return Verdict("flat", False, {"tensor": name, **_field_witness(*hit)})
+    return Verdict("flat", True)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +278,7 @@ def equivalence_check(sa: BiparaStructure, sb: BiparaStructure, m: PolyMap) -> V
     if pushed_f != sb.F or pushed_p != sb.P:
         diff = (pushed_f.matrix - sb.F.matrix) if pushed_f != sb.F else (pushed_p.matrix - sb.P.matrix)
         name = "F" if pushed_f != sb.F else "P"
-        entry = next(
-            {"row": i, "col": j, "value": str(diff.get(i, j))}
-            for i in range(diff.rows)
-            for j in range(diff.cols)
-            if not diff.get(i, j).is_zero
-        )
-        return Verdict("equivalent", False, {"tensor": name, **entry})
+        return Verdict("equivalent", False, {"tensor": name, **matrix_witness(diff)})
     pushed_law = pushforward_connection(m, canonical_connection(sa), target_structure=sb)
     target_law = canonical_connection(sb)
     for i in range(sb.dim):

@@ -40,6 +40,7 @@ __all__ = [
     "chart_context",
     "directional_derivative",
     "dual_pairing",
+    "first_nonzero",
     "identity_map",
     "lie_bracket",
     "pushforward_bilinear",
@@ -403,13 +404,16 @@ def dual_pairing(frame: EndoField, index: int, x: VectorField) -> MultiPoly:
     invertible); everything else raises :class:`LinAlgError`.
     """
     _require_same_context(frame, x)
-    inverse = poly_matrix_inverse(frame.matrix)
-    row = inverse.row(index)
-    acc = frame.context.zero_poly()
-    for entry, comp in zip(row, x.components):
-        if not (entry.is_zero or comp.is_zero):
-            acc = acc + entry * comp
-    return acc
+    return poly_matrix_inverse(frame.matrix).matvec(list(x.components))[index]
+
+
+def first_nonzero(cells):
+    """The first ``(key, value)`` of ``cells`` whose value is nonzero, or None.
+
+    ``cells`` yields ``(key, value)`` pairs, as the ``cells()`` of a tensor
+    does; a generator is consumed only up to the pair returned.
+    """
+    return next(((key, value) for key, value in cells if not value.is_zero), None)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from .geometry import (
     algebra_context,
     basis_fields,
     chart_context,
+    first_nonzero,
+    lie_bracket,
     pushforward_endo,
     pushforward_vector,
 )
@@ -52,6 +54,7 @@ __all__ = [
     "delta_gl_membership",
     "flat_structure",
     "heisenberg_structure",
+    "matrix_witness",
     "pushforward_structure",
     "random_structure",
     "random_unipotent_map",
@@ -77,13 +80,15 @@ class Projectors:
     p_minus: EndoField
 
 
-def _first_nonzero_entry(matrix: PolyMatrix):
-    for i in range(matrix.rows):
-        for j in range(matrix.cols):
-            entry = matrix.get(i, j)
-            if not entry.is_zero:
-                return {"row": i, "col": j, "value": str(entry)}
-    return None
+def matrix_witness(matrix: PolyMatrix) -> dict | None:
+    """Row, column and value of the first nonzero entry, or None for a zero matrix."""
+    hit = first_nonzero(
+        ((i, j), matrix.get(i, j)) for i in range(matrix.rows) for j in range(matrix.cols)
+    )
+    if hit is None:
+        return None
+    (i, j), entry = hit
+    return {"row": i, "col": j, "value": str(entry)}
 
 
 class BiparaStructure:
@@ -118,6 +123,19 @@ class BiparaStructure:
             raise StructureError([{"name": "missing adapted frame", "witness": None}])
         return poly_matrix_inverse(self.adapted_frame)
 
+    @cached_property
+    def frame_brackets(self) -> tuple[tuple[tuple[MultiPoly, ...], ...], ...]:
+        """``frame_brackets[a][b][c]``: the F_c-component of [F_a, F_b].
+
+        F = (X_1..X_n, Y_1..Y_n) is the adapted frame; the components are the
+        coframe pairings of the bracket.
+        """
+        frame = [self.frame_field(a) for a in range(self.dim)]
+        return tuple(
+            tuple(tuple(self.coframe.matvec(list(lie_bracket(fa, fb).components))) for fb in frame)
+            for fa in frame
+        )
+
     @classmethod
     def validate(
         cls,
@@ -135,18 +153,20 @@ class BiparaStructure:
         identity = PolyMatrix.identity(ctx.dim, ctx.variables)
 
         def check(name: str, matrix: PolyMatrix):
-            if not matrix.is_zero:
-                failures.append({"name": name, "witness": _first_nonzero_entry(matrix)})
+            witness = matrix_witness(matrix)
+            if witness is not None:
+                failures.append({"name": name, "witness": witness})
 
+        fp = F.matrix @ P.matrix
         check("F^2 != Id", (F.matrix @ F.matrix) - identity)
         check("P^2 != Id", (P.matrix @ P.matrix) - identity)
-        check("F∘P + P∘F != 0", (F.matrix @ P.matrix) + (P.matrix @ F.matrix))
+        check("F∘P + P∘F != 0", fp + (P.matrix @ F.matrix))
         if not F.matrix.trace().is_zero:
             failures.append({"name": "trace(F) != 0", "witness": {"value": str(F.matrix.trace())}})
         if not P.matrix.trace().is_zero:
             failures.append({"name": "trace(P) != 0", "witness": {"value": str(P.matrix.trace())}})
 
-        J = F.compose(P)
+        J = EndoField(ctx, fp)
         if not failures:
             # J^2 = -Id follows from the identities above; a failure here
             # would mean the checks themselves are broken.
@@ -187,12 +207,6 @@ class BiparaStructure:
         if self.adapted_frame is None:
             raise StructureError([{"name": "missing adapted frame", "witness": None}])
         return VectorField(self.context, self.adapted_frame.column(index))
-
-    def x_field(self, i: int) -> VectorField:
-        return self.frame_field(i)
-
-    def y_field(self, i: int) -> VectorField:
-        return self.frame_field(self.n + i)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,29 @@ def test_equivalent_command_constant_frame(fixture_dir, tmp_path):
     assert "bracket" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "spec_a, spec_b",
+    [
+        ("heis_n2", "flat_n2"),
+        ("flat_n2", "heis_n2"),
+        ("flat_n1", "flat_n2"),
+        ("flat_n2", "flat_n1"),
+        ("heis_n2", "flat_n1"),
+    ],
+)
+@pytest.mark.parametrize("map_payload", [
+    {"matrix": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
+    {"forward": ["x1", "x2", "y1", "y2"], "inverse": ["x1", "x2", "y1", "y2"]},
+], ids=["matrix_map", "chart_map"])
+def test_equivalent_of_mismatched_specs_fails_before_reading_the_map(
+    fixture_dir, tmp_path, capsys, spec_a, spec_b, map_payload
+):
+    map_path = write(tmp_path, "map.json", map_payload)
+    argv = ["equivalent", fixture_dir / f"{spec_a}.json", fixture_dir / f"{spec_b}.json"]
+    assert main([str(a) for a in argv] + ["--map", str(map_path)]) == 1
+    assert "map endpoints must share backend and dimension" in capsys.readouterr().err
+
+
 def test_console_script_entry_point():
     import shutil
 
@@ -323,6 +346,31 @@ def test_output_matches_golden_file(fixture_dir, capsys, fixture, command):
     assert main([command, str(fixture_dir / f"{fixture}.json")]) == 0
     expected = (GOLDEN_DIR / f"{fixture}.{command}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+TABLE_COMMANDS = (
+    ("connection", "--christoffels", "--kind", "canonical"),
+    ("connection", "--christoffels", "--kind", "well-adapted"),
+    ("torsion", "--kind", "canonical"),
+    ("torsion", "--kind", "well-adapted"),
+    ("curvature", "--kind", "canonical"),
+    ("curvature", "--kind", "well-adapted"),
+    ("difference",),
+    ("nijenhuis", "--tensor", "F"),
+    ("nijenhuis", "--tensor", "P"),
+    ("nijenhuis", "--tensor", "FP"),
+)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_table_outputs_match_golden_file(fixture_dir, capsys, fixture):
+    """The table subcommands of one fixture, each stdout after a ``$ bipara ...`` line."""
+    transcript = []
+    for command in TABLE_COMMANDS:
+        assert main([*command, str(fixture_dir / f"{fixture}.json")]) == 0
+        transcript.append(f"$ bipara {' '.join(command)}\n{capsys.readouterr().out}")
+    expected = (GOLDEN_DIR / f"{fixture}.tables.txt").read_text(encoding="utf-8")
+    assert "".join(transcript) == expected
 
 
 def test_report_builds_difference_tensor_and_frame_table_once(fixture_dir, monkeypatch, capsys):

@@ -362,6 +362,27 @@ def test_aff_well_adapted_values(aff):
     assert a.difference.evaluate(x1, x2) == x1.scale(-third)
 
 
+def test_law_kinds_name_their_analysis_entries(aff):
+    a = Analysis(aff)
+    assert a.well_adapted.kind == "well-adapted"
+    assert a.torsion(a.well_adapted.kind) is a.torsion("well-adapted")
+    assert a.curvature(a.canonical.kind) is a.curvature("canonical")
+
+
+def test_cells_cover_the_independent_entries_in_index_order(aff):
+    a = Analysis(aff)
+    dim = aff.dim
+    pairs = [(i, j) for i in range(dim) for j in range(dim)]
+    law, diff = a.well_adapted, a.difference
+    t, r = a.torsion("well-adapted"), a.curvature("well-adapted")
+    assert list(law.cells()) == [((i, j), law.frame_table[i][j]) for i, j in pairs]
+    assert list(diff.cells()) == [((i, j), diff.table[i][j]) for i, j in pairs]
+    assert list(t.cells()) == [((i, j), t.table[i][j]) for i, j in pairs if i < j]
+    assert list(r.cells()) == [
+        ((i, j, k), r.table[(i, j, k)]) for i, j in pairs if i < j for k in range(dim)
+    ]
+
+
 def test_well_adapted_routes_agree_on_fixtures(flat_n2, heis, aff):
     for s in (flat_n2, heis, aff):
         a = Analysis(s)

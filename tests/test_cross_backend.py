@@ -8,6 +8,9 @@ that algebra must then have the same torsion, curvature and difference tensor
 in the frame: evaluated on the E_a and paired with the coframe, each chart
 component is the constant-frame component.
 
+The Christoffel symbols are coframe pairings of frame brackets, so on such a
+frame they are the structure constants' combinations on both backends.
+
 None of the frames is integrable: the torsion is nonzero on each, and on the
 affine frame the difference tensor and the well-adapted curvature are too.
 The other chart structures of the suites are conjugates of the flat model,
@@ -31,6 +34,7 @@ from bipara import (
     poly_matrix_inverse,
 )
 from bipara.cli import Analysis
+from bipara.connections import trace_condition_holds, well_adapted_routes_agree
 
 
 def chart_variables(n: int) -> tuple[str, ...]:
@@ -153,3 +157,27 @@ def test_chart_and_constant_frame_agree_in_the_frame(family, n, columns, table):
     assert "T canonical" in nonzero
     if family == "affine":
         assert {"A", "T well-adapted", "R well-adapted"} <= nonzero
+
+
+def _christoffel_values(table) -> list[Fraction]:
+    """The xx and yx entries in index order, as rationals; each must be a constant."""
+    entries = [c for block in (table.xx, table.yx) for plane in block for row in plane for c in row]
+    assert all(c.is_constant for c in entries), entries
+    return [c.constant_value() for c in entries]
+
+
+@pytest.mark.parametrize("family, n, columns, table", CASES)
+def test_christoffel_tables_agree_across_backends(family, n, columns, table):
+    on_chart = Analysis(chart_twin(n, columns))
+    on_const = Analysis(constant_twin(n, table))
+    nonzero = set()
+    for kind in ("canonical", "well_adapted"):
+        values = _christoffel_values(getattr(on_chart, f"christoffels_{kind}"))
+        assert values == _christoffel_values(getattr(on_const, f"christoffels_{kind}"))
+        if any(values):
+            nonzero.add(kind)
+    # nilpotent brackets land in the central Y-span, which both tables pair to
+    # zero; the affine [X1, X2] = X1 gives the well-adapted table its entries
+    assert nonzero == ({"well_adapted"} if family == "affine" else set())
+    assert well_adapted_routes_agree(on_chart.well_adapted, on_chart.christoffels_well_adapted)
+    assert trace_condition_holds(on_chart.torsion("well-adapted"))

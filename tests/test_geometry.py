@@ -17,6 +17,7 @@ from bipara.geometry import (
     chart_context,
     directional_derivative,
     dual_pairing,
+    first_nonzero,
     identity_map,
     lie_bracket,
     pushforward_endo,
@@ -253,6 +254,16 @@ def test_dual_pairing_torsion_component_on_aff():
     frame = EndoField(s.context, s.adapted_frame)
     t_prime = Analysis(s).torsion("well-adapted").evaluate(s.basis[0], s.basis[1])
     assert dual_pairing(frame, 0, t_prime) == Fraction(-1, 3)
+
+
+def test_first_nonzero_stops_at_the_first_nonzero_cell():
+    zero = VectorField.from_rationals(CHART, [0, 0, 0, 0])
+    e1 = VectorField.basis(CHART, 0)
+    cells = iter([((0, 1), zero), ((0, 2), e1), ((0, 3), e1.scale(2))])
+    assert first_nonzero(cells) == ((0, 2), e1)
+    assert next(cells) == ((0, 3), e1.scale(2))  # the rest is left unread
+    assert first_nonzero([((0, 1), zero)]) is None
+    assert first_nonzero([]) is None
 
 
 def test_dual_pairing_needs_polynomial_inverse():
