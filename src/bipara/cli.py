@@ -576,9 +576,20 @@ def cmd_equivalent(args) -> dict:
     return {"verdicts": [verdict.to_json()]}
 
 
+# Bounds on the integer arguments, so oversized ones exit 2 instead of running
+# for minutes or failing to print.  The prolongation solve at n = 6 takes about
+# 2 s and each step up roughly triples it.  The invariant count at
+# n = r = 1000 has about 830 digits, well inside the interpreter's 4300-digit
+# int-to-str limit, which n = r = 10000 would exceed.
+MAX_PROLONGATION_N = 6
+MAX_INVARIANT_INDEX = 1000
+
+
 def cmd_prolongation(args) -> dict:
     if args.n < 1:
         raise MathValidationError("--n must be at least 1")
+    if args.n > MAX_PROLONGATION_N:
+        raise SchemaError(f"--n above MAX_PROLONGATION_N = {MAX_PROLONGATION_N}")
     return {
         "n": args.n,
         "prolongation_dimension": first_prolongation_dim(args.n),
@@ -589,6 +600,8 @@ def cmd_prolongation(args) -> dict:
 def cmd_invariants(args) -> dict:
     if args.n < 1 or args.r < 0:
         raise MathValidationError("need --n >= 1 and --r >= 0")
+    if max(args.n, args.r) > MAX_INVARIANT_INDEX:
+        raise SchemaError(f"--n or --r above MAX_INVARIANT_INDEX = {MAX_INVARIANT_INDEX}")
     return invariant_count(args.n, args.r).to_json()
 
 

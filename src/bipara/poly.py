@@ -1,10 +1,16 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 Every tensor component in this package is a :class:`MultiPoly`: a map from
-exponent vectors to nonzero ``fractions.Fraction`` coefficients, over a fixed
-ordered tuple of variable names.  The zero polynomial is the empty map.
-Arithmetic is exact, so every identity checked by the library is a decidable
-equality of canonical forms; no tolerances appear anywhere.
+exponent vectors to nonzero exact rational coefficients, over a fixed ordered
+tuple of variable names.  The zero polynomial is the empty map.  Arithmetic is
+exact, so every identity checked by the library is a decidable equality of
+canonical forms; no tolerances appear anywhere.
+
+A coefficient has one canonical form: a Python ``int`` when it is integral,
+otherwise a ``fractions.Fraction`` with denominator > 1.  Integral
+coefficients, the large majority in practice, so stay on ``int`` arithmetic,
+with no gcd and no ``Fraction`` construction.  ``int`` and ``Fraction`` agree
+on ``==``, ``hash``, ``str``, ``numerator`` and ``denominator``.
 
 Serialization uses the graded lexicographic term order (total degree first,
 lexicographic on exponent vectors as tie-break, highest first), which makes
@@ -43,29 +49,43 @@ class PolyParseError(PolyError):
         self.offset = offset
 
 
-def _as_fraction(value) -> Fraction:
+def _as_rational(value) -> int | Fraction:
+    """``value`` in canonical coefficient form: an ``int`` if integral, else a ``Fraction``."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise PolyError(f"cannot use {value!r} as an exact rational coefficient")
+
+
+def _canonical(terms: dict[Exponent, int | Fraction]) -> dict[Exponent, int | Fraction]:
+    """Turn the integral ``Fraction`` values of ``terms`` into ``int``, in place.
+
+    A sum or product with a ``Fraction`` operand is a ``Fraction`` even when it
+    is integral (1/2 + 1/2, 3/2 * 2); ``int`` with ``int`` never needs this.
+    """
+    for exps, coeff in terms.items():
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            terms[exps] = coeff.numerator
+    return terms
 
 
 class MultiPoly:
     """A multivariate polynomial with exact rational coefficients.
 
     Immutable after construction.  ``terms`` maps exponent tuples (one entry
-    per variable) to nonzero coefficients; zero is the empty map.
+    per variable) to nonzero coefficients, each an ``int`` when integral and a
+    ``Fraction`` otherwise; zero is the empty map.
     """
 
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Fraction]):
+    def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, int | Fraction]):
         variables = tuple(variables)
         nvars = len(variables)
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, int | Fraction] = {}
         for exps, coeff in terms.items():
-            coeff = _as_fraction(coeff)
+            coeff = _as_rational(coeff)
             if coeff == 0:
                 continue
             exps = tuple(exps)
@@ -83,11 +103,14 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
-    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "MultiPoly":
+    def _trusted(
+        cls, variables: tuple[str, ...], terms: dict[Exponent, int | Fraction]
+    ) -> "MultiPoly":
         """Wrap terms that are canonical by construction, without re-checking them.
 
         Only for results of ring operations on validated polynomials of the
-        ring ``variables``: every coefficient a nonzero ``Fraction``, every
+        ring ``variables``: every coefficient nonzero and in canonical form (an
+        ``int`` if integral, else a ``Fraction``; see :func:`_canonical`), every
         exponent vector a tuple of ``len(variables)`` nonnegative ints.
         """
         poly = object.__new__(cls)
@@ -108,7 +131,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "MultiPoly":
-        value = _as_fraction(value)
+        value = _as_rational(value)
         if value == 0:
             return cls(variables, {})
         return cls(variables, {(0,) * len(variables): value})
@@ -122,7 +145,7 @@ class MultiPoly:
             raise PolyError(f"unknown variable {name!r}") from None
         exps = [0] * len(variables)
         exps[idx] = 1
-        return cls(variables, {tuple(exps): Fraction(1)})
+        return cls(variables, {tuple(exps): 1})
 
     # -- queries -------------------------------------------------------------
 
@@ -134,10 +157,10 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         """The value of a degree-0 polynomial, as an exact rational."""
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_constant:
             raise PolyError(f"{self} is not constant")
         return next(iter(self.terms.values()))
@@ -148,9 +171,9 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def constant_part(self) -> Fraction:
+    def constant_part(self) -> int | Fraction:
         """Coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return self.terms.get((0,) * len(self.variables), 0)
 
     # -- ring operations -----------------------------------------------------
 
@@ -172,10 +195,14 @@ class MultiPoly:
                 out[exps] = coeff
                 continue
             agg = old + coeff
-            if agg:
-                out[exps] = agg
-            else:
+            # Only merged entries can change form, so they are normalized as
+            # formed; a _canonical pass would also visit every copied entry.
+            if not agg:
                 del out[exps]
+            elif type(agg) is Fraction and agg.denominator == 1:
+                out[exps] = agg.numerator
+            else:
+                out[exps] = agg
         return MultiPoly._trusted(self.variables, out)
 
     __radd__ = __add__
@@ -189,10 +216,12 @@ class MultiPoly:
                 out[exps] = -coeff
                 continue
             agg = old - coeff
-            if agg:
-                out[exps] = agg
-            else:
+            if not agg:
                 del out[exps]
+            elif type(agg) is Fraction and agg.denominator == 1:
+                out[exps] = agg.numerator
+            else:
+                out[exps] = agg
         return MultiPoly._trusted(self.variables, out)
 
     def __rsub__(self, other) -> "MultiPoly":
@@ -205,7 +234,7 @@ class MultiPoly:
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.variables)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(map(add, e1, e2))
@@ -218,12 +247,12 @@ class MultiPoly:
                         out[exps] = agg
                     else:
                         del out[exps]
-        return MultiPoly._trusted(self.variables, out)
+        return MultiPoly._trusted(self.variables, _canonical(out))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "MultiPoly":
-        scalar = _as_fraction(other)
+        scalar = _as_rational(other)
         if scalar == 0:
             raise ZeroDivisionError("division of polynomial by zero")
         return self.scale(Fraction(1) / scalar)
@@ -234,10 +263,12 @@ class MultiPoly:
         return _power(self, power, mul)
 
     def scale(self, scalar) -> "MultiPoly":
-        scalar = _as_fraction(scalar)
+        scalar = _as_rational(scalar)
         if scalar == 0:
             return MultiPoly.zero(self.variables)
-        return MultiPoly._trusted(self.variables, {e: c * scalar for e, c in self.terms.items()})
+        return MultiPoly._trusted(
+            self.variables, _canonical({e: c * scalar for e, c in self.terms.items()})
+        )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -257,7 +288,7 @@ class MultiPoly:
             idx = self.variables.index(name)
         except ValueError:
             raise PolyError(f"unknown variable {name!r}") from None
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for exps, coeff in self.terms.items():
             k = exps[idx]
             if k == 0:
@@ -265,7 +296,7 @@ class MultiPoly:
             lowered = list(exps)
             lowered[idx] = k - 1
             out[tuple(lowered)] = coeff * k
-        return MultiPoly._trusted(self.variables, out)
+        return MultiPoly._trusted(self.variables, _canonical(out))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """Evaluate at a rational point (one value per variable)."""
@@ -273,7 +304,7 @@ class MultiPoly:
             raise PolyError(
                 f"point has {len(point)} coordinates, expected {len(self.variables)}"
             )
-        point = [_as_fraction(v) for v in point]
+        point = [_as_rational(v) for v in point]
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             value = coeff
@@ -310,7 +341,7 @@ class MultiPoly:
 
     # -- printing ------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, int | Fraction]]:
         """Terms in canonical (graded lexicographic, descending) order."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 

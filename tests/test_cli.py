@@ -454,6 +454,28 @@ def test_oversized_expression_is_schema_error(tmp_path, fixture_dir, entry, mess
 
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # n = r = 10000 gives a count too long for the interpreter's int-to-str limit
+        (["invariants", "--n", 10000, "--r", 10000], "--n or --r above MAX_INVARIANT_INDEX = 1000"),
+        (["invariants", "--n", 1, "--r", 1001], "--n or --r above MAX_INVARIANT_INDEX = 1000"),
+        (["prolongation", "--n", 7], "--n above MAX_PROLONGATION_N = 6"),
+    ],
+    ids=["invariants_huge", "invariants_order", "prolongation"],
+)
+def test_oversized_cli_argument_is_schema_error(argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_invariant_count_at_the_limit_prints(capsys):
+    assert main(["invariants", "--n", "1000", "--r", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["general_is_integer"] is True
+
+
 IDENTITY_CHART_MAP = {"forward": ["x1", "x2", "y1", "y2"], "inverse": ["x1", "x2", "y1", "y2"]}
 
 

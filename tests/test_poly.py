@@ -4,6 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipara.cli import Analysis
+from bipara.connections import ChristoffelTable
+from bipara.geometry import EndoField, VectorField
+from bipara.linalg import PolyMatrix
 from bipara.poly import (
     MAX_COEFFICIENT_BITS,
     MAX_EXPONENT,
@@ -85,6 +89,14 @@ def test_canonical_order_is_graded_lex():
 
 # -- randomized ring laws ----------------------------------------------------
 
+
+def is_canonical(c) -> bool:
+    """The one stored coefficient form: an int if integral, else a Fraction."""
+    if c.denominator == 1:
+        return type(c) is int and c != 0
+    return type(c) is Fraction and c.denominator > 1
+
+
 coeffs = st.fractions(
     max_denominator=12,
 )
@@ -118,8 +130,31 @@ def test_ring_results_stay_canonical(a, b, scalar):
     # pass through the public constructor must find nothing to change
     for p in (a + b, a - b, a * b, -a, a.scale(scalar), a.derivative("x1"), a**2):
         assert MultiPoly(p.variables, p.terms) == p
-        assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values())
+        assert all(is_canonical(c) for c in p.terms.values())
         assert all(len(e) == len(p.variables) and min(e) >= 0 for e in p.terms)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    v = ("x1", "x2")
+    x1 = MultiPoly.var(v, "x1")
+    half = MultiPoly.const(v, Fraction(1, 2))
+    cases = {
+        "constructor": (MultiPoly(v, {(1, 0): Fraction(4, 2)}), 2),
+        "scale": ((3 * x1).scale(Fraction(1, 3)), 1),
+        "sum of halves": (half * x1 + half * x1, 1),
+        "difference": (Fraction(3, 2) * x1 - Fraction(1, 2) * x1, 1),
+        "product": (Fraction(3, 2) * x1 * 2, 3),
+        "derivative": ((Fraction(1, 2) * x1**2).derivative("x1"), 1),
+        "division": ((2 * x1) / 2, 1),
+    }
+    for name, (p, coeff) in cases.items():
+        assert p.terms == {(1, 0): coeff}, name
+        assert all(is_canonical(c) for c in p.terms.values()), name
+    assert MultiPoly.var(v, "x2").terms == {(0, 1): 1}
+    assert type(MultiPoly.const(v, Fraction(6, 3)).constant_value()) is int
+    zero = MultiPoly.zero(v)
+    for value in (zero.constant_value(), zero.constant_part(), x1.constant_part()):
+        assert value == 0 and type(value) is int
 
 
 def test_zero_is_shared_and_immutable():
@@ -222,3 +257,40 @@ def test_parser_never_crashes(text):
     except PolyParseError as err:
         assert isinstance(err.offset, int)
         assert 0 <= err.offset <= len(text)
+
+
+def _polys(obj):
+    """Every MultiPoly inside a derived tensor, table, field or matrix."""
+    if isinstance(obj, MultiPoly):
+        yield obj
+    elif isinstance(obj, VectorField):
+        yield from obj.components
+    elif isinstance(obj, PolyMatrix):
+        yield from obj.entries
+    elif isinstance(obj, EndoField):
+        yield from obj.matrix.entries
+    elif isinstance(obj, ChristoffelTable):
+        yield from _polys((obj.xx, obj.yx, obj.xy, obj.yy))
+    elif isinstance(obj, dict):
+        yield from _polys(tuple(obj.values()))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _polys(item)
+
+
+def test_every_kernel_stores_canonical_coefficients(generated_pool):
+    # the ring operations are not the only producers of terms: brackets,
+    # matvec, the 1/3-weighted sums, the coframe inverse and substitute all
+    # feed the derived tensors of an analysis
+    for s in generated_pool:
+        a = Analysis(s)
+        objects = [s.F, s.P, s.adapted_frame, s.coframe, s.frame_brackets]
+        for kind in ("canonical", "well-adapted"):
+            objects += [a.law(kind).cells(), a.torsion(kind).cells(), a.curvature(kind).cells()]
+        objects += [a.difference.cells(), a.christoffels_canonical, a.christoffels_well_adapted]
+        objects += [a.concomitant(tensor) for tensor in ("F", "P", "FP")]
+        # cells() are generators of (indices, field) pairs; the int indices hold no polynomial
+        objects = [list(obj) if hasattr(obj, "__next__") else obj for obj in objects]
+        coefficients = [c for p in _polys(objects) for c in p.terms.values()]
+        assert coefficients
+        assert all(is_canonical(c) for c in coefficients)
