@@ -105,23 +105,30 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _parse_entries(data, variables, dim, where: str, shape: str | None = None) -> list:
+    """Parse a list of ``dim`` expression strings; errors name entry k ``where[k]``."""
+    _schema(
+        isinstance(data, list) and len(data) == dim,
+        shape or f"{where}: expected a list of {dim} expressions",
+    )
+    parsed = []
+    for k, text in enumerate(data):
+        _schema(isinstance(text, str), f"{where}[{k + 1}]: entries are strings")
+        try:
+            parsed.append(parse_poly(text, variables))
+        except PolyParseError as err:
+            raise SchemaError(f"{where}[{k + 1}]: {err}") from err
+    return parsed
+
+
 def _parse_matrix(data, variables, dim, where: str) -> PolyMatrix:
     _schema(isinstance(data, list) and len(data) == dim, f"{where}: expected {dim} rows")
-    rows = []
-    for i, row in enumerate(data):
-        _schema(
-            isinstance(row, list) and len(row) == dim,
-            f"{where}: row {i + 1} must have {dim} entries",
+    return PolyMatrix.from_rows([
+        _parse_entries(
+            row, variables, dim, f"{where}[{i + 1}]", f"{where}: row {i + 1} must have {dim} entries"
         )
-        parsed = []
-        for j, text in enumerate(row):
-            _schema(isinstance(text, str), f"{where}[{i + 1}][{j + 1}]: entries are strings")
-            try:
-                parsed.append(parse_poly(text, variables))
-            except PolyParseError as err:
-                raise SchemaError(f"{where}[{i + 1}][{j + 1}]: {err}") from err
-        rows.append(parsed)
-    return PolyMatrix.from_rows(rows)
+        for i, row in enumerate(data)
+    ])
 
 
 def _parse_rational(text: str, where: str) -> Fraction:
@@ -538,26 +545,14 @@ def _metric_class_json(spec: StructureSpec, s: BiparaStructure, metric: Bilinear
     return out
 
 
-def _parse_components(data, variables, dim, where: str) -> list:
-    _schema(isinstance(data, list) and len(data) == dim, f"{where}: expected a list of {dim} expressions")
-    parsed = []
-    for k, text in enumerate(data):
-        _schema(isinstance(text, str), f"{where}[{k + 1}]: entries are strings")
-        try:
-            parsed.append(parse_poly(text, variables))
-        except PolyParseError as err:
-            raise SchemaError(f"{where}[{k + 1}]: {err}") from err
-    return parsed
-
-
 def _load_map(path: str, source: FrameContext, target: FrameContext) -> PolyMap:
     data = _read_json(path)
     _schema(isinstance(data, dict), f"{path}: top level must be an object")
     dim = source.dim
     try:
         if source.backend == POLYNOMIAL_CHART:
-            forward = _parse_components(data.get("forward"), source.variables, dim, f"{path}: forward")
-            inverse = _parse_components(data.get("inverse"), target.variables, dim, f"{path}: inverse")
+            forward = _parse_entries(data.get("forward"), source.variables, dim, f"{path}: forward")
+            inverse = _parse_entries(data.get("inverse"), target.variables, dim, f"{path}: inverse")
             return PolyMap(source, target, forward=forward, inverse=inverse)
         rows = _parse_matrix(data.get("matrix"), (), dim, f"{path}: matrix").constant_rows()
         return PolyMap(source, target, matrix=rows)

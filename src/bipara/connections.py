@@ -342,16 +342,12 @@ class ChristoffelTable:
     ``xx[h][a][i]`` is the X_i-coefficient of nabla_{X_h} X_a and
     ``yx[h][a][i]`` the X_i-coefficient of nabla_{Y_h} X_a.  Below, omega_i
     and eta_i are the coframe rows dual to X_i and Y_i.  The remaining
-    blocks follow from nabla_. Y_a = P nabla_. X_a unless explicit ``xy`` /
-    ``yy`` blocks are injected (used to build custom laws that do not
-    parallelize P).
+    blocks follow from nabla_. Y_a = P nabla_. X_a.
     """
 
     n: int
     xx: tuple
     yx: tuple
-    xy: tuple | None = None
-    yy: tuple | None = None
 
 
 def canonical_christoffels(s: BiparaStructure) -> ChristoffelTable:
@@ -423,17 +419,12 @@ def connection_from_table(
     frame = s.adapted_frame
     zeros = [ctx.zero_poly()] * n
 
-    def block(coeffs, x_block=None):
-        """nabla_. X_a from X-coefficients, or nabla_. Y_a = P nabla_. X_a from the X block."""
-        if coeffs is None:
-            return [[s.P.apply(v) for v in row] for row in x_block]
-        return [[VectorField(ctx, frame.matvec([*c, *zeros])) for c in row] for row in coeffs]
+    def row(coeffs):
+        """nabla_{F_h} X_a from its X-coefficients, then nabla_{F_h} Y_a = P nabla_{F_h} X_a."""
+        x_images = [VectorField(ctx, frame.matvec([*c, *zeros])) for c in coeffs]
+        return x_images + [s.P.apply(v) for v in x_images]
 
-    nab_xx, nab_yx = block(table.xx), block(table.yx)
-    nab_xy, nab_yy = block(table.xy, nab_xx), block(table.yy, nab_yx)
-    frame_table = [nab_xx[h] + nab_xy[h] for h in range(n)] + [
-        nab_yx[h] + nab_yy[h] for h in range(n)
-    ]
+    frame_table = [row(coeffs) for coeffs in table.xx + table.yx]
 
     def law(x: VectorField, y: VectorField) -> VectorField:
         xs = coframe.matvec(list(x.components))

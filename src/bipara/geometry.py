@@ -151,11 +151,6 @@ class FrameContext:
     def const_poly(self, value) -> MultiPoly:
         return MultiPoly.const(self.variables, value)
 
-    def parse(self, text: str) -> MultiPoly:
-        from .poly import parse_poly
-
-        return parse_poly(text, self.variables)
-
 
 def chart_context(variables: Sequence[str]) -> FrameContext:
     return FrameContext(len(variables), tuple(variables), ())

@@ -104,9 +104,6 @@ class PolyMatrix:
     def get(self, i: int, j: int) -> MultiPoly:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[MultiPoly, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
     def column(self, j: int) -> tuple[MultiPoly, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 

@@ -23,6 +23,7 @@ constant-frame backend of :mod:`bipara.geometry` uses that degenerate ring.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add, mul
 from typing import Callable, Mapping, Sequence
@@ -126,26 +127,30 @@ class MultiPoly:
         variables = tuple(variables)
         shared = _ZEROS.get(variables)
         if shared is None:
-            shared = _ZEROS[variables] = cls(variables, {})
+            shared = _ZEROS[variables] = cls._trusted(variables, {})
         return shared
 
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "MultiPoly":
+        """The constant ``value``; its one exponent vector is canonical by construction."""
+        variables = tuple(variables)
         value = _as_rational(value)
         if value == 0:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(variables): value})
+            return cls.zero(variables)
+        return cls._trusted(variables, {(0,) * len(variables): value})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "MultiPoly":
+        """The variable ``name`` of the ring, one shared instance per (ring, name)."""
         variables = tuple(variables)
-        try:
-            idx = variables.index(name)
-        except ValueError:
-            raise PolyError(f"unknown variable {name!r}") from None
-        exps = [0] * len(variables)
-        exps[idx] = 1
-        return cls(variables, {tuple(exps): 1})
+        shared = _VARS.get((variables, name))
+        if shared is None:
+            if name not in variables:
+                raise PolyError(f"unknown variable {name!r}")
+            exps = [0] * len(variables)
+            exps[variables.index(name)] = 1
+            shared = _VARS[variables, name] = cls._trusted(variables, {tuple(exps): 1})
+        return shared
 
     # -- queries -------------------------------------------------------------
 
@@ -394,6 +399,7 @@ def _power(base: MultiPoly, exponent: int, multiply: Callable) -> MultiPoly:
 _set_variables = MultiPoly.variables.__set__
 _set_terms = MultiPoly.terms.__set__
 _ZEROS: dict[tuple[str, ...], MultiPoly] = {}
+_VARS: dict[tuple[tuple[str, ...], str], MultiPoly] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -404,46 +410,23 @@ _ZEROS: dict[tuple[str, ...], MultiPoly] = {}
 #
 #   expr    := term (('+' | '-') term)*
 #   term    := factor ('*' factor)*
-#   factor  := '-' factor | primary ('^' NAT)?
-#   primary := RATIONAL | NAME | '(' expr ')'
-#   RATIONAL := INT ('/' INT)?          (the '/' is only a literal separator)
+#   factor  := '-' factor | primary ('^' NUMBER)?
+#   primary := NUMBER ('/' NUMBER)? | NAME | '(' expr ')'
+#
+# Tokens, each scanned once by ``_TOKEN`` after whitespace (``str.isspace``):
+#
+#   NUMBER  := decimal digits, as int() reads them (\d: '٣' is 3)
+#   NAME    := a letter or '_', then letters, digits or '_' (\w)
+#   symbols := '+' '-' '*' '^' '(' ')' '/'    ('/' only separates a literal)
+#
+# Any other character, a superscript digit such as '²' included, is a "bad"
+# token.  It raises "unexpected character" when the parser looks at it, not
+# when it is scanned, so the checks of the tokens before it (an unknown name, a
+# limit) come first.
 
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", None, self.pos)
-        ch = self.text[self.pos]
-        start = self.pos
-        if ch.isdigit():
-            j = start
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            return ("number", self.text[start:j], start)
-        if ch.isalpha() or ch == "_":
-            j = start
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return ("name", self.text[start:j], start)
-        if ch in "+-*^()/":
-            return (ch, ch, start)
-        raise PolyParseError(f"unexpected character {ch!r}", start)
-
-    def next(self):
-        kind, value, start = self.peek()
-        if kind == "end":
-            return kind, value, start
-        self.pos = start + (len(value) if value else 0)
-        return kind, value, start
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>\d+)|(?P<name>\w+)|(?P<symbol>[-+*^()/])|(?P<bad>.))?", re.DOTALL
+)
 
 
 # Parentheses and unary minus each recurse; a bound well below the interpreter's
@@ -477,11 +460,38 @@ def _integer(digits: str, start: int) -> int:
 
 
 class _Parser:
+    """Recursive descent over a token stream with one token of lookahead."""
+
     def __init__(self, text: str, variables: Sequence[str]):
-        self.lexer = _Lexer(text)
+        self.text = text
         self.variables = tuple(variables)
         self.depth = 0
         self.term_products = 0
+        self.end = 0
+        self._advance()
+
+    def _advance(self) -> None:
+        """Scan the next token into ``kind``, ``value`` and ``start``."""
+        match = _TOKEN.match(self.text, self.end)
+        self.end = match.end()
+        group = match.lastgroup
+        if group is None:
+            self.kind, self.value, self.start = "end", None, self.end
+            return
+        self.start = match.start(group)
+        self.value = value = match[group]
+        if group == "symbol":
+            self.kind = value
+        elif group == "name" and not (value[0].isalpha() or value[0] == "_"):
+            self.kind, self.value = "bad", value[0]  # a word character that starts no name: '²'
+        else:
+            self.kind = group
+
+    def _peek(self) -> str:
+        """The current token's kind; raises if it is a character that starts no token."""
+        if self.kind == "bad":
+            raise PolyParseError(f"unexpected character {self.value!r}", self.start)
+        return self.kind
 
     def _nest(self, start: int) -> None:
         self.depth += 1
@@ -499,83 +509,79 @@ class _Parser:
 
     def parse(self) -> MultiPoly:
         poly = self._expr()
-        kind, value, start = self.lexer.peek()
-        if kind != "end":
-            raise PolyParseError(f"unexpected {value!r} after expression", start)
+        if self._peek() != "end":
+            raise PolyParseError(f"unexpected {self.value!r} after expression", self.start)
         return poly
 
     def _expr(self) -> MultiPoly:
         acc = self._term()
         while True:
-            kind, _, _ = self.lexer.peek()
+            kind = self._peek()
             if kind == "+":
-                self.lexer.next()
+                self._advance()
                 acc = acc + self._term()
             elif kind == "-":
-                self.lexer.next()
+                self._advance()
                 acc = acc - self._term()
             else:
                 return acc
 
     def _term(self) -> MultiPoly:
         acc = self._factor()
-        while True:
-            kind, _, start = self.lexer.peek()
-            if kind == "*":
-                self.lexer.next()
-                acc = self._multiply(acc, self._factor(), start)
-            else:
-                return acc
+        while self._peek() == "*":
+            start = self.start
+            self._advance()
+            acc = self._multiply(acc, self._factor(), start)
+        return acc
 
     def _factor(self) -> MultiPoly:
-        kind, _, start = self.lexer.peek()
-        if kind == "-":
-            self.lexer.next()
-            self._nest(start)
+        if self._peek() == "-":
+            self._nest(self.start)
+            self._advance()
             negated = -self._factor()
             self.depth -= 1
             return negated
         base = self._primary()
-        kind, _, caret = self.lexer.peek()
-        if kind == "^":
-            self.lexer.next()
-            kind, value, start = self.lexer.next()
-            if kind != "number":
-                raise PolyParseError("exponent must be a nonnegative integer", start)
-            exponent = _integer(value, start)
-            if exponent > MAX_EXPONENT:
-                raise PolyParseError(f"exponent above MAX_EXPONENT = {MAX_EXPONENT}", start)
-            return _power(base, exponent, lambda a, b: self._multiply(a, b, caret))
-        return base
+        if self._peek() != "^":
+            return base
+        caret = self.start
+        self._advance()
+        if self._peek() != "number":
+            raise PolyParseError("exponent must be a nonnegative integer", self.start)
+        exponent = _integer(self.value, self.start)
+        if exponent > MAX_EXPONENT:
+            raise PolyParseError(f"exponent above MAX_EXPONENT = {MAX_EXPONENT}", self.start)
+        self._advance()
+        return _power(base, exponent, lambda a, b: self._multiply(a, b, caret))
 
     def _primary(self) -> MultiPoly:
-        kind, value, start = self.lexer.next()
+        kind, value, start = self._peek(), self.value, self.start
         if kind == "number":
-            numerator = _integer(value, start)
-            kind2, _, _ = self.lexer.peek()
-            if kind2 == "/":
-                self.lexer.next()
-                kind3, value3, start3 = self.lexer.next()
-                if kind3 != "number":
-                    raise PolyParseError("denominator must be an integer", start3)
-                denominator = _integer(value3, start3)
+            value = _integer(value, start)
+            self._advance()
+            if self._peek() == "/":
+                self._advance()
+                if self._peek() != "number":
+                    raise PolyParseError("denominator must be an integer", self.start)
+                denominator = _integer(self.value, self.start)
                 if denominator == 0:
-                    raise PolyParseError("zero denominator", start3)
-                return _bounded(
-                    MultiPoly.const(self.variables, Fraction(numerator, denominator)), start
-                )
-            return _bounded(MultiPoly.const(self.variables, numerator), start)
+                    raise PolyParseError("zero denominator", self.start)
+                value = Fraction(value, denominator)
+                self._advance()
+            return _bounded(MultiPoly.const(self.variables, value), start)
         if kind == "name":
             if value not in self.variables:
                 raise PolyParseError(f"unknown variable {value!r}", start)
+            self._advance()
             return MultiPoly.var(self.variables, value)
         if kind == "(":
             self._nest(start)
+            self._advance()
             inner = self._expr()
-            kind2, _, start2 = self.lexer.next()
-            if kind2 != ")":
-                raise PolyParseError("expected ')'", start2)
+            if self._peek() != ")":
+                raise PolyParseError("expected ')'", self.start)
             self.depth -= 1
+            self._advance()
             return inner
         raise PolyParseError(
             "expected a number, variable or parenthesized expression", start

@@ -148,8 +148,6 @@ class BiparaStructure:
             raise ContextMismatch("F and P live in different frame contexts")
         ctx = F.context
         failures: list[dict] = []
-        if ctx.dim % 2 != 0:
-            failures.append({"name": "dimension is odd", "witness": {"dim": ctx.dim}})
         identity = PolyMatrix.identity(ctx.dim, ctx.variables)
 
         def check(name: str, matrix: PolyMatrix):

@@ -441,8 +441,10 @@ def test_deeply_nested_expression_is_schema_error(tmp_path, deep):
         ("9" * 5000, "number of 5000 digits is too long (at offset 0)"),
         # 10^10000 would pass the other limits and overflow int-to-str when printed
         ("(10^100)^100", "coefficient above MAX_COEFFICIENT_BITS = 4096 bits (at offset 8)"),
+        # '²' passes str.isdigit but not int(): no limit applies, it starts no token
+        ("x1^²", "F[1][1]: unexpected character '²' (at offset 3)"),
     ],
-    ids=["term_products", "exponent", "long_number", "coefficient_bits"],
+    ids=["term_products", "exponent", "long_number", "coefficient_bits", "superscript_digit"],
 )
 def test_oversized_expression_is_schema_error(tmp_path, fixture_dir, entry, message):
     spec = json.loads((fixture_dir / "flat_n2.json").read_text(encoding="utf-8"))

@@ -297,20 +297,21 @@ def test_preservation_lemma_on_well_adapted(generated_pool):
 
 
 def test_preservation_lemma_on_mutated_table_law(heis):
-    # inject an explicit XY block that is NOT P(nabla_X X): breaks F- and
-    # P-parallelism, and the distribution check must break in step
+    # add S(X, Y) = omega_1(X) eta_1(Y) X_1 to the zero-table law: nabla_{X1} Y1
+    # is no longer P(nabla_{X1} X1), which breaks F- and P-parallelism, and the
+    # distribution check must break in step
     n = heis.n
-    ctx = heis.context
-    zero = ctx.zero_poly()
-    one = ctx.const_poly(1)
+    zero = heis.context.zero_poly()
     zeros = tuple(tuple(tuple(zero for _ in range(n)) for _ in range(n)) for _ in range(n))
-    skew_xy = tuple(
-        tuple(tuple(one if (h, a, i) == (0, 0, 0) else zero for i in range(n)) for a in range(n))
-        for h in range(n)
-    )
-    law = connection_from_table(
-        heis, ChristoffelTable(n=n, xx=zeros, yx=zeros, xy=skew_xy, yy=zeros)
-    )
+    base = connection_from_table(heis, ChristoffelTable(n=n, xx=zeros, yx=zeros))
+    x1 = heis.frame_field(0)
+
+    def mutated(x, y):
+        omega_1 = heis.coframe.matvec(list(x.components))[0]
+        eta_1 = heis.coframe.matvec(list(y.components))[n]
+        return base.nabla(x, y) + x1.scale(omega_1 * eta_1)
+
+    law = ConnectionLaw(heis, "custom", mutated)
     # nabla_{X1} Y1 = X1 now lands outside T_F^-: parallelism fails
     assert not is_parallel(law, heis.F)
     assert not preserves_distributions(law, heis)

@@ -248,7 +248,91 @@ def test_derivative_is_a_derivation(a, b):
     assert lhs == rhs
 
 
-@given(st.text(alphabet="x12y+-*^/() \t", max_size=30))
+_PRIMARY = "expected a number, variable or parenthesized expression"
+_DIGITS_5000 = "number of 5000 digits is too long"
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        pytest.param(" \tx1 + $ ", "unexpected character '$'", 7, id="unexpected_character"),
+        pytest.param("x1 x2\t", "unexpected 'x2' after expression", 3, id="after_expression"),
+        pytest.param("x1)", "unexpected ')' after expression", 2, id="after_expression_symbol"),
+        pytest.param("x1^-2", "exponent must be a nonnegative integer", 3, id="exponent_sign"),
+        pytest.param("x1 ^ \t", "exponent must be a nonnegative integer", 6, id="exponent_at_end"),
+        pytest.param("\tx1^101 ", "exponent above MAX_EXPONENT = 100", 4, id="max_exponent"),
+        pytest.param("1/x1", "denominator must be an integer", 2, id="denominator_name"),
+        pytest.param(" 1/ ", "denominator must be an integer", 4, id="denominator_at_end"),
+        pytest.param(" 1/0", "zero denominator", 3, id="zero_denominator"),
+        pytest.param("(x1 + 1\t", "expected ')'", 8, id="close_paren_at_end"),
+        pytest.param("x1 + ", _PRIMARY, 5, id="primary_at_end"),
+        pytest.param("\t* x1", _PRIMARY, 1, id="primary_symbol"),
+        pytest.param("", _PRIMARY, 0, id="empty"),
+        pytest.param("\t", _PRIMARY, 1, id="blank"),
+        pytest.param("x1 + zz ", "unknown variable 'zz'", 5, id="unknown_variable"),
+        pytest.param("(" * 101 + "1" + ")" * 101, "nesting deeper than 100", 100, id="nesting_parentheses"),
+        pytest.param(" " + "-" * 101 + "1", "nesting deeper than 100", 101, id="nesting_minus"),
+        pytest.param(
+            "(x1+x2+y1+y2+1)^16",
+            "expansion needs more than MAX_TERM_PRODUCTS = 50000 term products",
+            15,
+            id="max_term_products",
+        ),
+        pytest.param(
+            f" {2**4096} ", "coefficient above MAX_COEFFICIENT_BITS = 4096 bits", 1, id="max_coefficient_bits"
+        ),
+        pytest.param("x1 + " + "7" * 5000, _DIGITS_5000, 5, id="long_number"),
+        pytest.param("x1^" + "7" * 5000, _DIGITS_5000, 3, id="long_exponent"),
+        # two errors: the first in the text wins
+        pytest.param("x1 + + $", _PRIMARY, 5, id="primary_before_bad"),
+        pytest.param("zz$", "unknown variable 'zz'", 0, id="unknown_before_bad"),
+        pytest.param("9" * 5000 + "$", _DIGITS_5000, 0, id="long_before_bad"),
+        pytest.param("1/0$", "zero denominator", 2, id="zero_before_bad"),
+        pytest.param("x1 ^ 101$", "exponent above MAX_EXPONENT = 100", 5, id="exponent_before_bad"),
+        pytest.param(
+            "(x1+x2+y1+y2+1)^16$",
+            "expansion needs more than MAX_TERM_PRODUCTS = 50000 term products",
+            15,
+            id="power_before_bad",
+        ),
+        pytest.param(
+            f"{2**4096}/1$", "coefficient above MAX_COEFFICIENT_BITS = 4096 bits", 0, id="fraction_before_bad"
+        ),
+        pytest.param(" (x1 $", "unexpected character '$'", 5, id="bad_before_close_paren"),
+        pytest.param("x1^\t$", "unexpected character '$'", 4, id="bad_exponent"),
+    ],
+)
+def test_parse_error_messages_and_offsets(text, message, offset):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, VARS)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+def test_digits_are_what_int_reads():
+    # '²' passes str.isdigit but not int(): it starts no token
+    for text, offset in (("x1^²", 3), ("1²", 1), ("²", 0)):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, VARS)
+        assert str(err.value) == f"unexpected character '²' (at offset {offset})"
+    # a decimal digit of another script is a digit: '٣' is 3
+    assert parse_poly("x1^٣ + ٣", VARS) == parse_poly("x1^3 + 3", VARS)
+    # inside a name every word character is kept, so the variable is unknown
+    with pytest.raises(PolyParseError, match="unknown variable 'x²'"):
+        parse_poly("x²", VARS)
+
+
+def test_variables_are_shared_per_ring():
+    assert MultiPoly.var(VARS, "x1") is MultiPoly.var(VARS, "x1")
+    assert MultiPoly.var(VARS, "x1") is MultiPoly.var(list(VARS), "x1")
+    assert MultiPoly.var(VARS, "x1") is not MultiPoly.var(("x1",), "x1")
+    assert parse_poly("x1", VARS) is MultiPoly.var(VARS, "x1")
+    assert MultiPoly.var(VARS, "y2").terms == {(0, 0, 0, 1): 1}
+    with pytest.raises(PolyError, match="unknown variable 'zz'"):
+        MultiPoly.var(VARS, "zz")
+
+
+@given(st.text(alphabet=[*"x12y+-*^/() \t", "²", "٣", "α", "$", "\u00a0"], max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_parser_never_crashes(text):
     # arbitrary input either parses or raises the typed error with an offset
@@ -270,7 +354,7 @@ def _polys(obj):
     elif isinstance(obj, EndoField):
         yield from obj.matrix.entries
     elif isinstance(obj, ChristoffelTable):
-        yield from _polys((obj.xx, obj.yx, obj.xy, obj.yy))
+        yield from _polys((obj.xx, obj.yx))
     elif isinstance(obj, dict):
         yield from _polys(tuple(obj.values()))
     elif isinstance(obj, (tuple, list)):
