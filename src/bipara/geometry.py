@@ -9,11 +9,13 @@ Two backends share one interface and every kernel; they differ only in data:
   identity); vector fields have constant components and the bracket is the
   bilinear extension of the table.
 
-Diffeomorphisms are pairs of mutually inverse polynomial maps
-(:class:`PolyMap`).  In the chart backend these are generated as unipotent
-coordinate changes so that inverses stay polynomial; in the constant backend
-they are bracket-preserving invertible constant matrices.  That restriction
-keeps every pushforward exact.
+A diffeomorphism (:class:`PolyMap`) is the same data on both backends: its
+forward and inverse coordinate lists (empty on a constant frame) and its two
+frame Jacobians J = D(forward) o inverse and K = D(inverse), which are the
+given matrix and its inverse on a constant frame.  One validation checks both
+round trips, J K = Id and that J carries the source brackets to the target's.
+Chart maps are generated as unipotent coordinate changes, so inverses stay
+polynomial and every pushforward exact.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .linalg import PolyMatrix, poly_matrix_inverse, rat_inverse, rat_matmul
+from .linalg import PolyMatrix, poly_matrix_inverse, rat_inverse
 from .poly import MultiPoly, PolyError
 
 __all__ = [
@@ -364,6 +366,11 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
                 if not dxi.is_zero:
                     acc = acc - yk * dxi
         out.append(acc)
+    return VectorField(ctx, _add_structure_part(ctx, xs, ys, out))
+
+
+def _add_structure_part(ctx: FrameContext, xs, ys, out: list[MultiPoly]) -> list[MultiPoly]:
+    """Add sum_{a<b} (X^a Y^b - X^b Y^a) c_ab, the structure-constant part of [X, Y], to ``out``."""
     for (a, b), coeffs in ctx.brackets.items():
         if (xs[a].is_zero or ys[b].is_zero) and (xs[b].is_zero or ys[a].is_zero):
             continue
@@ -373,7 +380,7 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
         for m, c in enumerate(coeffs):
             if c:
                 out[m] = out[m] + factor.scale(c)
-    return VectorField(ctx, out)
+    return out
 
 
 def directional_derivative(x: VectorField, f: MultiPoly) -> MultiPoly:
@@ -417,13 +424,22 @@ def first_nonzero(cells):
 
 
 class PolyMap:
-    """A diffeomorphism with exact polynomial forward and inverse data.
+    """A diffeomorphism with exact polynomial data, one representation on both backends.
 
-    Chart backend: ``forward`` lists the target coordinates as polynomials in
-    the source variables, ``inverse`` the other way round; both compositions
-    are verified to be the identity.  Constant backend: a bracket-preserving
-    invertible matrix and its exact inverse, which are also the Jacobians;
-    ``forward`` and ``inverse`` are empty.
+    ``forward`` lists the target coordinates as polynomials in the source
+    variables and ``inverse`` the other way round; both are empty on a
+    constant frame, which has no coordinates.  The frame Jacobians, both in
+    the target ring, are ``jacobian_at_inverse`` J = D(forward) composed with
+    the inverse map and ``jacobian_of_inverse`` K = D(inverse).  They are
+    ``matrix`` and ``matrix_inverse`` when given (the latter defaults to the
+    exact inverse of the former), and are derived from ``forward`` and
+    ``inverse`` otherwise.
+
+    One validation runs on both backends: component counts and rings, the
+    round trips forward o inverse = id and inverse o forward = id, J K = Id,
+    and J [E_i, E_j]_source = [J E_i, J E_j]_target on the structure
+    constants (on a chart both tables are empty and the round trips carry the
+    derivative part).
     """
 
     def __init__(
@@ -434,138 +450,111 @@ class PolyMap:
         inverse: Sequence[MultiPoly] | None = None,
         matrix: Sequence[Sequence[Fraction]] | None = None,
         matrix_inverse: Sequence[Sequence[Fraction]] | None = None,
+        *,
+        _jacobians: tuple[PolyMatrix, PolyMatrix] | None = None,
     ):
         if source.backend != target.backend or source.dim != target.dim:
             raise GeometryError("map endpoints must share backend and dimension")
         self.source = source
         self.target = target
-        if source.backend == POLYNOMIAL_CHART:
-            if forward is None or inverse is None:
-                raise GeometryError("chart map needs forward and inverse component lists")
-            self.forward = tuple(forward)
-            self.inverse = tuple(inverse)
-            self.matrix = None
-            self.matrix_inverse = None
-            self._validate_chart()
-        else:
-            if matrix is None:
-                raise GeometryError("constant-frame map needs a matrix")
-            self.forward = ()
-            self.inverse = ()
-            self.matrix = [[Fraction(v) for v in row] for row in matrix]
-            self.matrix_inverse = (
-                [[Fraction(v) for v in row] for row in matrix_inverse]
-                if matrix_inverse is not None
-                else rat_inverse(self.matrix)
-            )
-            self._validate_constant()
-            self.__dict__["jacobian_at_inverse"] = PolyMatrix.from_rational_rows(self.matrix, ())
-            self.__dict__["jacobian_of_inverse"] = PolyMatrix.from_rational_rows(
-                self.matrix_inverse, ()
-            )
-
-    def _validate_chart(self):
-        dim = self.source.dim
-        if len(self.forward) != dim or len(self.inverse) != dim:
+        self.forward = tuple(forward or ())
+        self.inverse = tuple(inverse or ())
+        if len(self.forward) != len(target.variables) or len(self.inverse) != len(source.variables):
             raise GeometryError("map component count does not match dimension")
         for f in self.forward:
-            if f.variables != self.source.variables:
+            if f.variables != source.variables:
                 raise PolyError("forward components must use source variables")
         for g in self.inverse:
-            if g.variables != self.target.variables:
+            if g.variables != target.variables:
                 raise PolyError("inverse components must use target variables")
-        to_source = dict(zip(self.source.variables, self.inverse))
-        for name, f in zip(self.target.variables, self.forward):
-            if f.substitute(to_source) != MultiPoly.var(self.target.variables, name):
+        # source variable -> inverse expression (in target variables), and back
+        self._sub_inverse = dict(zip(source.variables, self.inverse))
+        self._sub_forward = dict(zip(target.variables, self.forward))
+        for name, f in zip(target.variables, self.forward):
+            if f.substitute(self._sub_inverse) != MultiPoly.var(target.variables, name):
                 raise GeometryError("forward o inverse is not the identity")
-        to_target = dict(zip(self.target.variables, self.forward))
-        for name, g in zip(self.source.variables, self.inverse):
-            if g.substitute(to_target) != MultiPoly.var(self.source.variables, name):
+        for name, g in zip(source.variables, self.inverse):
+            if g.substitute(self._sub_forward) != MultiPoly.var(source.variables, name):
                 raise GeometryError("inverse o forward is not the identity")
+        if _jacobians is None:
+            _jacobians = self._public_jacobians(matrix, matrix_inverse)
+        self.jacobian_at_inverse, self.jacobian_of_inverse = _jacobians
+        jac, dim, ring = self.jacobian_at_inverse, source.dim, target.variables
+        if jac @ self.jacobian_of_inverse != PolyMatrix.identity(dim, ring):
+            raise GeometryError("matrix and matrix_inverse are not inverse")
+        # Lie algebra morphism: J [E_i, E_j]_src = [J E_i, J E_j]_tgt, exactly.
+        zero = target.zero_poly()
+        for i, j in itertools.combinations(range(dim), 2):
+            mapped = jac.matvec([MultiPoly.const(ring, c) for c in source.basis_bracket(i, j)])
+            right = _add_structure_part(target, jac.column(i), jac.column(j), [zero] * dim)
+            if mapped != right:
+                raise GeometryError(f"map does not preserve brackets on basis pair ({i},{j})")
 
-    def _validate_constant(self):
-        dim = self.source.dim
-        product = rat_matmul(self.matrix, self.matrix_inverse)
-        for i in range(dim):
-            for j in range(dim):
-                if product[i][j] != (1 if i == j else 0):
-                    raise GeometryError("matrix and matrix_inverse are not inverse")
-        # Lie algebra morphism: L[E_i, E_j]_src = [L E_i, L E_j]_tgt, exactly.
-        cols = [[self.matrix[r][c] for r in range(dim)] for c in range(dim)]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                left = self.source.basis_bracket(i, j)
-                mapped = [
-                    sum((self.matrix[r][m] * left[m] for m in range(dim)), Fraction(0))
-                    for r in range(dim)
-                ]
-                right = self.target._vector_bracket(cols[i], cols[j])
-                if mapped != right:
-                    raise GeometryError(
-                        f"map does not preserve brackets on basis pair ({i},{j})"
-                    )
-
-    # -- derived data ---------------------------------------------------------
-
-    @cached_property
-    def _sub_inverse(self) -> dict[str, MultiPoly]:
-        """source variable -> inverse expression (in target variables)."""
-        return dict(zip(self.source.variables, self.inverse))
-
-    @cached_property
-    def _sub_forward(self) -> dict[str, MultiPoly]:
-        return dict(zip(self.target.variables, self.forward))
-
-    @cached_property
-    def jacobian_at_inverse(self) -> PolyMatrix:
-        """D(forward) composed with the inverse map (``matrix`` on a constant frame)."""
-        rows = []
-        for f in self.forward:
-            rows.append(
-                [f.derivative(v).substitute(self._sub_inverse) for v in self.source.variables]
+    def _public_jacobians(self, matrix, matrix_inverse) -> tuple[PolyMatrix, PolyMatrix]:
+        """J and K from ``matrix`` and ``matrix_inverse``, or from the coordinate lists."""
+        ring = self.target.variables
+        if matrix is not None:
+            if self.forward:
+                raise GeometryError("a map takes a matrix or forward and inverse lists, not both")
+            matrix = _square_rows("matrix", matrix, self.source.dim)
+            if matrix_inverse is None:
+                matrix_inverse = rat_inverse(matrix)
+            matrix_inverse = _square_rows("matrix_inverse", matrix_inverse, self.source.dim)
+            return (
+                PolyMatrix.from_rational_rows(matrix, ring),
+                PolyMatrix.from_rational_rows(matrix_inverse, ring),
             )
-        return PolyMatrix.from_rows(rows)
-
-    @cached_property
-    def jacobian_of_inverse(self) -> PolyMatrix:
-        """D(inverse) (``matrix_inverse`` on a constant frame)."""
-        rows = []
-        for g in self.inverse:
-            rows.append([g.derivative(v) for v in self.target.variables])
-        return PolyMatrix.from_rows(rows)
+        if not self.forward:
+            raise GeometryError("constant-frame map needs a matrix")
+        jac = PolyMatrix.from_rows(
+            [
+                [f.derivative(v).substitute(self._sub_inverse) for v in self.source.variables]
+                for f in self.forward
+            ]
+        )
+        return jac, PolyMatrix.from_rows([[g.derivative(v) for v in ring] for g in self.inverse])
 
     def compose(self, inner: "PolyMap") -> "PolyMap":
         """self o inner (apply ``inner`` first)."""
         if inner.target != self.source:
             raise GeometryError("maps are not composable")
-        if self.source.backend == POLYNOMIAL_CHART:
-            forward = [f.substitute(inner._sub_forward) for f in self.forward]
-            inverse = [g.substitute(self._sub_inverse) for g in inner.inverse]
-            return PolyMap(inner.source, self.target, forward=forward, inverse=inverse)
+        sub = self._sub_inverse
         return PolyMap(
             inner.source,
             self.target,
-            matrix=rat_matmul(self.matrix, inner.matrix),
-            matrix_inverse=rat_matmul(inner.matrix_inverse, self.matrix_inverse),
+            forward=[f.substitute(inner._sub_forward) for f in self.forward],
+            inverse=[g.substitute(sub) for g in inner.inverse],
+            _jacobians=(
+                self.jacobian_at_inverse @ inner.jacobian_at_inverse.substitute(sub),
+                inner.jacobian_of_inverse.substitute(sub) @ self.jacobian_of_inverse,
+            ),
         )
 
     def inverted(self) -> "PolyMap":
-        if self.source.backend == POLYNOMIAL_CHART:
-            return PolyMap(self.target, self.source, forward=self.inverse, inverse=self.forward)
+        sub = self._sub_forward
         return PolyMap(
-            self.target, self.source, matrix=self.matrix_inverse, matrix_inverse=self.matrix
+            self.target,
+            self.source,
+            forward=self.inverse,
+            inverse=self.forward,
+            _jacobians=(
+                self.jacobian_of_inverse.substitute(sub),
+                self.jacobian_at_inverse.substitute(sub),
+            ),
         )
 
 
+def _square_rows(name: str, rows, dim: int) -> list[list[Fraction]]:
+    """``rows`` as exact rationals, checked to be ``dim`` × ``dim``."""
+    if len(rows) != dim or any(len(row) != dim for row in rows):
+        raise GeometryError(f"{name} must be {dim} × {dim}")
+    return [[Fraction(v) for v in row] for row in rows]
+
+
 def identity_map(context: FrameContext) -> PolyMap:
-    if context.backend == POLYNOMIAL_CHART:
-        fields = [MultiPoly.var(context.variables, v) for v in context.variables]
-        return PolyMap(context, context, forward=fields, inverse=fields)
-    eye = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(context.dim)]
-        for i in range(context.dim)
-    ]
-    return PolyMap(context, context, matrix=eye, matrix_inverse=eye)
+    coordinates = [MultiPoly.var(context.variables, v) for v in context.variables]
+    eye = PolyMatrix.identity(context.dim, context.variables)
+    return PolyMap(context, context, forward=coordinates, inverse=coordinates, _jacobians=(eye, eye))
 
 
 def pushforward_vector(m: PolyMap, x: VectorField) -> VectorField:

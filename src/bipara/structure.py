@@ -37,7 +37,6 @@ from .geometry import (
     first_nonzero,
     lie_bracket,
     pushforward_endo,
-    pushforward_vector,
 )
 from .linalg import PolyMatrix, poly_matrix_inverse, rat_inverse, rat_matmul, rat_rank
 from .poly import MultiPoly
@@ -478,13 +477,7 @@ def pushforward_structure(m: PolyMap, s: BiparaStructure) -> BiparaStructure:
     p_new = pushforward_endo(m, s.P)
     frame_new = None
     if s.adapted_frame is not None:
-        cols = [
-            pushforward_vector(m, VectorField(s.context, s.adapted_frame.column(j)))
-            for j in range(s.dim)
-        ]
-        frame_new = PolyMatrix.from_rows(
-            [[cols[j].components[i] for j in range(s.dim)] for i in range(s.dim)]
-        )
+        frame_new = m.jacobian_at_inverse @ s.adapted_frame.substitute(m._sub_inverse)
     return BiparaStructure.validate(f_new, p_new, adapted_frame=frame_new)
 
 
@@ -499,9 +492,7 @@ def _random_coeff(rng: random.Random) -> Fraction:
     )
 
 
-def random_unipotent_map(
-    ctx: FrameContext, degree: int, rng: random.Random, max_terms: int = 2
-) -> PolyMap:
+def random_unipotent_map(ctx: FrameContext, degree: int, rng: random.Random) -> PolyMap:
     """A random unipotent chart change: v_i -> v_i + p_i(v_1 .. v_{i-1}).
 
     The triangular shape guarantees a polynomial inverse, computed by
@@ -511,7 +502,7 @@ def random_unipotent_map(
         raise GeometryError("unipotent maps are chart-backend objects")
     variables = ctx.variables
     dim = ctx.dim
-    budget = max(1, max_terms) if degree > 0 else 0  # degree 0: the identity
+    budget = 2 if degree > 0 else 0  # at most two nonlinear terms; degree 0: the identity
     forward = []
     for i in range(dim):
         expr = MultiPoly.var(variables, variables[i])
@@ -531,12 +522,12 @@ def random_unipotent_map(
     return PolyMap(ctx, ctx, forward=forward, inverse=inverse)
 
 
-def _random_constant_automorphism(dim: int, rng: random.Random, shears: int = 3):
+def _random_constant_automorphism(dim: int, rng: random.Random):
     """A random integer matrix with exact inverse, built from elementary ops."""
     eye = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
     mat = [row[:] for row in eye]
     inv = [row[:] for row in eye]
-    for _ in range(shears):
+    for _ in range(3):  # elementary shears
         i = rng.randrange(dim)
         j = rng.randrange(dim)
         if i == j:
@@ -610,11 +601,19 @@ def random_structure(
         conjugate = rng.random() < 0.5
     if not conjugate:
         return s
-    mat, inv = _random_constant_automorphism(2 * n, rng)
-    # Transport the bracket itself so the conjugating matrix is an isomorphism
-    # onto the new context; Jacobi is preserved exactly by transport.
-    new_table: dict[tuple[int, int], tuple] = {}
-    dim = 2 * n
+    return pushforward_structure(_random_isomorphism(ctx, rng), s)
+
+
+def _random_isomorphism(ctx: FrameContext, rng: random.Random) -> PolyMap:
+    """A random constant automorphism of R^dim, as a map onto the algebra it transports ``ctx`` to.
+
+    The bracket is transported along the matrix, [E_i, E_j]' = M [M^-1 E_i,
+    M^-1 E_j], so the matrix is an isomorphism onto the new context; Jacobi
+    is preserved exactly by transport.
+    """
+    dim = ctx.dim
+    mat, inv = _random_constant_automorphism(dim, rng)
+    table: dict[tuple[int, int], tuple] = {}
     cols_inv = [[inv[r][c] for r in range(dim)] for c in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -623,7 +622,5 @@ def random_structure(
                 sum((mat[r][t] * pre[t] for t in range(dim)), Fraction(0)) for r in range(dim)
             ]
             if any(image):
-                new_table[(i, j)] = tuple(image)
-    new_ctx = algebra_context(dim, new_table)
-    m = PolyMap(ctx, new_ctx, matrix=mat, matrix_inverse=inv)
-    return pushforward_structure(m, s)
+                table[(i, j)] = tuple(image)
+    return PolyMap(ctx, algebra_context(dim, table), matrix=mat, matrix_inverse=inv)

@@ -254,14 +254,25 @@ def test_equivalent_of_mismatched_specs_fails_before_reading_the_map(
 
 
 def test_console_script_entry_point():
+    import re
     import shutil
 
+    # What the script that installing the package generates does: import the
+    # target that pyproject.toml declares and exit with what it returns.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, func = re.search(
+        r'^\[project\.scripts\]\nbipara = "([\w.]+):(\w+)"$', pyproject, re.M
+    ).groups()
+    commands = [[sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]]
     exe = shutil.which("bipara")
-    if exe is None:
-        return  # editable install without scripts on PATH; module path is tested above
-    proc = subprocess.run([exe, "invariants", "--n", "1", "--r", "2"], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["general"] == "0"
+    if exe is not None:  # the package is installed: run its generated script too
+        commands.append([exe])
+    for command in commands:
+        proc = subprocess.run(
+            command + ["invariants", "--n", "1", "--r", "2"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["general"] == "0"
 
 
 def test_bilagrangian_command(tmp_path):

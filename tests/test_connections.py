@@ -402,29 +402,12 @@ def test_well_adapted_connection_is_functorial():
     # transport a NON-integrable structure (so well-adapted differs from
     # canonical) along an algebra isomorphism: construction and pushforward
     # must still commute
-    from fractions import Fraction
-
-    from bipara.geometry import PolyMap, algebra_context
-    from bipara.structure import affine_structure, heisenberg_structure, _random_constant_automorphism
+    from bipara.structure import _random_isomorphism, affine_structure, heisenberg_structure
 
     rng = random.Random(625)
     for base in (heisenberg_structure(), affine_structure()):
-        ctx = base.context
-        mat, inv = _random_constant_automorphism(4, rng)
+        m = _random_isomorphism(base.context, rng)
         dim = 4
-        cols_inv = [[inv[r][c] for r in range(dim)] for c in range(dim)]
-        table = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                pre = ctx._vector_bracket(cols_inv[i], cols_inv[j])
-                image = [
-                    sum((mat[r][t] * pre[t] for t in range(dim)), Fraction(0))
-                    for r in range(dim)
-                ]
-                if any(image):
-                    table[(i, j)] = tuple(image)
-        target_ctx = algebra_context(dim, table)
-        m = PolyMap(ctx, target_ctx, matrix=mat, matrix_inverse=inv)
         target = pushforward_structure(m, base)
         # AFF is the strong case: its well-adapted law differs from canonical
         pushed = pushforward_connection(m, Analysis(base).well_adapted, target_structure=target)

@@ -20,12 +20,19 @@ from bipara.geometry import (
     first_nonzero,
     identity_map,
     lie_bracket,
+    pushforward_bilinear,
     pushforward_endo,
     pushforward_vector,
 )
 from bipara.linalg import LinAlgError, PolyMatrix
 from bipara.poly import MultiPoly, PolyError, parse_poly
-from bipara.structure import flat_structure, heisenberg_structure, random_unipotent_map
+from bipara.structure import (
+    _random_isomorphism,
+    affine_structure,
+    flat_structure,
+    heisenberg_structure,
+    random_unipotent_map,
+)
 
 CHART = chart_context(("x1", "x2", "y1", "y2"))
 
@@ -234,6 +241,103 @@ def test_constant_map_must_preserve_brackets():
     # swapping X1, X2 flips the sign of [X1, X2]: not an automorphism here
     with pytest.raises(GeometryError, match="bracket"):
         PolyMap(ctx, ctx, matrix=swap)
+
+
+@pytest.mark.parametrize(
+    "matrix, matrix_inverse, message",
+    [
+        ([[1]], None, "matrix must be 4 × 4"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], None, "matrix must be 4 × 4"),
+        ([[int(i == j) for j in range(4)] for i in range(4)], [[1]], "matrix_inverse must be 4 × 4"),
+    ],
+    ids=["1x1", "4x3", "1x1_inverse"],
+)
+def test_constant_map_rejects_badly_shaped_matrix(matrix, matrix_inverse, message):
+    ctx = heisenberg_structure().context
+    with pytest.raises(GeometryError, match=message):
+        PolyMap(ctx, ctx, matrix=matrix, matrix_inverse=matrix_inverse)
+
+
+def test_map_needs_exactly_one_source_of_jacobians():
+    ctx = heisenberg_structure().context
+    with pytest.raises(GeometryError, match="needs a matrix"):
+        PolyMap(ctx, ctx)
+    m = shear_map()
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    with pytest.raises(GeometryError, match="not both"):
+        PolyMap(CHART, CHART, forward=m.forward, inverse=m.inverse, matrix=eye)
+
+
+def _map_pair(kind: str, seed: int):
+    """Random composable maps f: A -> B and g: B -> C of one backend."""
+    rng = random.Random(seed)
+    if kind == "chart":
+        return random_unipotent_map(CHART, 2, rng), random_unipotent_map(CHART, 2, rng)
+    base = heisenberg_structure() if kind == "heisenberg" else affine_structure()
+    f = _random_isomorphism(base.context, rng)
+    return f, _random_isomorphism(f.target, rng)
+
+
+def _random_entry(ctx: FrameContext, rng: random.Random) -> MultiPoly:
+    entry = ctx.const_poly(rng.randint(-2, 2))
+    for name in ctx.variables:
+        if rng.random() < 0.3:
+            entry = entry + MultiPoly.var(ctx.variables, name).scale(rng.randint(-2, 2))
+    return entry
+
+
+def _random_tensors(ctx: FrameContext, rng: random.Random):
+    """A vector field, an endomorphism field and a bilinear field on ``ctx``."""
+    def matrix():
+        return PolyMatrix.from_rows(
+            [[_random_entry(ctx, rng) for _ in range(ctx.dim)] for _ in range(ctx.dim)]
+        )
+
+    vector = VectorField(ctx, [_random_entry(ctx, rng) for _ in range(ctx.dim)])
+    return vector, EndoField(ctx, matrix()), BilinearField(ctx, matrix())
+
+
+PUSHES = (pushforward_vector, pushforward_endo, pushforward_bilinear)
+MAP_KINDS = pytest.mark.parametrize(
+    "kind, seed", [(kind, seed) for kind in ("heisenberg", "affine", "chart") for seed in range(4)]
+)
+
+
+@MAP_KINDS
+def test_pushing_along_a_composite_is_pushing_twice(kind, seed):
+    f, g = _map_pair(kind, seed)
+    composite = g.compose(f)
+    assert (composite.source, composite.target) == (f.source, g.target)
+    for push, field in zip(PUSHES, _random_tensors(f.source, random.Random(seed))):
+        assert push(composite, field) == push(g, push(f, field))
+
+
+@MAP_KINDS
+def test_inverted_undoes_the_map(kind, seed):
+    m, _ = _map_pair(kind, seed)
+    back = m.inverted()
+    assert (back.source, back.target) == (m.target, m.source)
+    for push, field in zip(PUSHES, _random_tensors(m.source, random.Random(seed))):
+        assert push(back, push(m, field)) == field
+    round_trip = back.compose(m)
+    eye = PolyMatrix.identity(m.source.dim, m.source.variables)
+    assert round_trip.jacobian_at_inverse == round_trip.jacobian_of_inverse == eye
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chart_jacobians_of_inverted_and_composite_are_those_of_their_coordinates(seed):
+    f, g = _map_pair("chart", seed)
+    for made in (f.inverted(), g.compose(f), g.compose(f).inverted()):
+        rebuilt = PolyMap(made.source, made.target, forward=made.forward, inverse=made.inverse)
+        assert made.jacobian_at_inverse == rebuilt.jacobian_at_inverse
+        assert made.jacobian_of_inverse == rebuilt.jacobian_of_inverse
+
+
+@pytest.mark.parametrize("ctx", [CHART, heisenberg_structure().context], ids=["chart", "constant"])
+def test_identity_map_jacobians_are_the_identity(ctx):
+    m = identity_map(ctx)
+    eye = PolyMatrix.identity(ctx.dim, ctx.variables)
+    assert m.jacobian_at_inverse == m.jacobian_of_inverse == eye
 
 
 def test_dual_pairing_standard_frame():

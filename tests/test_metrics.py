@@ -70,7 +70,7 @@ def test_classify_equivariant_under_constant_conjugation():
     ctx = s.context
     g = bilinear(ctx, [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]])
     before = classify_metric(s, g)
-    from bipara.structure import _random_constant_automorphism, pushforward_structure
+    from bipara.structure import _random_isomorphism, pushforward_structure
 
     rng = random.Random(4)
     # conjugating structure and metric together cannot change the signs
@@ -78,18 +78,7 @@ def test_classify_equivariant_under_constant_conjugation():
 
     conj = random_structure(2, "constant_frame", seed=641, conjugate=True)
     # build the same-metric comparison on the conjugated copy of s itself
-    mat, inv = _random_constant_automorphism(4, rng)
-    table = {}
-    dim = 4
-    cols_inv = [[inv[r][c] for r in range(dim)] for c in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            pre = ctx._vector_bracket(cols_inv[i], cols_inv[j])
-            image = [sum((mat[r][t] * pre[t] for t in range(dim)), Fraction(0)) for r in range(dim)]
-            if any(image):
-                table[(i, j)] = tuple(image)
-    new_ctx = algebra_context(dim, table)
-    m = PolyMap(ctx, new_ctx, matrix=mat, matrix_inverse=inv)
+    m = _random_isomorphism(ctx, rng)
     moved = pushforward_structure(m, s)
     moved_metric = pushforward_bilinear(m, g)
     after = classify_metric(moved, moved_metric)
