@@ -1,10 +1,18 @@
 """Almost biparacomplex structures: validation, fixtures, generation, classification.
 
 A structure is a pair (F, P) of anticommuting involutive (1,1)-tensor fields.
-Validation checks every defining identity exactly and derives the almost
+Validation establishes every defining identity exactly and derives the almost
 complex structure J = F o P, the four eigenprojectors, and (optionally) an
 adapted frame {X_1..X_n, Y_1..Y_n} with F X_i = X_i, F Y_i = -Y_i,
-P X_i = Y_i.
+P X_i = Y_i, P Y_i = X_i.
+
+An adapted frame E is a certificate when it passes those 4n column checks and
+E(0) (its constant parts) has full rank: then det E is a nonzero polynomial,
+E is invertible over the rational functions, and F = E diag(I, -I) E^-1,
+P = E [[0, I], [I, 0]] E^-1 imply F^2 = P^2 = Id, FP + PF = 0 and zero
+traces without forming any of those products.  Without a certificate (no
+frame, a failed column check, or E(0) singular) every identity is checked
+directly, and the failure list is the same as if no shortcut existed.
 
 Three named fixtures ship as built-ins:
 
@@ -142,51 +150,67 @@ class BiparaStructure:
         P: EndoField,
         adapted_frame: PolyMatrix | None = None,
     ) -> "BiparaStructure":
-        """Check every defining identity exactly; collect all failures."""
+        """Establish every defining identity exactly; collect all failures.
+
+        A certifying adapted frame (see the module docstring) proves the
+        identities on its own, so only J = F o P is formed.  Otherwise the
+        identities are checked one by one, and any frame failures follow
+        the identity failures in the raised ``StructureError``.
+        """
         if F.context != P.context:
             raise ContextMismatch("F and P live in different frame contexts")
         ctx = F.context
-        failures: list[dict] = []
-        identity = PolyMatrix.identity(ctx.dim, ctx.variables)
-
-        def check(name: str, matrix: PolyMatrix):
-            witness = matrix_witness(matrix)
-            if witness is not None:
-                failures.append({"name": name, "witness": witness})
-
-        fp = F.matrix @ P.matrix
-        check("F^2 != Id", (F.matrix @ F.matrix) - identity)
-        check("P^2 != Id", (P.matrix @ P.matrix) - identity)
-        check("F∘P + P∘F != 0", fp + (P.matrix @ F.matrix))
-        if not F.matrix.trace().is_zero:
-            failures.append({"name": "trace(F) != 0", "witness": {"value": str(F.matrix.trace())}})
-        if not P.matrix.trace().is_zero:
-            failures.append({"name": "trace(P) != 0", "witness": {"value": str(P.matrix.trace())}})
-
-        J = EndoField(ctx, fp)
-        if not failures:
-            # J^2 = -Id follows from the identities above; a failure here
-            # would mean the checks themselves are broken.
-            assert ((J.matrix @ J.matrix) + identity).is_zero
-
-        frame_endo = None
+        n = ctx.dim // 2
+        frame_failures: list[dict] = []
+        xs: list[VectorField] = []
+        ys: list[VectorField] = []
         if adapted_frame is not None:
             frame_endo = EndoField(ctx, adapted_frame)
-            n = ctx.dim // 2
-            for i in range(n):
-                x_i = frame_endo.column_field(i)
-                y_i = frame_endo.column_field(n + i)
+            xs = [frame_endo.column_field(i) for i in range(n)]
+            ys = [frame_endo.column_field(n + i) for i in range(n)]
+            for i, (x_i, y_i) in enumerate(zip(xs, ys), 1):
                 if F.apply(x_i) != x_i:
-                    failures.append({"name": f"F*X_{i + 1} != X_{i + 1}", "witness": None})
-                if F.apply(y_i) != y_i.scale(-1):
-                    failures.append({"name": f"F*Y_{i + 1} != -Y_{i + 1}", "witness": None})
+                    frame_failures.append({"name": f"F*X_{i} != X_{i}", "witness": None})
+                if F.apply(y_i) != -y_i:
+                    frame_failures.append({"name": f"F*Y_{i} != -Y_{i}", "witness": None})
                 if P.apply(x_i) != y_i:
-                    failures.append({"name": f"P*X_{i + 1} != Y_{i + 1}", "witness": None})
+                    frame_failures.append({"name": f"P*X_{i} != Y_{i}", "witness": None})
                 if P.apply(y_i) != x_i:
-                    failures.append({"name": f"P*Y_{i + 1} != X_{i + 1}", "witness": None})
+                    frame_failures.append({"name": f"P*Y_{i} != X_{i}", "witness": None})
+        certified = (
+            adapted_frame is not None
+            and not frame_failures
+            and rat_rank(adapted_frame.constant_parts()) == ctx.dim
+        )
 
-        if failures:
-            raise StructureError(failures)
+        J = EndoField(ctx, F.matrix @ P.matrix)
+        if certified:
+            # J X_i = F Y_i = -Y_i and J Y_i = F X_i = X_i follow from the
+            # column checks; a failure here would mean they are broken.
+            assert all(J.apply(x) == -y and J.apply(y) == x for x, y in zip(xs, ys))
+        else:
+            failures: list[dict] = []
+            identity = PolyMatrix.identity(ctx.dim, ctx.variables)
+
+            def check(name: str, matrix: PolyMatrix):
+                witness = matrix_witness(matrix)
+                if witness is not None:
+                    failures.append({"name": name, "witness": witness})
+
+            check("F^2 != Id", (F.matrix @ F.matrix) - identity)
+            check("P^2 != Id", (P.matrix @ P.matrix) - identity)
+            check("F∘P + P∘F != 0", J.matrix + (P.matrix @ F.matrix))
+            if not F.matrix.trace().is_zero:
+                failures.append({"name": "trace(F) != 0", "witness": {"value": str(F.matrix.trace())}})
+            if not P.matrix.trace().is_zero:
+                failures.append({"name": "trace(P) != 0", "witness": {"value": str(P.matrix.trace())}})
+            if not failures:
+                # J^2 = -Id follows from the identities above; a failure here
+                # would mean the checks themselves are broken.
+                assert ((J.matrix @ J.matrix) + identity).is_zero
+            failures += frame_failures
+            if failures:
+                raise StructureError(failures)
 
         half = Fraction(1, 2)
         eye = EndoField.identity(ctx)

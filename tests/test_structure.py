@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bipara.cli import build_structure, load_spec
 from bipara.geometry import (
     EndoField,
     VectorField,
@@ -10,6 +11,7 @@ from bipara.geometry import (
     basis_fields,
 )
 from bipara.linalg import PolyMatrix, rat_rank
+from bipara.poly import MultiPoly
 from bipara.structure import (
     BiparaStructure,
     StructureError,
@@ -226,3 +228,463 @@ def test_delta_gl_membership():
     singular = [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
     assert not delta_gl_membership(PolyMatrix.from_rational_rows(singular, ()))
     assert delta_gl_algebra_membership(PolyMatrix.from_rational_rows(singular, ()))
+
+
+# ---------------------------------------------------------------------------
+# Failure lists of `validate`, pinned
+# ---------------------------------------------------------------------------
+
+
+def _pin_bases():
+    """Valid (F, P, adapted frame) triples on both backends, n = 1, 2."""
+    bases = {}
+    for backend in ("constant_frame", "polynomial_chart"):
+        for n in (1, 2):
+            bases[f"flat-{backend}-n{n}"] = flat_structure(n, backend)
+    bases["conjugated-constant_frame-n2"] = random_structure(2, "constant_frame", seed=11, conjugate=True)
+    bases["unipotent-polynomial_chart-n2"] = random_structure(2, "polynomial_chart", degree=2, seed=5)
+    return {name: (s.F, s.P, s.adapted_frame) for name, s in bases.items()}
+
+
+def _scale_columns(frame, columns, factor):
+    """The frame with each listed column multiplied by the polynomial ``factor``."""
+    variables = factor.variables
+    one, zero = MultiPoly.const(variables, 1), MultiPoly.zero(variables)
+    diag = PolyMatrix.from_rows(
+        [[(factor if i in columns else one) if i == j else zero for j in range(frame.cols)] for i in range(frame.rows)]
+    )
+    return frame @ diag
+
+
+def _pin_cases():
+    """``(case id, F, P, adapted frame or None)`` for the failure-list pin table.
+
+    The first variable scales the X_1 (and Y_1) columns of a chart frame: the
+    result is singular at the origin but invertible over Q(x).  On a constant
+    frame the same factor is 0, a frame singular everywhere.
+    """
+    cases = []
+    for base, (f, p, frame) in _pin_bases().items():
+        ctx = f.context
+        n, dim, variables = ctx.dim // 2, ctx.dim, ctx.variables
+        eye = EndoField.identity(ctx)
+        zero_endo = eye.scale(0)
+        factor = MultiPoly.var(variables, variables[0]) if variables else MultiPoly.zero(variables)
+        x1_frame = _scale_columns(frame, {0}, factor)
+        x1_y1_frame = _scale_columns(frame, {0, n}, factor)
+        identity_frame = PolyMatrix.identity(dim, variables)
+        doubled_y = _scale_columns(frame, set(range(n, dim)), MultiPoly.const(variables, 2))
+        zero_frame = identity_frame.scale(0)
+        table = [
+            ("valid", f, p, frame),
+            ("valid, no frame", f, p, None),
+            ("F := 2F", f.scale(2), p, frame),
+            ("F := 2F, no frame", f.scale(2), p, None),
+            ("F := 0, no frame", zero_endo, p, None),
+            ("P := 2P", f, p.scale(2), frame),
+            ("P := 2P, no frame", f, p.scale(2), None),
+            ("P := F, no frame", f, f, None),
+            ("F := F + Id", f + eye, p, frame),
+            ("F := F + x_1 Id", f + EndoField(ctx, _scale_columns(identity_frame, set(range(dim)), factor)), p, frame),
+            ("F := Id, P := 0, no frame", eye, zero_endo, None),
+            ("F := 0, P := Id, no frame", zero_endo, eye, None),
+            ("F := Id", eye, p, frame),
+            ("swapped F/P", p, f, frame),
+            ("swapped F/P, no frame", p, f, None),
+            ("P := -P", f, -p, frame),
+            ("Y columns doubled", f, p, doubled_y),
+            ("identity frame", f, p, identity_frame),
+            ("swapped F/P, identity frame", p, f, identity_frame),
+            ("zero frame", f, p, zero_frame),
+            ("F := 2 Id, zero frame", eye.scale(2), p, zero_frame),
+            ("X_1 scaled", f, p, x1_frame),
+            ("X_1 and Y_1 scaled", f, p, x1_y1_frame),
+            ("F := 2F, X_1 and Y_1 scaled", f.scale(2), p, x1_y1_frame),
+        ]
+        cases += [(f"{base}: {label}", *rest) for label, *rest in table]
+    return cases
+
+
+def _failure_list(f, p, frame):
+    """The raised failures as (name, witness) pairs, or None when accepted."""
+    try:
+        BiparaStructure.validate(f, p, adapted_frame=frame)
+    except StructureError as err:
+        return [(fail["name"], fail["witness"]) for fail in err.failures]
+    return None
+
+
+# Generated by running `_failure_list` over `_pin_cases()` on the
+# implementation that checked every identity directly on every input.
+VALIDATE_FAILURES = {
+    "flat-constant_frame-n1: valid": None,
+    "flat-constant_frame-n1: valid, no frame": None,
+    "flat-constant_frame-n1: F := 2F": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+    ],
+    "flat-constant_frame-n1: F := 2F, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "flat-constant_frame-n1: F := 0, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "-1"})],
+    "flat-constant_frame-n1: P := 2P": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+    ],
+    "flat-constant_frame-n1: P := 2P, no frame": [("P^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "flat-constant_frame-n1: P := F, no frame": [("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"})],
+    "flat-constant_frame-n1: F := F + Id": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 1, "value": "2"}), ("trace(F) != 0", {"value": "2"}),
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+    ],
+    "flat-constant_frame-n1: F := F + x_1 Id": None,
+    "flat-constant_frame-n1: F := Id, P := 0, no frame": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(F) != 0", {"value": "2"}),
+    ],
+    "flat-constant_frame-n1: F := 0, P := Id, no frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(P) != 0", {"value": "2"}),
+    ],
+    "flat-constant_frame-n1: F := Id": [
+        ("F∘P + P∘F != 0", {"row": 0, "col": 1, "value": "2"}), ("trace(F) != 0", {"value": "2"}),
+        ("F*Y_1 != -Y_1", None),
+    ],
+    "flat-constant_frame-n1: swapped F/P": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+    ],
+    "flat-constant_frame-n1: swapped F/P, no frame": None,
+    "flat-constant_frame-n1: P := -P": [("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None)],
+    "flat-constant_frame-n1: Y columns doubled": [("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None)],
+    "flat-constant_frame-n1: identity frame": None,
+    "flat-constant_frame-n1: swapped F/P, identity frame": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+    ],
+    "flat-constant_frame-n1: zero frame": None,
+    "flat-constant_frame-n1: F := 2 Id, zero frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 1, "value": "4"}), ("trace(F) != 0", {"value": "4"}),
+    ],
+    "flat-constant_frame-n1: X_1 scaled": [("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None)],
+    "flat-constant_frame-n1: X_1 and Y_1 scaled": None,
+    "flat-constant_frame-n1: F := 2F, X_1 and Y_1 scaled": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}),
+    ],
+    "flat-constant_frame-n2: valid": None,
+    "flat-constant_frame-n2: valid, no frame": None,
+    "flat-constant_frame-n2: F := 2F": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "flat-constant_frame-n2: F := 2F, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "flat-constant_frame-n2: F := 0, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "-1"})],
+    "flat-constant_frame-n2: P := 2P": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "flat-constant_frame-n2: P := 2P, no frame": [("P^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "flat-constant_frame-n2: P := F, no frame": [("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"})],
+    "flat-constant_frame-n2: F := F + Id": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 2, "value": "2"}), ("trace(F) != 0", {"value": "4"}),
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "flat-constant_frame-n2: F := F + x_1 Id": None,
+    "flat-constant_frame-n2: F := Id, P := 0, no frame": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(F) != 0", {"value": "4"}),
+    ],
+    "flat-constant_frame-n2: F := 0, P := Id, no frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(P) != 0", {"value": "4"}),
+    ],
+    "flat-constant_frame-n2: F := Id": [
+        ("F∘P + P∘F != 0", {"row": 0, "col": 2, "value": "2"}), ("trace(F) != 0", {"value": "4"}),
+        ("F*Y_1 != -Y_1", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "flat-constant_frame-n2: swapped F/P": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "flat-constant_frame-n2: swapped F/P, no frame": None,
+    "flat-constant_frame-n2: P := -P": [
+        ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "flat-constant_frame-n2: Y columns doubled": [
+        ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "flat-constant_frame-n2: identity frame": None,
+    "flat-constant_frame-n2: swapped F/P, identity frame": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "flat-constant_frame-n2: zero frame": None,
+    "flat-constant_frame-n2: F := 2 Id, zero frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 2, "value": "4"}), ("trace(F) != 0", {"value": "8"}),
+    ],
+    "flat-constant_frame-n2: X_1 scaled": [("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None)],
+    "flat-constant_frame-n2: X_1 and Y_1 scaled": None,
+    "flat-constant_frame-n2: F := 2F, X_1 and Y_1 scaled": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "flat-polynomial_chart-n1: valid": None,
+    "flat-polynomial_chart-n1: valid, no frame": None,
+    "flat-polynomial_chart-n1: F := 2F": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+    ],
+    "flat-polynomial_chart-n1: F := 2F, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "flat-polynomial_chart-n1: F := 0, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "-1"})],
+    "flat-polynomial_chart-n1: P := 2P": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+    ],
+    "flat-polynomial_chart-n1: P := 2P, no frame": [("P^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "flat-polynomial_chart-n1: P := F, no frame": [("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"})],
+    "flat-polynomial_chart-n1: F := F + Id": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "1"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"}), ("trace(F) != 0", {"value": "2"}),
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+    ],
+    "flat-polynomial_chart-n1: F := F + x_1 Id": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "x1^2"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2*x1"}), ("trace(F) != 0", {"value": "2*x1"}),
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+    ],
+    "flat-polynomial_chart-n1: F := Id, P := 0, no frame": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(F) != 0", {"value": "2"}),
+    ],
+    "flat-polynomial_chart-n1: F := 0, P := Id, no frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(P) != 0", {"value": "2"}),
+    ],
+    "flat-polynomial_chart-n1: F := Id": [
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"}), ("trace(F) != 0", {"value": "2"}),
+        ("F*Y_1 != -Y_1", None),
+    ],
+    "flat-polynomial_chart-n1: swapped F/P": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+    ],
+    "flat-polynomial_chart-n1: swapped F/P, no frame": None,
+    "flat-polynomial_chart-n1: P := -P": [("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None)],
+    "flat-polynomial_chart-n1: Y columns doubled": [("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None)],
+    "flat-polynomial_chart-n1: identity frame": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+    ],
+    "flat-polynomial_chart-n1: swapped F/P, identity frame": None,
+    "flat-polynomial_chart-n1: zero frame": None,
+    "flat-polynomial_chart-n1: F := 2 Id, zero frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "4"}), ("trace(F) != 0", {"value": "4"}),
+    ],
+    "flat-polynomial_chart-n1: X_1 scaled": [("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None)],
+    "flat-polynomial_chart-n1: X_1 and Y_1 scaled": None,
+    "flat-polynomial_chart-n1: F := 2F, X_1 and Y_1 scaled": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+    ],
+    "flat-polynomial_chart-n2: valid": None,
+    "flat-polynomial_chart-n2: valid, no frame": None,
+    "flat-polynomial_chart-n2: F := 2F": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "flat-polynomial_chart-n2: F := 2F, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "flat-polynomial_chart-n2: F := 0, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "-1"})],
+    "flat-polynomial_chart-n2: P := 2P": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "flat-polynomial_chart-n2: P := 2P, no frame": [("P^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "flat-polynomial_chart-n2: P := F, no frame": [("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"})],
+    "flat-polynomial_chart-n2: F := F + Id": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "1"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"}), ("trace(F) != 0", {"value": "4"}),
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "flat-polynomial_chart-n2: F := F + x_1 Id": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "x1^2"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2*x1"}), ("trace(F) != 0", {"value": "4*x1"}),
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "flat-polynomial_chart-n2: F := Id, P := 0, no frame": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(F) != 0", {"value": "4"}),
+    ],
+    "flat-polynomial_chart-n2: F := 0, P := Id, no frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(P) != 0", {"value": "4"}),
+    ],
+    "flat-polynomial_chart-n2: F := Id": [
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"}), ("trace(F) != 0", {"value": "4"}),
+        ("F*Y_1 != -Y_1", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "flat-polynomial_chart-n2: swapped F/P": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "flat-polynomial_chart-n2: swapped F/P, no frame": None,
+    "flat-polynomial_chart-n2: P := -P": [
+        ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "flat-polynomial_chart-n2: Y columns doubled": [
+        ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "flat-polynomial_chart-n2: identity frame": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "flat-polynomial_chart-n2: swapped F/P, identity frame": None,
+    "flat-polynomial_chart-n2: zero frame": None,
+    "flat-polynomial_chart-n2: F := 2 Id, zero frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "4"}), ("trace(F) != 0", {"value": "8"}),
+    ],
+    "flat-polynomial_chart-n2: X_1 scaled": [("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None)],
+    "flat-polynomial_chart-n2: X_1 and Y_1 scaled": None,
+    "flat-polynomial_chart-n2: F := 2F, X_1 and Y_1 scaled": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "conjugated-constant_frame-n2: valid": None,
+    "conjugated-constant_frame-n2: valid, no frame": None,
+    "conjugated-constant_frame-n2: F := 2F": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "conjugated-constant_frame-n2: F := 2F, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "conjugated-constant_frame-n2: F := 0, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "-1"})],
+    "conjugated-constant_frame-n2: P := 2P": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "conjugated-constant_frame-n2: P := 2P, no frame": [("P^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "conjugated-constant_frame-n2: P := F, no frame": [
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"}),
+    ],
+    "conjugated-constant_frame-n2: F := F + Id": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 2, "value": "2"}), ("trace(F) != 0", {"value": "4"}),
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "conjugated-constant_frame-n2: F := F + x_1 Id": None,
+    "conjugated-constant_frame-n2: F := Id, P := 0, no frame": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(F) != 0", {"value": "4"}),
+    ],
+    "conjugated-constant_frame-n2: F := 0, P := Id, no frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(P) != 0", {"value": "4"}),
+    ],
+    "conjugated-constant_frame-n2: F := Id": [
+        ("F∘P + P∘F != 0", {"row": 0, "col": 2, "value": "2"}), ("trace(F) != 0", {"value": "4"}),
+        ("F*Y_1 != -Y_1", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "conjugated-constant_frame-n2: swapped F/P": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "conjugated-constant_frame-n2: swapped F/P, no frame": None,
+    "conjugated-constant_frame-n2: P := -P": [
+        ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "conjugated-constant_frame-n2: Y columns doubled": [
+        ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "conjugated-constant_frame-n2: identity frame": [
+        ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None), ("F*X_2 != X_2", None), ("P*X_2 != Y_2", None),
+        ("P*Y_2 != X_2", None),
+    ],
+    "conjugated-constant_frame-n2: swapped F/P, identity frame": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "conjugated-constant_frame-n2: zero frame": None,
+    "conjugated-constant_frame-n2: F := 2 Id, zero frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 2, "value": "4"}), ("trace(F) != 0", {"value": "8"}),
+    ],
+    "conjugated-constant_frame-n2: X_1 scaled": [("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None)],
+    "conjugated-constant_frame-n2: X_1 and Y_1 scaled": None,
+    "conjugated-constant_frame-n2: F := 2F, X_1 and Y_1 scaled": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "unipotent-polynomial_chart-n2: valid": None,
+    "unipotent-polynomial_chart-n2: valid, no frame": None,
+    "unipotent-polynomial_chart-n2: F := 2F": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "unipotent-polynomial_chart-n2: F := 2F, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "unipotent-polynomial_chart-n2: F := 0, no frame": [("F^2 != Id", {"row": 0, "col": 0, "value": "-1"})],
+    "unipotent-polynomial_chart-n2: P := 2P": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "unipotent-polynomial_chart-n2: P := 2P, no frame": [("P^2 != Id", {"row": 0, "col": 0, "value": "3"})],
+    "unipotent-polynomial_chart-n2: P := F, no frame": [
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"}),
+    ],
+    "unipotent-polynomial_chart-n2: F := F + Id": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "-3"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"}), ("trace(F) != 0", {"value": "4"}),
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "unipotent-polynomial_chart-n2: F := F + x_1 Id": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "x1^2 - 4*x1"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2*x1"}), ("trace(F) != 0", {"value": "4*x1"}),
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "unipotent-polynomial_chart-n2: F := Id, P := 0, no frame": [
+        ("P^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(F) != 0", {"value": "4"}),
+    ],
+    "unipotent-polynomial_chart-n2: F := 0, P := Id, no frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "-1"}), ("trace(P) != 0", {"value": "4"}),
+    ],
+    "unipotent-polynomial_chart-n2: F := Id": [
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "2"}), ("trace(F) != 0", {"value": "4"}),
+        ("F*Y_1 != -Y_1", None), ("F*Y_2 != -Y_2", None),
+    ],
+    "unipotent-polynomial_chart-n2: swapped F/P": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "unipotent-polynomial_chart-n2: swapped F/P, no frame": None,
+    "unipotent-polynomial_chart-n2: P := -P": [
+        ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "unipotent-polynomial_chart-n2: Y columns doubled": [
+        ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "unipotent-polynomial_chart-n2: identity frame": [
+        ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None), ("P*X_2 != Y_2", None), ("P*Y_2 != X_2", None),
+    ],
+    "unipotent-polynomial_chart-n2: swapped F/P, identity frame": [
+        ("F*X_1 != X_1", None), ("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None),
+    ],
+    "unipotent-polynomial_chart-n2: zero frame": None,
+    "unipotent-polynomial_chart-n2: F := 2 Id, zero frame": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}),
+        ("F∘P + P∘F != 0", {"row": 0, "col": 0, "value": "4"}), ("trace(F) != 0", {"value": "8"}),
+    ],
+    "unipotent-polynomial_chart-n2: X_1 scaled": [("P*X_1 != Y_1", None), ("P*Y_1 != X_1", None)],
+    "unipotent-polynomial_chart-n2: X_1 and Y_1 scaled": None,
+    "unipotent-polynomial_chart-n2: F := 2F, X_1 and Y_1 scaled": [
+        ("F^2 != Id", {"row": 0, "col": 0, "value": "3"}), ("F*X_1 != X_1", None), ("F*Y_1 != -Y_1", None),
+        ("F*X_2 != X_2", None), ("F*Y_2 != -Y_2", None),
+    ],
+}
+
+
+def test_validate_failure_lists_are_unchanged():
+    cases = _pin_cases()
+    assert [case_id for case_id, *_ in cases] == list(VALIDATE_FAILURES)
+    for case_id, f, p, frame in cases:
+        assert _failure_list(f, p, frame) == VALIDATE_FAILURES[case_id], case_id
+
+
+def test_zero_frame_certifies_nothing(generated_pool, fixture_dir):
+    # Every column check passes vacuously on a zero frame, so only its rank
+    # at the origin stops it from vouching for F = 2 Id.
+    for backend in ("constant_frame", "polynomial_chart"):
+        s = flat_structure(2, backend)
+        zero_frame = PolyMatrix.identity(s.dim, s.context.variables).scale(0)
+        with pytest.raises(StructureError) as err:
+            BiparaStructure.validate(EndoField.identity(s.context).scale(2), s.P, adapted_frame=zero_frame)
+        assert "F^2 != Id" in [fail["name"] for fail in err.value.failures]
+
+    fixtures = [build_structure(load_spec(str(path))) for path in sorted(fixture_dir.glob("*.json"))]
+    assert len(fixtures) == 4
+    for s in list(generated_pool) + fixtures:
+        f, p = s.F.matrix, s.P.matrix
+        identity = PolyMatrix.identity(s.dim, s.context.variables)
+        assert f @ f == identity and p @ p == identity
+        assert (f @ p + p @ f).is_zero
+        assert f.trace().is_zero and p.trace().is_zero
