@@ -55,14 +55,13 @@ from .geometry import (
     algebra_context,
     basis_fields,
     chart_context,
-    dual_pairing,
     identity_map,
     lie_bracket,
     pushforward_bilinear,
     pushforward_endo,
     pushforward_vector,
 )
-from .linalg import PolyMatrix, matrix_signature, poly_matrix_inverse
+from .linalg import PolyMatrix, poly_matrix_inverse
 from .metrics import (
     MetricClass,
     bi_lagrangian_assembly,

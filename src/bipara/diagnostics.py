@@ -23,9 +23,12 @@ from fractions import Fraction
 from typing import Callable
 
 from .connections import (
+    ConnectionLaw,
     CurvatureTensor,
     TorsionTensor,
+    canonical_christoffels,
     canonical_connection,
+    connection_from_table,
     pushforward_connection,
     torsion,
 )
@@ -38,7 +41,7 @@ from .geometry import (
     lie_bracket,
     pushforward_endo,
 )
-from .linalg import PolyMatrix, rat_rank
+from .linalg import LinAlgError, PolyMatrix, rat_rank
 from .structure import (
     BiparaStructure,
     StructureError,
@@ -265,11 +268,30 @@ def flatness_verdict(t: TorsionTensor, r: CurvatureTensor) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def _canonical_law(s: BiparaStructure) -> ConnectionLaw:
+    """The canonical law of ``s``, through its adapted-frame Christoffel table.
+
+    The canonical connection is unique, so its table on an adapted frame fixes
+    it, and the table route is much cheaper than the invariant law.  Without a
+    frame, or when the frame has no polynomial inverse, the law is the
+    frame-free one.
+    """
+    if s.adapted_frame is None:
+        return canonical_connection(s)
+    try:
+        s.coframe
+    except LinAlgError:
+        return canonical_connection(s)
+    return connection_from_table(s, canonical_christoffels(s), kind="canonical")
+
+
 def equivalence_check(sa: BiparaStructure, sb: BiparaStructure, m: PolyMap) -> Verdict:
     """Is m an equivalence carrying (F_A, P_A) to (F_B, P_B)?
 
     On success the canonical connections are asserted to correspond under m
-    as well; their failure to do so would falsify functoriality.
+    as well; their failure to do so would falsify functoriality.  Each law is
+    built from its own structure's adapted frame (see ``_canonical_law``), so
+    the pushed law and the target law are independent.
     """
     if sa.context != m.source or sb.context != m.target:
         raise ContextMismatch("map endpoints do not match the structures")
@@ -279,8 +301,8 @@ def equivalence_check(sa: BiparaStructure, sb: BiparaStructure, m: PolyMap) -> V
         diff = (pushed_f.matrix - sb.F.matrix) if pushed_f != sb.F else (pushed_p.matrix - sb.P.matrix)
         name = "F" if pushed_f != sb.F else "P"
         return Verdict("equivalent", False, {"tensor": name, **matrix_witness(diff)})
-    pushed_law = pushforward_connection(m, canonical_connection(sa), target_structure=sb)
-    target_law = canonical_connection(sb)
+    pushed_law = pushforward_connection(m, _canonical_law(sa), target_structure=sb)
+    target_law = _canonical_law(sb)
     for i in range(sb.dim):
         for j in range(sb.dim):
             if pushed_law.frame_table[i][j] != target_law.frame_table[i][j]:

@@ -13,7 +13,8 @@ A diffeomorphism (:class:`PolyMap`) is the same data on both backends: its
 forward and inverse coordinate lists (empty on a constant frame) and its two
 frame Jacobians J = D(forward) o inverse and K = D(inverse), which are the
 given matrix and its inverse on a constant frame.  One validation checks both
-round trips, J K = Id and that J carries the source brackets to the target's.
+round trips, J K = Id and that J carries the source brackets to the target's;
+the inverse of a validated map inherits all four and is not checked again.
 Chart maps are generated as unipotent coordinate changes, so inverses stay
 polynomial and every pushforward exact.
 """
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .linalg import PolyMatrix, poly_matrix_inverse, rat_inverse
+from .linalg import PolyMatrix, rat_inverse
 from .poly import MultiPoly, PolyError
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "basis_fields",
     "chart_context",
     "directional_derivative",
-    "dual_pairing",
     "first_nonzero",
     "identity_map",
     "lie_bracket",
@@ -399,16 +399,6 @@ def directional_derivative(x: VectorField, f: MultiPoly) -> MultiPoly:
     return acc
 
 
-def dual_pairing(frame: EndoField, index: int, x: VectorField) -> MultiPoly:
-    """Coefficient of ``x`` along frame column ``index`` (0-based).
-
-    Only frames with polynomial inverses are in scope (unipotent or constant
-    invertible); everything else raises :class:`LinAlgError`.
-    """
-    _require_same_context(frame, x)
-    return poly_matrix_inverse(frame.matrix).matvec(list(x.components))[index]
-
-
 def first_nonzero(cells):
     """The first ``(key, value)`` of ``cells`` whose value is nonzero, or None.
 
@@ -531,17 +521,22 @@ class PolyMap:
         )
 
     def inverted(self) -> "PolyMap":
+        """The inverse map, built without re-running the checks of ``__init__``.
+
+        Every check still holds for the swapped data: the two round trips are
+        the same pair in the other order; J K = Id implies K J = Id for square
+        matrices over a commutative ring (and survives substituting
+        ``forward``); and the inverse of a bracket-preserving isomorphism
+        preserves brackets.
+        """
         sub = self._sub_forward
-        return PolyMap(
-            self.target,
-            self.source,
-            forward=self.inverse,
-            inverse=self.forward,
-            _jacobians=(
-                self.jacobian_of_inverse.substitute(sub),
-                self.jacobian_at_inverse.substitute(sub),
-            ),
-        )
+        back = object.__new__(PolyMap)
+        back.source, back.target = self.target, self.source
+        back.forward, back.inverse = self.inverse, self.forward
+        back._sub_inverse, back._sub_forward = self._sub_forward, self._sub_inverse
+        back.jacobian_at_inverse = self.jacobian_of_inverse.substitute(sub)
+        back.jacobian_of_inverse = self.jacobian_at_inverse.substitute(sub)
+        return back
 
 
 def _square_rows(name: str, rows, dim: int) -> list[list[Fraction]]:

@@ -23,7 +23,6 @@ from .poly import MultiPoly, PolyError
 __all__ = [
     "LinAlgError",
     "PolyMatrix",
-    "matrix_signature",
     "poly_matrix_inverse",
     "rat_inverse",
     "rat_matmul",
@@ -343,13 +342,6 @@ def rat_signature(m: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
             for j in range(k, n):
                 a[j][i] -= factor * a[j][k]
     return pos, neg, zero
-
-
-def matrix_signature(m: PolyMatrix) -> tuple[int, int, int]:
-    """Signature of a constant symmetric :class:`PolyMatrix`."""
-    if m.rows != m.cols:
-        raise LinAlgError("signature of a non-square matrix")
-    return rat_signature(m.constant_rows())
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 A structure is a pair (F, P) of anticommuting involutive (1,1)-tensor fields.
 Validation establishes every defining identity exactly and derives the almost
-complex structure J = F o P, the four eigenprojectors, and (optionally) an
-adapted frame {X_1..X_n, Y_1..Y_n} with F X_i = X_i, F Y_i = -Y_i,
-P X_i = Y_i, P Y_i = X_i.
+complex structure J = F o P and (optionally) an adapted frame
+{X_1..X_n, Y_1..Y_n} with F X_i = X_i, F Y_i = -Y_i, P X_i = Y_i,
+P Y_i = X_i.  The four eigenprojectors are built on first read.
 
 An adapted frame E is a certificate when it passes those 4n column checks and
 E(0) (its constant parts) has full rank: then det E is a nonzero polynomial,
@@ -101,14 +101,13 @@ def matrix_witness(matrix: PolyMatrix) -> dict | None:
 class BiparaStructure:
     """A validated almost biparacomplex structure (F, P) with derived data."""
 
-    __slots__ = ("context", "F", "P", "J", "projectors", "adapted_frame", "__dict__")
+    __slots__ = ("context", "F", "P", "J", "adapted_frame", "__dict__")
 
-    def __init__(self, context, F, P, J, projectors, adapted_frame):
+    def __init__(self, context, F, P, J, adapted_frame):
         self.context = context
         self.F = F
         self.P = P
         self.J = J
-        self.projectors = projectors
         self.adapted_frame = adapted_frame
 
     @property
@@ -122,6 +121,18 @@ class BiparaStructure:
     @cached_property
     def basis(self) -> tuple[VectorField, ...]:
         return basis_fields(self.context)
+
+    @cached_property
+    def projectors(self) -> Projectors:
+        """The eigenprojectors (Id +- F)/2 and (Id +- P)/2, built on first read."""
+        half = Fraction(1, 2)
+        eye = EndoField.identity(self.context)
+        return Projectors(
+            f_plus=(eye + self.F).scale(half),
+            f_minus=(eye - self.F).scale(half),
+            p_plus=(eye + self.P).scale(half),
+            p_minus=(eye - self.P).scale(half),
+        )
 
     @cached_property
     def coframe(self) -> PolyMatrix:
@@ -212,15 +223,7 @@ class BiparaStructure:
             if failures:
                 raise StructureError(failures)
 
-        half = Fraction(1, 2)
-        eye = EndoField.identity(ctx)
-        projectors = Projectors(
-            f_plus=(eye + F).scale(half),
-            f_minus=(eye - F).scale(half),
-            p_plus=(eye + P).scale(half),
-            p_minus=(eye - P).scale(half),
-        )
-        return cls(ctx, F, P, J, projectors, adapted_frame)
+        return cls(ctx, F, P, J, adapted_frame)
 
     # -- adapted frame access --------------------------------------------------
 

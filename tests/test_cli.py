@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bipara import diagnostics
 from bipara.cli import main
 from bipara.connections import ConnectionLaw, DifferenceTensor
 from bipara.poly import parse_poly
@@ -228,6 +229,33 @@ def test_equivalent_command_constant_frame(fixture_dir, tmp_path):
     )
     assert proc.returncode == 1
     assert "bracket" in proc.stderr
+
+
+@pytest.mark.parametrize("map_payload, holds", [
+    ({"forward": ["x1", "x2", "y1", "y2"], "inverse": ["x1", "x2", "y1", "y2"]}, True),
+    ({"forward": ["x1", "x2", "y1 + x1^2", "y2"], "inverse": ["x1", "x2", "y1 - x1^2", "y2"]}, False),
+], ids=["identity", "shear"])
+def test_equivalent_without_a_polynomial_coframe_uses_the_frame_free_law(
+    fixture_dir, tmp_path, capsys, monkeypatch, map_payload, holds
+):
+    # X1 and Y1 of the flat frame scaled by 1 + x1: the frame still certifies
+    # the structure, but its inverse is not polynomial.
+    spec = json.loads((fixture_dir / "flat_n2.json").read_text(encoding="utf-8"))
+    spec["adapted_frame"] = [
+        ["1 + x1", "0", "1 + x1", "0"],
+        ["0", "1", "0", "1"],
+        ["1 + x1", "0", "-1 - x1", "0"],
+        ["0", "1", "0", "-1"],
+    ]
+    spec_path = str(write(tmp_path, "spec.json", spec))
+    map_path = str(write(tmp_path, "map.json", map_payload))
+    frame_free = []
+    original = diagnostics.canonical_connection
+    monkeypatch.setattr(diagnostics, "canonical_connection", lambda s: frame_free.append(s) or original(s))
+    assert main(["equivalent", spec_path, spec_path, "--map", map_path]) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"][0]["holds"] is holds
+    # Both laws are built only when F and P correspond.
+    assert len(frame_free) == (2 if holds else 0)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from bipara import diagnostics
 from bipara.cli import Analysis
 from bipara.connections import canonical_connection, curvature, torsion
 from bipara.diagnostics import (
+    InconsistencyError,
     Verdict,
     commutant_check,
     equivalence_check,
@@ -24,6 +27,8 @@ from bipara.diagnostics import (
 from bipara.geometry import EndoField, PolyMap, identity_map
 from bipara.linalg import PolyMatrix
 from bipara.structure import (
+    _random_isomorphism,
+    affine_structure,
     flat_structure,
     pushforward_structure,
     random_structure,
@@ -124,6 +129,48 @@ def test_equivalence_identity_and_conjugate(flat_n2):
     m = random_unipotent_map(flat_n2.context, 2, rng)
     target = pushforward_structure(m, flat_n2)
     assert equivalence_check(flat_n2, target, m).holds
+
+
+BACKENDS = pytest.mark.parametrize("backend", ["polynomial_chart", "constant_frame"])
+
+
+def _equivalent_pair(backend):
+    """A freshly built structure, an equivalence m and the structure m carries it to."""
+    rng = random.Random(4242)
+    if backend == "polynomial_chart":
+        source = random_structure(2, backend, degree=2, seed=31)
+        m = random_unipotent_map(source.context, 2, rng)
+    else:
+        source = affine_structure()
+        m = _random_isomorphism(source.context, rng)
+    return source, m, pushforward_structure(m, source)
+
+
+@BACKENDS
+def test_equivalence_compares_table_route_laws_without_projectors(backend):
+    source, m, target = _equivalent_pair(backend)
+    assert equivalence_check(source, target, m).holds
+    # Nothing on this path reads the eigenprojectors, so none were built.
+    assert "projectors" not in source.__dict__
+    assert "projectors" not in target.__dict__
+
+
+@BACKENDS
+def test_equivalence_check_fails_on_a_perturbed_target_table(backend, monkeypatch):
+    source, m, target = _equivalent_pair(backend)
+    original = diagnostics.canonical_christoffels
+
+    def perturbed(s):
+        table = original(s)
+        if s is not target:
+            return table
+        cell = table.xx[0][0]
+        row = (cell[0] + 1,) + cell[1:]
+        return dataclasses.replace(table, xx=((row,) + table.xx[0][1:],) + table.xx[1:])
+
+    monkeypatch.setattr(diagnostics, "canonical_christoffels", perturbed)
+    with pytest.raises(InconsistencyError):
+        equivalence_check(source, target, m)
 
 
 def test_heis_not_equivalent_to_flat_for_sampled_maps(heis):
