@@ -423,10 +423,24 @@ _VARS: dict[tuple[tuple[str, ...], str], MultiPoly] = {}
 # token.  It raises "unexpected character" when the parser looks at it, not
 # when it is scanned, so the checks of the tokens before it (an unknown name, a
 # limit) come first.
+#
+# A term that starts with a canonical monomial, the form ``str(MultiPoly)``
+# writes every term in, reads that monomial as one more token:
+#
+#   MONOMIAL := (NUMBER ('/' NUMBER)? '*')? power ('*' power)*
+#   power    := NAME ('^' NUMBER)?      (ASCII first letter, no whitespace)
+#
+# It is built directly as one exponent tuple and coefficient, with the value
+# and the term-product count that reading it token by token gives.  A monomial
+# that a '^' follows, or that token by token would raise on, is declined and
+# read token by token, so every message and offset is that route's.
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<name>\w+)|(?P<symbol>[-+*^()/])|(?P<bad>.))?", re.DOTALL
 )
+_POWER = r"[A-Za-z_]\w*(?:\^\d+)?"
+_MONOMIAL = re.compile(rf"(?:(\d+)(?:/(\d+))?\*)?({_POWER}(?:\*{_POWER})*)")
+_CARET = re.compile(r"\s*\^")
 
 
 # Parentheses and unary minus each recurse; a bound well below the interpreter's
@@ -443,13 +457,22 @@ MAX_TERM_PRODUCTS = 50_000
 MAX_COEFFICIENT_BITS = 4096
 
 
+def _too_large(coeff: int | Fraction) -> bool:
+    return max(coeff.numerator.bit_length(), coeff.denominator.bit_length()) > MAX_COEFFICIENT_BITS
+
+
 def _bounded(poly: MultiPoly, start: int) -> MultiPoly:
     for c in poly.terms.values():
-        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+        if _too_large(c):
             raise PolyParseError(
                 f"coefficient above MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS} bits", start
             )
     return poly
+
+
+def _power_products(k: int) -> int:
+    """The term products ``_power`` spends on a one-term base: one per squaring and per set bit."""
+    return k.bit_length() + k.bit_count() - 1 if k else 0
 
 
 def _integer(digits: str, start: int) -> int:
@@ -514,25 +537,87 @@ class _Parser:
         return poly
 
     def _expr(self) -> MultiPoly:
-        acc = self._term()
-        while True:
+        first = self._term()
+        kind = self._peek()
+        if kind != "+" and kind != "-":
+            return first
+        # One dict for the whole sum, with the terms, forms and order that
+        # ``first + t2 - t3 ...`` gives, without copying it once per term.
+        out = dict(first.terms)
+        while kind == "+" or kind == "-":
+            self._advance()
+            negate = kind == "-"
+            for exps, coeff in self._term().terms.items():
+                if negate:
+                    coeff = -coeff
+                old = out.get(exps)
+                if old is None:
+                    out[exps] = coeff
+                    continue
+                agg = old + coeff
+                if not agg:
+                    del out[exps]
+                elif type(agg) is Fraction and agg.denominator == 1:
+                    out[exps] = agg.numerator
+                else:
+                    out[exps] = agg
             kind = self._peek()
-            if kind == "+":
-                self._advance()
-                acc = acc + self._term()
-            elif kind == "-":
-                self._advance()
-                acc = acc - self._term()
-            else:
-                return acc
+        return MultiPoly._trusted(self.variables, out)
 
     def _term(self) -> MultiPoly:
-        acc = self._factor()
+        acc = self._monomial() if self.kind == "name" or self.kind == "number" else None
+        if acc is None:
+            acc = self._factor()
         while self._peek() == "*":
             start = self.start
             self._advance()
             acc = self._multiply(acc, self._factor(), start)
         return acc
+
+    def _monomial(self) -> MultiPoly | None:
+        """The canonical monomial at the current token, read in one step, or None.
+
+        None declines it: no monomial starts here, a '^' follows it, or token
+        by token it would raise (an unknown name, a zero literal, a number
+        int() does not read, MAX_EXPONENT, MAX_COEFFICIENT_BITS or
+        MAX_TERM_PRODUCTS).  The caller then reads it token by token.
+        """
+        text, variables = self.text, self.variables
+        match = _MONOMIAL.match(text, self.start)
+        if match is None or _CARET.match(text, match.end()):
+            return None
+        numerator, denominator, powers = match.groups()
+        if numerator is None and powers in variables:  # a lone variable: the shared instance
+            self.end = match.end()
+            self._advance()
+            return MultiPoly.var(variables, powers)
+        # token by token: 1 term product per '*', _power_products(k) per '^k'
+        products = powers.count("*")
+        coeff: int | Fraction = 1
+        exps = [0] * len(variables)
+        try:
+            if numerator is not None:
+                products += 1
+                coeff = int(numerator)
+                if denominator is not None:
+                    coeff = _as_rational(Fraction(coeff, int(denominator)))
+                if _too_large(coeff):
+                    return None
+            for power in powers.split("*"):
+                name, caret, digits = power.partition("^")
+                k = int(digits) if caret else 1
+                if k > MAX_EXPONENT:
+                    return None
+                products += _power_products(k) if caret else 0
+                exps[variables.index(name)] += k
+        except (ValueError, ZeroDivisionError):  # too many digits or an unknown name; 1/0
+            return None
+        if not coeff or self.term_products + products > MAX_TERM_PRODUCTS:
+            return None
+        self.term_products += products
+        self.end = match.end()
+        self._advance()
+        return MultiPoly._trusted(variables, {tuple(exps): coeff})
 
     def _factor(self) -> MultiPoly:
         if self._peek() == "-":

@@ -146,13 +146,19 @@ class BiparaStructure:
         """``frame_brackets[a][b][c]``: the F_c-component of [F_a, F_b].
 
         F = (X_1..X_n, Y_1..Y_n) is the adapted frame; the components are the
-        coframe pairings of the bracket.
+        coframe pairings of the bracket.  Each unordered pair is bracketed
+        once: [F_b, F_a] = -[F_a, F_b], the pairing is linear, and the
+        diagonal is zero.
         """
-        frame = [self.frame_field(a) for a in range(self.dim)]
-        return tuple(
-            tuple(tuple(self.coframe.matvec(list(lie_bracket(fa, fb).components))) for fb in frame)
-            for fa in frame
-        )
+        dim = self.dim
+        frame = [self.frame_field(a) for a in range(dim)]
+        table = [[(self.context.zero_poly(),) * dim] * dim for _ in range(dim)]
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                pairing = tuple(self.coframe.matvec(list(lie_bracket(frame[a], frame[b]).components)))
+                table[a][b] = pairing
+                table[b][a] = tuple(-c for c in pairing)
+        return tuple(map(tuple, table))
 
     @classmethod
     def validate(

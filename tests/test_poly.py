@@ -205,6 +205,13 @@ def test_term_product_budget_stops_expansion_early():
     assert err.value.offset == 18  # the "*"
     assert len(parse_poly("(x1+x2+y1+y2+1)^8", variables).terms) == 495
     assert MAX_TERM_PRODUCTS >= 10 * 495
+    # a monomial costs what its products cost token by token: 1 per '*', and
+    # 1 per squaring and per set bit of each exponent (x1^7: 5, x1^8: 4)
+    factors = "*".join(["x1"] * (MAX_TERM_PRODUCTS - 4))
+    assert parse_poly(f"{factors}*x1*x1*x1*x1", variables).terms == {(MAX_TERM_PRODUCTS, 0, 0, 0): 1}
+    assert parse_poly(f"{factors}*x1^8", variables).terms == {(MAX_TERM_PRODUCTS + 4, 0, 0, 0): 1}
+    with pytest.raises(PolyParseError, match="MAX_TERM_PRODUCTS"):
+        parse_poly(f"{factors}*x1^7", variables)
 
 
 def test_overlong_number_is_parse_error():
@@ -238,6 +245,81 @@ def test_coefficient_size_limit_names_limit_and_offset():
 @settings(max_examples=120, deadline=None)
 def test_parse_print_round_trip(p):
     assert parse_poly(str(p), ("x1", "x2")) == p
+
+
+ring_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=4)] * len(VARS)), coeffs, max_size=8
+).map(lambda terms: MultiPoly(VARS, terms))
+
+
+def _ring_sum(written):
+    """The sum of written ``(coeff, exps)`` terms, formed by ring operations
+    only, in the order they are written: ``t1 + t2 + ...``."""
+    acc = MultiPoly.zero(VARS)
+    for coeff, exps in written:
+        term = MultiPoly.const(VARS, coeff)
+        for name, k in zip(VARS, exps):
+            term = term * MultiPoly.var(VARS, name) ** k
+        acc = term if acc.is_zero else acc + term
+    return acc
+
+
+@st.composite
+def decorated(draw, p):
+    """``p`` written so that no monomial is one token: spaces around '*' and
+    '^', redundant parentheses, factors out of order, and some terms split in
+    two that the sum merges again.  Returns the text and its written terms."""
+    written = []
+    for exps, coeff in p.sorted_terms():
+        if draw(st.booleans()):
+            part = draw(coeffs)
+            written += [(coeff - part, exps), (part, exps)]
+        else:
+            written.append((coeff, exps))
+    chunks = []
+    for coeff, exps in written:
+        factors = [f"{name} ^ {k}" if k > 1 else name for name, k in zip(VARS, exps) if k]
+        factors.append(f"( {abs(coeff)} )")
+        body = " * ".join(draw(st.permutations(factors)))
+        sign = "-" if coeff < 0 else "+" if chunks else ""  # no unary '+'
+        chunks.append(f"{sign} ({body})")
+    return " ".join(chunks) or "(0)", written
+
+
+def test_monomial_token_edge_cases():
+    x1, x2 = MultiPoly.var(VARS, "x1"), MultiPoly.var(VARS, "x2")
+    cases = {
+        "4/2*x1": 2 * x1,  # reduced to the int 2
+        "2/4*x1^2*x2": Fraction(1, 2) * x1**2 * x2,
+        "x1*x2*x1": x1**2 * x2,  # a repeated name adds exponents
+        "x1^0": MultiPoly.const(VARS, 1),
+        "3*x1^0*x2": 3 * x2,
+        "0*x1": MultiPoly.zero(VARS),
+        "x1 ^ 2": x1**2,  # a spaced '^' ends no monomial early
+        "2*x1^2 * x2 - x2*x1": 2 * x1**2 * x2 - x1 * x2,
+        "٣*x1^٢": 3 * x1**2,
+    }
+    for text, expected in cases.items():
+        parsed = parse_poly(text, VARS)
+        assert parsed == expected, text
+        assert [type(c) for c in parsed.terms.values()] == [type(c) for c in expected.terms.values()], text
+    # a lone variable, spaced or not, is the shared instance
+    assert parse_poly(" x1 ", VARS) is x1
+    assert parse_poly("(x2)", VARS) is x2
+
+
+@given(ring_polys, st.data())
+@settings(max_examples=100, deadline=None)
+def test_parser_matches_the_ring(p, data):
+    # str(p) takes the one-step monomial token; the decorated form is read
+    # token by token.  Both give p, with the coefficient forms and the term
+    # order of the ring sum of the written terms.
+    renderings = [(str(p), [(c, e) for e, c in p.sorted_terms()]), data.draw(decorated(p))]
+    for text, written in renderings:
+        parsed, expected = parse_poly(text, VARS), _ring_sum(written)
+        assert parsed == p == expected, text
+        assert list(parsed.terms) == list(expected.terms), text
+        assert [type(c) for c in parsed.terms.values()] == [type(c) for c in expected.terms.values()]
 
 
 @given(polys, polys)
@@ -300,6 +382,25 @@ _DIGITS_5000 = "number of 5000 digits is too long"
         ),
         pytest.param(" (x1 $", "unexpected character '$'", 5, id="bad_before_close_paren"),
         pytest.param("x1^\t$", "unexpected character '$'", 4, id="bad_exponent"),
+        # errors inside a canonical monomial, which is then read token by token
+        pytest.param("3*x1*zz", "unknown variable 'zz'", 5, id="monomial_unknown_variable"),
+        pytest.param("2*x1^101", "exponent above MAX_EXPONENT = 100", 5, id="monomial_max_exponent"),
+        pytest.param("2*x1 ^ 101", "exponent above MAX_EXPONENT = 100", 7, id="monomial_spaced_caret"),
+        pytest.param("3/0*x1", "zero denominator", 2, id="monomial_zero_denominator"),
+        pytest.param(
+            f"{2**4096}*x1",
+            "coefficient above MAX_COEFFICIENT_BITS = 4096 bits",
+            0,
+            id="monomial_max_coefficient_bits",
+        ),
+        pytest.param("2*x1^" + "0" * 5000 + "1", "number of 5001 digits is too long", 5, id="monomial_long_exponent"),
+        # 50,001 factors spend exactly the 50,000-product budget; one more is over
+        pytest.param(
+            "*".join(["x1"] * 50_002),
+            "expansion needs more than MAX_TERM_PRODUCTS = 50000 term products",
+            150_002,
+            id="monomial_max_term_products",
+        ),
     ],
 )
 def test_parse_error_messages_and_offsets(text, message, offset):
