@@ -22,7 +22,6 @@ from .connections import (
     endo_covariant_derivative,
     is_parallel,
     preserves_distributions,
-    pushforward,
     pushforward_connection,
     torsion,
     trace_condition_holds,

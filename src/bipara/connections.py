@@ -32,7 +32,6 @@ from functools import cached_property
 from typing import Callable
 
 from .geometry import (
-    BilinearField,
     ContextMismatch,
     EndoField,
     FrameContext,
@@ -41,11 +40,9 @@ from .geometry import (
     directional_derivative,
     first_nonzero,
     lie_bracket,
-    pushforward_bilinear,
-    pushforward_endo,
     pushforward_vector,
 )
-from .structure import BiparaStructure, StructureError, pushforward_structure
+from .structure import BiparaStructure, StructureError
 
 __all__ = [
     "ChristoffelTable",
@@ -60,7 +57,6 @@ __all__ = [
     "endo_covariant_derivative",
     "is_parallel",
     "preserves_distributions",
-    "pushforward",
     "pushforward_connection",
     "torsion",
     "trace_condition_holds",
@@ -116,7 +112,7 @@ class ConnectionLaw:
         """nabla_{E_i} W via the frame table and Leibniz expansion."""
         ctx = self.context
         table = self.frame_table
-        out = [ctx.zero_poly() for _ in range(ctx.dim)]
+        out = [ctx.zero] * ctx.dim
         for m, wm in enumerate(w.components):
             if not wm.is_zero:
                 dwm = ctx.frame_derivative(i, wm)
@@ -160,9 +156,17 @@ def _pair_cells(table):
             yield (i, j), cell
 
 
+def _first_pair_mismatch(table, value):
+    """The first (i, j), in index order, with ``table[i][j] != value(i, j)``, or None.
+
+    ``value`` is called only up to the pair returned.
+    """
+    return next((key for key, cell in _pair_cells(table) if cell != value(*key)), None)
+
+
 def _contract(ctx: FrameContext, table, xs, ys) -> VectorField:
     """sum_ij xs[i] ys[j] table[i][j]: a (1,2)-tensor on frame components xs, ys."""
-    acc = VectorField(ctx, [ctx.zero_poly()] * ctx.dim)
+    acc = VectorField(ctx, [ctx.zero] * ctx.dim)
     for i, xi in enumerate(xs):
         if xi.is_zero:
             continue
@@ -184,7 +188,6 @@ class TorsionTensor:
     @cached_property
     def table(self) -> tuple[tuple[VectorField, ...], ...]:
         ctx = self.law.context
-        basis = self.law.structure.basis
         ft = self.law.frame_table
         dim = ctx.dim
         rows = []
@@ -194,9 +197,10 @@ class TorsionTensor:
                 if j < i:
                     row.append(-rows[j][i])
                 elif j == i:
-                    row.append(VectorField(ctx, [ctx.zero_poly()] * dim))
+                    row.append(VectorField(ctx, [ctx.zero] * dim))
                 else:
-                    row.append(ft[i][j] - ft[j][i] - lie_bracket(basis[i], basis[j]))
+                    bracket = VectorField.from_rationals(ctx, ctx.basis_bracket(i, j))
+                    row.append(ft[i][j] - ft[j][i] - bracket)
             rows.append(row)
         return tuple(tuple(r) for r in rows)
 
@@ -244,7 +248,7 @@ class CurvatureTensor:
     def evaluate(self, x: VectorField, y: VectorField, z: VectorField) -> VectorField:
         ctx = self.law.context
         xs, ys, zs = x.components, y.components, z.components
-        acc = VectorField(ctx, [ctx.zero_poly()] * ctx.dim)
+        acc = VectorField(ctx, [ctx.zero] * ctx.dim)
         for (i, j, k), cell in self.cells():
             if cell.is_zero or zs[k].is_zero:
                 continue
@@ -417,7 +421,7 @@ def connection_from_table(
     ctx = s.context
     coframe = s.coframe
     frame = s.adapted_frame
-    zeros = [ctx.zero_poly()] * n
+    zeros = [ctx.zero] * n
 
     def row(coeffs):
         """nabla_{F_h} X_a from its X-coefficients, then nabla_{F_h} Y_a = P nabla_{F_h} X_a."""
@@ -454,10 +458,11 @@ class DifferenceTensor:
         self.canonical = t.law
         self.structure = t.law.structure
         self._torsion = t
-        mismatch = self._first_route_mismatch()
-        if mismatch is not None:
+        basis = self.structure.basis
+        pair = _first_pair_mismatch(self.table, lambda i, j: self.bracket_route(basis[i], basis[j]))
+        if pair is not None:
             raise StructureError(
-                [{"name": "difference-tensor routes disagree", "witness": mismatch}]
+                [{"name": "difference-tensor routes disagree", "witness": {"pair": pair}}]
             )
         if t.law.kind != "canonical":
             raise StructureError(
@@ -512,14 +517,6 @@ class DifferenceTensor:
             tuple(self.torsion_route(ei, ej) for ej in basis) for ei in basis
         )
 
-    def _first_route_mismatch(self):
-        basis = self.structure.basis
-        for i, ei in enumerate(basis):
-            for j, ej in enumerate(basis):
-                if self.table[i][j] != self.bracket_route(ei, ej):
-                    return {"pair": (i, j)}
-        return None
-
     def cells(self):
         """((i, j), A(E_i, E_j)) over all frame pairs, in index order."""
         return _pair_cells(self.table)
@@ -552,11 +549,8 @@ def well_adapted_routes_agree(frame_free: ConnectionLaw, christoffels: Christoff
     s = frame_free.structure
     via_table = connection_from_table(s, christoffels, kind="well-adapted")
     basis = s.basis
-    for i, ei in enumerate(basis):
-        for j, ej in enumerate(basis):
-            if frame_free.frame_table[i][j] != via_table.nabla(ei, ej):
-                return False
-    return True
+    mismatch = _first_pair_mismatch(frame_free.frame_table, lambda i, j: via_table.nabla(basis[i], basis[j]))
+    return mismatch is None
 
 
 def trace_condition_holds(t: TorsionTensor) -> bool:
@@ -585,33 +579,19 @@ def trace_condition_holds(t: TorsionTensor) -> bool:
 
 
 def pushforward_connection(
-    m: PolyMap, law: ConnectionLaw, target_structure: BiparaStructure | None = None
+    m: PolyMap, law: ConnectionLaw, target_structure: BiparaStructure
 ) -> ConnectionLaw:
-    """Direct image law: nabla'_{X'} Y' = m . (nabla_{m^-1 . X'} m^-1 . Y')."""
+    """Direct image law: nabla'_{X'} Y' = m . (nabla_{m^-1 . X'} m^-1 . Y').
+
+    ``target_structure`` is the structure the law lives on after the push,
+    validated by the caller (``pushforward_structure`` gives it for ``law.structure``).
+    """
     if law.context != m.source:
         raise ContextMismatch("connection does not live on the map source")
     back = m.inverted()
-    structure = (
-        target_structure
-        if target_structure is not None
-        else pushforward_structure(m, law.structure)
-    )
 
     def pushed(x: VectorField, y: VectorField) -> VectorField:
         pulled = law.nabla(pushforward_vector(back, x), pushforward_vector(back, y))
         return pushforward_vector(m, pulled)
 
-    return ConnectionLaw(structure, law.kind, pushed)
-
-
-def pushforward(m: PolyMap, obj):
-    """Transport a vector, endomorphism, bilinear field or connection along m."""
-    if isinstance(obj, VectorField):
-        return pushforward_vector(m, obj)
-    if isinstance(obj, EndoField):
-        return pushforward_endo(m, obj)
-    if isinstance(obj, BilinearField):
-        return pushforward_bilinear(m, obj)
-    if isinstance(obj, ConnectionLaw):
-        return pushforward_connection(m, obj)
-    raise TypeError(f"cannot push forward {type(obj).__name__}")
+    return ConnectionLaw(target_structure, law.kind, pushed)

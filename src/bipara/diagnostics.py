@@ -41,7 +41,7 @@ from .geometry import (
     lie_bracket,
     pushforward_endo,
 )
-from .linalg import LinAlgError, PolyMatrix, rat_rank
+from .linalg import LinAlgError, PolyMatrix, rat_blocks, rat_rank
 from .structure import (
     BiparaStructure,
     StructureError,
@@ -302,13 +302,8 @@ def equivalence_check(sa: BiparaStructure, sb: BiparaStructure, m: PolyMap) -> V
         name = "F" if pushed_f != sb.F else "P"
         return Verdict("equivalent", False, {"tensor": name, **matrix_witness(diff)})
     pushed_law = pushforward_connection(m, _canonical_law(sa), target_structure=sb)
-    target_law = _canonical_law(sb)
-    for i in range(sb.dim):
-        for j in range(sb.dim):
-            if pushed_law.frame_table[i][j] != target_law.frame_table[i][j]:
-                raise InconsistencyError(
-                    "structures correspond but their canonical connections do not"
-                )
+    if pushed_law.frame_table != _canonical_law(sb).frame_table:
+        raise InconsistencyError("structures correspond but their canonical connections do not")
     return Verdict("equivalent", True)
 
 
@@ -350,13 +345,12 @@ def commutant_check(s: BiparaStructure, endo: EndoField) -> Verdict:
 
 
 def _delta_algebra_basis(n: int) -> list[PolyMatrix]:
+    """diag(E_ab, E_ab) for a, b < n in row-major order: a basis of {diag(A, A)}."""
     out = []
-    for i in range(n):
-        for j in range(n):
-            rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-            rows[i][j] = Fraction(1)
-            rows[n + i][n + j] = Fraction(1)
-            out.append(PolyMatrix.from_rational_rows(rows, ()))
+    for a in range(n):
+        for b in range(n):
+            unit = [[int((i, j) == (a, b)) for j in range(n)] for i in range(n)]
+            out.append(PolyMatrix.from_rational_rows(rat_blocks(n, ((unit, 0), (0, unit))), ()))
     return out
 
 
@@ -424,13 +418,8 @@ def trace_pairing_condition(n: int, form: Callable[[PolyMatrix, PolyMatrix], Fra
 
     dim = 2 * n
     algebra = _delta_algebra_basis(n)
+    units = [m.constant_rows() for m in algebra]
     ncols = dim * n * n
-
-    def diag_unit(a: int, b: int) -> list[list[Fraction]]:
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
-        rows[a][b] = Fraction(1)
-        rows[n + a][n + b] = Fraction(1)
-        return rows
 
     # For unknown t[k][a][b] (so L(e_k) = t * diag(E_ab, E_ab)), the matrix
     # u -> L(e_w) e_u - L(e_u) e_w picks up diag(E_ab, E_ab) when k = w and
@@ -440,20 +429,18 @@ def trace_pairing_condition(n: int, form: Callable[[PolyMatrix, PolyMatrix], Fra
         for s_mat in algebra:
             row = [Fraction(0)] * ncols
             for k in range(dim):
-                for a in range(n):
-                    for b in range(n):
-                        unit = diag_unit(a, b)
-                        contrib = [r[:] for r in unit] if k == w else [
-                            [Fraction(0)] * dim for _ in range(dim)
-                        ]
-                        for r in range(dim):
-                            contrib[r][k] -= unit[r][w]
-                        if any(any(r) for r in contrib):
-                            value = form(
-                                PolyMatrix.from_rational_rows(contrib, ()), s_mat
-                            )
-                            if value:
-                                row[k * n * n + a * n + b] += value
+                for u, unit in enumerate(units):
+                    contrib = [r[:] for r in unit] if k == w else [
+                        [Fraction(0)] * dim for _ in range(dim)
+                    ]
+                    for r in range(dim):
+                        contrib[r][k] -= unit[r][w]
+                    if any(any(r) for r in contrib):
+                        value = form(
+                            PolyMatrix.from_rational_rows(contrib, ()), s_mat
+                        )
+                        if value:
+                            row[k * n * n + u] += value
             if any(row):
                 rows_out.append(row)
     if not rows_out:

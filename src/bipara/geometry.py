@@ -9,6 +9,11 @@ Two backends share one interface and every kernel; they differ only in data:
   identity); vector fields have constant components and the bracket is the
   bilinear extension of the table.
 
+A context keeps its ring's zero once, as ``FrameContext.zero`` (the shared
+``MultiPoly.zero(variables)`` instance), and every kernel builds its zero
+scalars and fields from it.  [E_i, E_j] is ``FrameContext.basis_bracket(i, j)``,
+read off the structure constants; ``lie_bracket`` brackets arbitrary fields.
+
 A diffeomorphism (:class:`PolyMap`) is the same data on both backends: its
 forward and inverse coordinate lists (empty on a constant frame) and its two
 frame Jacobians J = D(forward) o inverse and K = D(inverse), which are the
@@ -106,6 +111,11 @@ class FrameContext:
     def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
         return {(i, j): coeffs for i, j, coeffs in self.bracket_table}
 
+    @cached_property
+    def zero(self) -> MultiPoly:
+        """The zero of the ring ``variables``: the shared ``MultiPoly.zero`` instance."""
+        return MultiPoly.zero(self.variables)
+
     def basis_bracket(self, i: int, j: int) -> tuple[Fraction, ...]:
         """[E_i, E_j] as a coefficient vector (zero on a chart: coordinate fields commute)."""
         if i == j:
@@ -142,16 +152,8 @@ class FrameContext:
     def frame_derivative(self, i: int, f: MultiPoly) -> MultiPoly:
         """E_i(f): d f / d v_i on a chart, zero on a constant frame."""
         if not self.variables:
-            return self.zero_poly()
+            return self.zero
         return f.derivative(self.variables[i])
-
-    # -- ring helpers ---------------------------------------------------------
-
-    def zero_poly(self) -> MultiPoly:
-        return MultiPoly.zero(self.variables)
-
-    def const_poly(self, value) -> MultiPoly:
-        return MultiPoly.const(self.variables, value)
 
 
 def chart_context(variables: Sequence[str]) -> FrameContext:
@@ -196,13 +198,7 @@ class VectorField:
 
     @classmethod
     def from_rationals(cls, context: FrameContext, values: Sequence) -> "VectorField":
-        return cls(context, [context.const_poly(v) for v in values])
-
-    @classmethod
-    def basis(cls, context: FrameContext, index: int) -> "VectorField":
-        return cls.from_rationals(
-            context, [1 if i == index else 0 for i in range(context.dim)]
-        )
+        return cls(context, [MultiPoly.const(context.variables, v) for v in values])
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_context(self, other)
@@ -238,7 +234,10 @@ class VectorField:
 
 
 def basis_fields(context: FrameContext) -> tuple[VectorField, ...]:
-    return tuple(VectorField.basis(context, i) for i in range(context.dim))
+    dim = context.dim
+    return tuple(
+        VectorField.from_rationals(context, [int(i == k) for i in range(dim)]) for k in range(dim)
+    )
 
 
 class EndoField:
@@ -319,7 +318,7 @@ class BilinearField:
 
     def value(self, x: VectorField, y: VectorField) -> MultiPoly:
         _require_same_context(self, x, y)
-        acc = self.context.zero_poly()
+        acc = self.context.zero
         column = self.matrix.matvec(list(y.components))
         for xi, col in zip(x.components, column):
             if not (xi.is_zero or col.is_zero):
@@ -351,7 +350,7 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     xs, ys = x.components, y.components
     out = []
     for i in range(ctx.dim):
-        acc = ctx.zero_poly()
+        acc = ctx.zero
         yi = ys[i]
         xi = xs[i]
         for k, name in enumerate(ctx.variables):
@@ -388,7 +387,7 @@ def directional_derivative(x: VectorField, f: MultiPoly) -> MultiPoly:
     ctx = x.context
     if f.variables != ctx.variables:
         raise PolyError("scalar lives in the wrong ring")
-    acc = ctx.zero_poly()
+    acc = ctx.zero
     for k, name in enumerate(ctx.variables):
         xk = x.components[k]
         if xk.is_zero:
@@ -473,7 +472,7 @@ class PolyMap:
         if jac @ self.jacobian_of_inverse != PolyMatrix.identity(dim, ring):
             raise GeometryError("matrix and matrix_inverse are not inverse")
         # Lie algebra morphism: J [E_i, E_j]_src = [J E_i, J E_j]_tgt, exactly.
-        zero = target.zero_poly()
+        zero = target.zero
         for i, j in itertools.combinations(range(dim), 2):
             mapped = jac.matvec([MultiPoly.const(ring, c) for c in source.basis_bracket(i, j)])
             right = _add_structure_part(target, jac.column(i), jac.column(j), [zero] * dim)

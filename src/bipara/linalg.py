@@ -24,6 +24,7 @@ __all__ = [
     "LinAlgError",
     "PolyMatrix",
     "poly_matrix_inverse",
+    "rat_blocks",
     "rat_inverse",
     "rat_matmul",
     "rat_nullspace",
@@ -228,6 +229,21 @@ class PolyMatrix:
 
 def _rat_copy(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return [[Fraction(v) for v in row] for row in m]
+
+
+def rat_blocks(n: int, blocks) -> list[list[Fraction]]:
+    """The 2n × 2n rational matrix [[A, B], [C, D]] from ``blocks`` = ((A, B), (C, D)).
+
+    Each block is n × n rows, or a number c that stands for c times the
+    identity: ``rat_blocks(n, ((1, 0), (0, -1)))`` is diag(I, -I).
+    """
+
+    def rows(block) -> list[list[Fraction]]:
+        if isinstance(block, (int, Fraction)):
+            return [[Fraction(block if i == j else 0) for j in range(n)] for i in range(n)]
+        return _rat_copy(block)
+
+    return [left + right for a, b in blocks for left, right in zip(rows(a), rows(b))]
 
 
 def rat_matmul(a, b) -> list[list[Fraction]]:

@@ -14,6 +14,10 @@ traces without forming any of those products.  Without a certificate (no
 frame, a failed column check, or E(0) singular) every identity is checked
 directly, and the failure list is the same as if no shortcut existed.
 
+The block constants of the adapted presentation (F = diag(I, -I), P the
+block swap, the flat chart's frame [[I, I], [I, -I]] and the sign matrix of
+``structure_from_alpha``) all come from ``linalg.rat_blocks``.
+
 Three named fixtures ship as built-ins:
 
 * ``flat_structure``       -- the integrable flat model (both backends),
@@ -46,7 +50,7 @@ from .geometry import (
     lie_bracket,
     pushforward_endo,
 )
-from .linalg import PolyMatrix, poly_matrix_inverse, rat_inverse, rat_matmul, rat_rank
+from .linalg import PolyMatrix, poly_matrix_inverse, rat_blocks, rat_inverse, rat_matmul, rat_rank
 from .poly import MultiPoly
 
 __all__ = [
@@ -152,7 +156,7 @@ class BiparaStructure:
         """
         dim = self.dim
         frame = [self.frame_field(a) for a in range(dim)]
-        table = [[(self.context.zero_poly(),) * dim] * dim for _ in range(dim)]
+        table = [[(self.context.zero,) * dim] * dim for _ in range(dim)]
         for a in range(dim):
             for b in range(a + 1, dim):
                 pairing = tuple(self.coframe.matvec(list(lie_bracket(frame[a], frame[b]).components)))
@@ -244,18 +248,21 @@ class BiparaStructure:
 # ---------------------------------------------------------------------------
 
 
-def _flat_chart_matrices(n: int, variables):
-    dim = 2 * n
-    zero = MultiPoly.zero(variables)
-    one = MultiPoly.const(variables, 1)
-    f_rows = [[zero] * dim for _ in range(dim)]
-    p_rows = [[zero] * dim for _ in range(dim)]
-    for i in range(n):
-        f_rows[n + i][i] = one          # F(dx_i) = dy_i
-        f_rows[i][n + i] = one          # F(dy_i) = dx_i
-        p_rows[i][i] = one              # P(dx_i) = dx_i
-        p_rows[n + i][n + i] = -one     # P(dy_i) = -dy_i
-    return PolyMatrix.from_rows(f_rows), PolyMatrix.from_rows(p_rows)
+# diag(I, -I) and the block swap [[0, I], [I, 0]], as ``rat_blocks`` blocks.
+_DIAG = ((1, 0), (0, -1))
+_SWAP = ((0, 1), (1, 0))
+
+
+def _block_endo(ctx: FrameContext, blocks) -> EndoField:
+    """The endomorphism field with the constant matrix ``rat_blocks(n, blocks)``."""
+    return EndoField(ctx, PolyMatrix.from_rational_rows(rat_blocks(ctx.dim // 2, blocks), ctx.variables))
+
+
+def _adapted_structure(ctx: FrameContext) -> BiparaStructure:
+    """F = diag(I, -I) and P the block swap on a constant frame that is itself adapted."""
+    return BiparaStructure.validate(
+        _block_endo(ctx, _DIAG), _block_endo(ctx, _SWAP), adapted_frame=PolyMatrix.identity(ctx.dim, ())
+    )
 
 
 def flat_structure(n: int, backend: str = POLYNOMIAL_CHART) -> BiparaStructure:
@@ -266,55 +273,24 @@ def flat_structure(n: int, backend: str = POLYNOMIAL_CHART) -> BiparaStructure:
     backend: the abelian Lie algebra in adapted presentation (F = diag(I, -I),
     P the block swap, frame = standard basis).
     """
-    dim = 2 * n
     if backend == POLYNOMIAL_CHART:
         variables = tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n))
         ctx = chart_context(variables)
-        f_mat, p_mat = _flat_chart_matrices(n, variables)
-        zero = MultiPoly.zero(variables)
-        one = MultiPoly.const(variables, 1)
-        frame_rows = [[zero] * dim for _ in range(dim)]
-        for i in range(n):
-            frame_rows[i][i] = one
-            frame_rows[n + i][i] = one       # X_i = dx_i + dy_i
-            frame_rows[i][n + i] = one
-            frame_rows[n + i][n + i] = -one  # Y_i = dx_i - dy_i
-        frame = PolyMatrix.from_rows(frame_rows)
+        frame = PolyMatrix.from_rational_rows(rat_blocks(n, ((1, 1), (1, -1))), variables)
         return BiparaStructure.validate(
-            EndoField(ctx, f_mat), EndoField(ctx, p_mat), adapted_frame=frame
+            _block_endo(ctx, _SWAP), _block_endo(ctx, _DIAG), adapted_frame=frame
         )
-    ctx = algebra_context(dim, {})
-    return BiparaStructure.validate(*_adapted_constant_endos(ctx), adapted_frame=PolyMatrix.identity(dim, ()))
-
-
-def _adapted_constant_endos(ctx: FrameContext) -> tuple[EndoField, EndoField]:
-    """F = diag(I, -I) and P = block swap w.r.t. an adapted constant frame."""
-    dim = ctx.dim
-    n = dim // 2
-    zero = MultiPoly.zero(())
-    one = MultiPoly.const((), 1)
-    f_rows = [[zero] * dim for _ in range(dim)]
-    p_rows = [[zero] * dim for _ in range(dim)]
-    for i in range(n):
-        f_rows[i][i] = one
-        f_rows[n + i][n + i] = -one
-        p_rows[n + i][i] = one
-        p_rows[i][n + i] = one
-    return EndoField(ctx, PolyMatrix.from_rows(f_rows)), EndoField(ctx, PolyMatrix.from_rows(p_rows))
+    return _adapted_structure(algebra_context(2 * n, {}))
 
 
 def heisenberg_structure() -> BiparaStructure:
     """Constant-frame fixture with [X1, X2] = Y1 (dim 4, adapted frame)."""
-    ctx = algebra_context(4, {(0, 1): (0, 0, 1, 0)})
-    f, p = _adapted_constant_endos(ctx)
-    return BiparaStructure.validate(f, p, adapted_frame=PolyMatrix.identity(4, ()))
+    return _adapted_structure(algebra_context(4, {(0, 1): (0, 0, 1, 0)}))
 
 
 def affine_structure() -> BiparaStructure:
     """Constant-frame fixture with [X1, X2] = X1 (dim 4, adapted frame)."""
-    ctx = algebra_context(4, {(0, 1): (1, 0, 0, 0)})
-    f, p = _adapted_constant_endos(ctx)
-    return BiparaStructure.validate(f, p, adapted_frame=PolyMatrix.identity(4, ()))
+    return _adapted_structure(algebra_context(4, {(0, 1): (1, 0, 0, 0)}))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +367,7 @@ def structure_from_alpha(
 
     b12 = stack(c1, c2)
     b12_inv = rat_inverse(b12)
-    sign = [[Fraction(1 if i == j and i < n else (-1 if i == j else 0)) for j in range(dim)] for i in range(dim)]
-    f_rows = rat_matmul(rat_matmul(b12, sign), b12_inv)
+    f_rows = rat_matmul(rat_matmul(b12, rat_blocks(n, _DIAG)), b12_inv)
 
     # Decompose each V3 spanning vector as a_k + b_k with a_k in V1, b_k in V2;
     # P swaps the graph: P a_k = b_k, P b_k = a_k.
@@ -628,8 +603,7 @@ def random_structure(
         return pushforward_structure(m, base)
     table = _random_bracket_table(n, rng)
     ctx = algebra_context(2 * n, table)
-    f, p = _adapted_constant_endos(ctx)
-    s = BiparaStructure.validate(f, p, adapted_frame=PolyMatrix.identity(2 * n, ()))
+    s = _adapted_structure(ctx)
     if conjugate is None:
         conjugate = rng.random() < 0.5
     if not conjugate:

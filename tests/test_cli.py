@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from bipara import diagnostics
-from bipara.cli import main
+from bipara.cli import MAX_HALF_DIMENSION, main
 from bipara.connections import ConnectionLaw, DifferenceTensor
 from bipara.poly import parse_poly
 
@@ -510,6 +511,25 @@ def test_oversized_cli_argument_is_schema_error(argv, message):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+def _adapted_constant_spec(n):
+    """The abelian constant-frame spec of half-dimension n: F = diag(I, -I), P the block swap."""
+    dim = 2 * n
+    f = [[str((i == j) * (1 if i < n else -1)) for j in range(dim)] for i in range(dim)]
+    p = [[str(int(abs(i - j) == n)) for j in range(dim)] for i in range(dim)]
+    return {"backend": "constant_frame", "n": n, "F": f, "P": p}
+
+
+def test_half_dimension_limit(tmp_path, capsys):
+    over = write(tmp_path, "over.json", _adapted_constant_spec(MAX_HALF_DIMENSION + 1))
+    start = time.perf_counter()
+    assert main(["report", str(over)]) == 2
+    assert time.perf_counter() - start < 2
+    assert f"over.json: n above MAX_HALF_DIMENSION = {MAX_HALF_DIMENSION}" in capsys.readouterr().err
+    at = write(tmp_path, "at.json", _adapted_constant_spec(MAX_HALF_DIMENSION))
+    assert main(["validate", str(at)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"][0]["holds"] is True
 
 
 def test_invariant_count_at_the_limit_prints(capsys):

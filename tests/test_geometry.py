@@ -278,7 +278,7 @@ def _map_pair(kind: str, seed: int):
 
 
 def _random_entry(ctx: FrameContext, rng: random.Random) -> MultiPoly:
-    entry = ctx.const_poly(rng.randint(-2, 2))
+    entry = MultiPoly.const(ctx.variables, rng.randint(-2, 2))
     for name in ctx.variables:
         if rng.random() < 0.3:
             entry = entry + MultiPoly.var(ctx.variables, name).scale(rng.randint(-2, 2))
@@ -371,9 +371,15 @@ def test_dual_pairing_torsion_component_on_aff():
     assert s.coframe.matvec(list(t_prime.components))[0] == Fraction(-1, 3)
 
 
+def test_context_zero_is_the_shared_ring_zero():
+    for ctx in (CHART, heisenberg_structure().context):
+        assert ctx.zero is MultiPoly.zero(ctx.variables)
+        assert ctx.zero.is_zero and ctx.zero.variables == ctx.variables
+
+
 def test_first_nonzero_stops_at_the_first_nonzero_cell():
     zero = VectorField.from_rationals(CHART, [0, 0, 0, 0])
-    e1 = VectorField.basis(CHART, 0)
+    e1 = basis_fields(CHART)[0]
     cells = iter([((0, 1), zero), ((0, 2), e1), ((0, 3), e1.scale(2))])
     assert first_nonzero(cells) == ((0, 2), e1)
     assert next(cells) == ((0, 3), e1.scale(2))  # the rest is left unread
