@@ -58,7 +58,7 @@ from .geometry import (
     algebra_context,
     chart_context,
 )
-from .linalg import LinAlgError, PolyMatrix
+from .linalg import LinAlgError, PolyMatrix, rat_signature
 from .metrics import MetricError, bi_lagrangian_assembly, classify_metric
 from .poly import PolyParseError, parse_poly
 from .structure import BiparaStructure, StructureError, classify_triple
@@ -543,8 +543,6 @@ def cmd_classify(args) -> dict:
 
 def _metric_class_json(spec: StructureSpec, s: BiparaStructure, metric: BilinearField) -> dict:
     """Classify at the origin; add signatures at any user-supplied seed points."""
-    from .linalg import rat_signature
-
     out = classify_metric(s, metric).to_json()
     if spec.seed_points:
         out["seed_point_signatures"] = [

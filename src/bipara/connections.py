@@ -276,11 +276,11 @@ def curvature(law: ConnectionLaw) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 
-def endo_covariant_derivative(law: ConnectionLaw, e: EndoField):
+def endo_covariant_derivative(law: ConnectionLaw, e: EndoField) -> tuple[tuple[VectorField, ...], ...]:
     """(nabla_X e)(Y) = nabla_X(eY) - e(nabla_X Y) as a frame-pair table.
 
     The result is tensorial in both slots, so the table determines the
-    (1,2)-tensor; an evaluator for arbitrary fields contracts it.
+    (1,2)-tensor.
     """
     ctx = law.context
     if e.context != ctx:
@@ -294,18 +294,12 @@ def endo_covariant_derivative(law: ConnectionLaw, e: EndoField):
             value = law.nabla_of_field(i, e.column_field(j)) - e.apply(ft[i][j])
             row.append(value)
         table.append(tuple(row))
-    table = tuple(table)
-
-    def evaluate(x: VectorField, y: VectorField) -> VectorField:
-        return _contract(ctx, table, x.components, y.components)
-
-    return table, evaluate
+    return tuple(table)
 
 
 def is_parallel(law: ConnectionLaw, e: EndoField) -> bool:
     """True iff the covariant derivative of ``e`` vanishes identically."""
-    table, _ = endo_covariant_derivative(law, e)
-    return first_nonzero(_pair_cells(table)) is None
+    return first_nonzero(_pair_cells(endo_covariant_derivative(law, e))) is None
 
 
 def preserves_distributions(law: ConnectionLaw, s: BiparaStructure) -> bool:

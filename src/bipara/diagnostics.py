@@ -403,22 +403,16 @@ def transpose_invariance(n: int) -> bool:
     )
 
 
-def trace_pairing_condition(n: int, form: Callable[[PolyMatrix, PolyMatrix], Fraction] | None = None) -> bool:
-    """The pluggable orthogonality criterion for well-adaptedness.
+def trace_pairing_condition(n: int) -> bool:
+    """The orthogonality criterion for well-adaptedness.
 
     Checks that the only L in Hom(R^{2n}, g) whose alternation contracts into
-    the orthogonal complement of g (w.r.t. ``form``, default <A, B> =
-    trace(A B^T)) is L = 0.  The prolongation route is the authoritative
-    sufficiency check; this one is kept because the pairing normalization is
-    a free choice.
+    the orthogonal complement of g (w.r.t. <A, B> = trace(A B^T), the sum of
+    the entrywise products) is L = 0.  The prolongation route is the
+    authoritative sufficiency check; this one is an independent second route.
     """
-    if form is None:
-        def form(a: PolyMatrix, b: PolyMatrix) -> Fraction:
-            return (a @ b.transpose()).trace().constant_value()
-
     dim = 2 * n
-    algebra = _delta_algebra_basis(n)
-    units = [m.constant_rows() for m in algebra]
+    units = [m.constant_rows() for m in _delta_algebra_basis(n)]
     ncols = dim * n * n
 
     # For unknown t[k][a][b] (so L(e_k) = t * diag(E_ab, E_ab)), the matrix
@@ -426,7 +420,7 @@ def trace_pairing_condition(n: int, form: Callable[[PolyMatrix, PolyMatrix], Fra
     # minus its w-th column placed in column k.
     rows_out: list[list[Fraction]] = []
     for w in range(dim):
-        for s_mat in algebra:
+        for s_rows in units:
             row = [Fraction(0)] * ncols
             for k in range(dim):
                 for u, unit in enumerate(units):
@@ -435,12 +429,11 @@ def trace_pairing_condition(n: int, form: Callable[[PolyMatrix, PolyMatrix], Fra
                     ]
                     for r in range(dim):
                         contrib[r][k] -= unit[r][w]
-                    if any(any(r) for r in contrib):
-                        value = form(
-                            PolyMatrix.from_rational_rows(contrib, ()), s_mat
-                        )
-                        if value:
-                            row[k * n * n + u] += value
+                    value = sum(
+                        a * b for c_row, s_row in zip(contrib, s_rows) for a, b in zip(c_row, s_row)
+                    )
+                    if value:
+                        row[k * n * n + u] += value
             if any(row):
                 rows_out.append(row)
     if not rows_out:

@@ -13,6 +13,7 @@ signature is pointwise, evaluated at rational points.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .connections import ConnectionLaw, is_parallel, torsion
@@ -23,7 +24,7 @@ from .geometry import (
     EndoField,
     directional_derivative,
 )
-from .linalg import PolyMatrix, rat_inverse, rat_matmul, rat_rank, rat_signature
+from .linalg import PolyMatrix, rat_inverse, rat_matmul, rat_nullspace, rat_rank, rat_signature
 from .structure import BiparaStructure, StructureError
 
 __all__ = [
@@ -41,9 +42,6 @@ __all__ = [
 
 class MetricError(ValueError):
     """Degenerate, non-symmetric or otherwise unusable metric input."""
-
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -67,12 +65,9 @@ class MetricClass:
         }
 
 
-def _base_point(ctx) -> list[Fraction]:
-    return [Fraction(0)] * len(ctx.variables)
-
-
-def _constant_matrix_at(g: BilinearField, point=None) -> list[list[Fraction]]:
-    return g.matrix.evaluate(point if point is not None else _base_point(g.context))
+def _constant_matrix_at(g: BilinearField) -> list[list[Fraction]]:
+    """The matrix of ``g`` at the base point (the origin)."""
+    return g.matrix.evaluate([Fraction(0)] * len(g.context.variables))
 
 
 def _pullback_sign(g: BilinearField, e: EndoField) -> int | None:
@@ -85,19 +80,19 @@ def _pullback_sign(g: BilinearField, e: EndoField) -> int | None:
     return None
 
 
-def is_positive_definite_at(g: BilinearField, point=None) -> bool:
-    rows = _constant_matrix_at(g, point)
-    pos, neg, zero = rat_signature(rows)
+def is_positive_definite_at(g: BilinearField) -> bool:
+    """True iff the symmetric field ``g`` is positive definite at the base point."""
+    pos, neg, zero = rat_signature(_constant_matrix_at(g))
     return neg == 0 and zero == 0
 
 
-def classify_metric(s: BiparaStructure, g: BilinearField, point=None) -> MetricClass:
-    """Exact sign classification plus the signature at a base point."""
+def classify_metric(s: BiparaStructure, g: BilinearField) -> MetricClass:
+    """Exact sign classification plus the signature at the base point."""
     if g.context != s.context:
         raise ContextMismatch("metric lives in a different frame context")
     if not g.is_symmetric:
         raise MetricError("metric is not symmetric")
-    rows = _constant_matrix_at(g, point)
+    rows = _constant_matrix_at(g)
     if rat_rank(rows) != s.dim:
         raise MetricError("metric is degenerate at the base point")
     eps1 = _pullback_sign(g, s.F)
@@ -113,18 +108,22 @@ def classify_metric(s: BiparaStructure, g: BilinearField, point=None) -> MetricC
     return MetricClass(eps1, eps2, eps_j, signature)
 
 
-def build_orthogonal_metric(s: BiparaStructure, h: BilinearField) -> BilinearField:
-    """G = H + H(F., F.); makes the two F-eigendistributions G-orthogonal."""
-    if h.context != s.context:
-        raise ContextMismatch("metric lives in a different frame context")
+def _orthogonal_metric(f: EndoField, h: BilinearField) -> BilinearField:
+    """G = H + H(F., F.) for a symmetric H that is positive definite at the base point."""
     if not h.is_symmetric:
         raise MetricError("H is not symmetric")
     if not is_positive_definite_at(h):
         raise MetricError("H is not positive definite at the base point")
-    g_matrix = h.matrix + (s.F.matrix.transpose() @ h.matrix @ s.F.matrix)
-    out = BilinearField(s.context, g_matrix)
+    return BilinearField(h.context, h.matrix + (f.matrix.transpose() @ h.matrix @ f.matrix))
+
+
+def build_orthogonal_metric(s: BiparaStructure, h: BilinearField) -> BilinearField:
+    """G = H + H(F., F.); makes the two F-eigendistributions G-orthogonal."""
+    if h.context != s.context:
+        raise ContextMismatch("metric lives in a different frame context")
+    out = _orthogonal_metric(s.F, h)
     cross = (
-        s.projectors.f_plus.matrix.transpose() @ g_matrix @ s.projectors.f_minus.matrix
+        s.projectors.f_plus.matrix.transpose() @ out.matrix @ s.projectors.f_minus.matrix
     )
     if not cross.is_zero:  # pragma: no cover - construction guarantees this
         raise InconsistencyError("orthogonalized metric keeps a cross block")
@@ -269,8 +268,6 @@ def solve_hypersymplectic_metric(s: BiparaStructure) -> BilinearField | None:
     system = entry_coeffs(j_rows, j_rows, Fraction(1)) + entry_coeffs(
         f_rows, f_rows, Fraction(-1)
     )
-    from .linalg import rat_nullspace
-
     basis = rat_nullspace(system)
     if not basis:
         return None
@@ -338,12 +335,9 @@ def bi_lagrangian_assembly(
         raise MetricError("F-eigendistributions are not omega-Lagrangian")
 
     # G orthogonalizes the eigendistributions regardless of H's cross terms.
-    g_matrix = h.matrix + (f.matrix.transpose() @ h.matrix @ f.matrix)
-    big_g = BilinearField(ctx, g_matrix)
-    if not is_positive_definite_at(h):
-        raise MetricError("H is not positive definite at the base point")
+    big_g = _orthogonal_metric(f, h)
 
-    g_rows = g_matrix.constant_rows()
+    g_rows = big_g.matrix.constant_rows()
     j0 = rat_matmul(rat_inverse(g_rows), omega_rows)
     j0 = [[-v for v in row] for row in j0]
     square = rat_matmul(j0, j0)
@@ -384,7 +378,8 @@ def bi_lagrangian_assembly(
         "norden_pair", ok, None if ok else {"reason": "g(J., J.) != -g"}
     )
 
-    ok = _pullback_sign(big_g, f) == 1 and is_positive_definite_at(big_g)
+    g_positive = is_positive_definite_at(big_g)
+    ok = _pullback_sign(big_g, f) == 1 and g_positive
     verdicts["riemannian_product_pair"] = Verdict(
         "riemannian_product_pair",
         ok,
@@ -400,7 +395,7 @@ def bi_lagrangian_assembly(
             None if ok else {"classified": klass.to_json()},
         )
         klass_g = classify_metric(structure, big_g)
-        ok = (klass_g.eps1, klass_g.eps2) == (1, 1) and is_positive_definite_at(big_g)
+        ok = (klass_g.eps1, klass_g.eps2) == (1, 1) and g_positive
         verdicts["riemannian_metric_plus_plus"] = Verdict(
             "riemannian_metric_plus_plus",
             ok,

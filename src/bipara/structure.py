@@ -1,10 +1,10 @@
 """Almost biparacomplex structures: validation, fixtures, generation, classification.
 
 A structure is a pair (F, P) of anticommuting involutive (1,1)-tensor fields.
-Validation establishes every defining identity exactly and derives the almost
-complex structure J = F o P and (optionally) an adapted frame
-{X_1..X_n, Y_1..Y_n} with F X_i = X_i, F Y_i = -Y_i, P X_i = Y_i,
-P Y_i = X_i.  The four eigenprojectors are built on first read.
+Validation establishes every defining identity exactly, optionally against
+an adapted frame {X_1..X_n, Y_1..Y_n} with F X_i = X_i, F Y_i = -Y_i,
+P X_i = Y_i, P Y_i = X_i.  The almost complex structure J = F o P and the
+four eigenprojectors are derived values, each built on first read.
 
 An adapted frame E is a certificate when it passes those 4n column checks and
 E(0) (its constant parts) has full rank: then det E is a nonzero polynomial,
@@ -105,13 +105,12 @@ def matrix_witness(matrix: PolyMatrix) -> dict | None:
 class BiparaStructure:
     """A validated almost biparacomplex structure (F, P) with derived data."""
 
-    __slots__ = ("context", "F", "P", "J", "adapted_frame", "__dict__")
+    __slots__ = ("context", "F", "P", "adapted_frame", "__dict__")
 
-    def __init__(self, context, F, P, J, adapted_frame):
+    def __init__(self, context, F, P, adapted_frame):
         self.context = context
         self.F = F
         self.P = P
-        self.J = J
         self.adapted_frame = adapted_frame
 
     @property
@@ -125,6 +124,11 @@ class BiparaStructure:
     @cached_property
     def basis(self) -> tuple[VectorField, ...]:
         return basis_fields(self.context)
+
+    @cached_property
+    def J(self) -> EndoField:
+        """The almost complex structure J = F o P, built on first read."""
+        return EndoField(self.context, self.F.matrix @ self.P.matrix)
 
     @cached_property
     def projectors(self) -> Projectors:
@@ -174,7 +178,7 @@ class BiparaStructure:
         """Establish every defining identity exactly; collect all failures.
 
         A certifying adapted frame (see the module docstring) proves the
-        identities on its own, so only J = F o P is formed.  Otherwise the
+        identities on its own, so no matrix product is formed.  Otherwise the
         identities are checked one by one, and any frame failures follow
         the identity failures in the raised ``StructureError``.
         """
@@ -183,8 +187,6 @@ class BiparaStructure:
         ctx = F.context
         n = ctx.dim // 2
         frame_failures: list[dict] = []
-        xs: list[VectorField] = []
-        ys: list[VectorField] = []
         if adapted_frame is not None:
             frame_endo = EndoField(ctx, adapted_frame)
             xs = [frame_endo.column_field(i) for i in range(n)]
@@ -203,13 +205,7 @@ class BiparaStructure:
             and not frame_failures
             and rat_rank(adapted_frame.constant_parts()) == ctx.dim
         )
-
-        J = EndoField(ctx, F.matrix @ P.matrix)
-        if certified:
-            # J X_i = F Y_i = -Y_i and J Y_i = F X_i = X_i follow from the
-            # column checks; a failure here would mean they are broken.
-            assert all(J.apply(x) == -y and J.apply(y) == x for x, y in zip(xs, ys))
-        else:
+        if not certified:
             failures: list[dict] = []
             identity = PolyMatrix.identity(ctx.dim, ctx.variables)
 
@@ -220,7 +216,8 @@ class BiparaStructure:
 
             check("F^2 != Id", (F.matrix @ F.matrix) - identity)
             check("P^2 != Id", (P.matrix @ P.matrix) - identity)
-            check("F∘P + P∘F != 0", J.matrix + (P.matrix @ F.matrix))
+            fp = F.matrix @ P.matrix
+            check("F∘P + P∘F != 0", fp + (P.matrix @ F.matrix))
             if not F.matrix.trace().is_zero:
                 failures.append({"name": "trace(F) != 0", "witness": {"value": str(F.matrix.trace())}})
             if not P.matrix.trace().is_zero:
@@ -228,12 +225,12 @@ class BiparaStructure:
             if not failures:
                 # J^2 = -Id follows from the identities above; a failure here
                 # would mean the checks themselves are broken.
-                assert ((J.matrix @ J.matrix) + identity).is_zero
+                assert ((fp @ fp) + identity).is_zero
             failures += frame_failures
             if failures:
                 raise StructureError(failures)
 
-        return cls(ctx, F, P, J, adapted_frame)
+        return cls(ctx, F, P, adapted_frame)
 
     # -- adapted frame access --------------------------------------------------
 

@@ -326,6 +326,30 @@ def test_bilagrangian_requires_inputs(fixture_dir):
     assert "omega" in proc.stderr
 
 
+# A symplectic omega with an asymmetric H: the orthogonal metric G = H + H(F., F.)
+# needs a symmetric H.
+ASYMMETRIC_H_SPEC = {
+    "backend": "constant_frame",
+    "n": 1,
+    "F": [["1", "0"], ["0", "-1"]],
+    "P": [["0", "1"], ["1", "0"]],
+    "omega": [["0", "1"], ["-1", "0"]],
+    "H": [["1", "1"], ["0", "1"]],
+}
+
+
+def test_report_skips_the_assembly_on_an_asymmetric_h(tmp_path, capsys):
+    assert main(["report", str(write(tmp_path, "bl.json", ASYMMETRIC_H_SPEC))]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "bilagrangian" not in payload
+    assert payload["warnings"] == ["bi-Lagrangian assembly skipped: H is not symmetric"]
+
+
+def test_bilagrangian_names_an_asymmetric_h(tmp_path, capsys):
+    assert main(["bilagrangian", str(write(tmp_path, "bl.json", ASYMMETRIC_H_SPEC))]) == 1
+    assert "H is not symmetric" in capsys.readouterr().err
+
+
 def test_report_determinism(fixture_dir, tmp_path):
     for name in ("flat_n1.json", "flat_n2.json", "heis_n2.json", "aff_n2.json"):
         first = run_cli("report", fixture_dir / name)

@@ -505,10 +505,17 @@ def test_pushforward_of_flat_connection_stays_flat():
     assert curvature(pushed).is_zero
 
 
-def test_endo_covariant_derivative_evaluator(heis):
-    law = canonical_connection(heis)
-    table, evaluate = endo_covariant_derivative(law, heis.P)
-    basis = fields(heis)
-    for i in range(4):
-        for j in range(4):
-            assert table[i][j] == evaluate(basis[i], basis[j])
+def test_endo_covariant_derivative_definition(heis, aff):
+    # (nabla_{E_i} e)(E_j) = nabla_{E_i}(e E_j) - e(nabla_{E_i} E_j), read off the law itself.
+    for s in (heis, aff):
+        basis = fields(s)
+        canon = canonical_connection(s)
+        for law in (canon, well_adapted_connection(DifferenceTensor(torsion(canon)))):
+            for e in (s.F, s.P):
+                table = endo_covariant_derivative(law, e)
+                for i in range(s.dim):
+                    for j in range(s.dim):
+                        expected = law.nabla(basis[i], e.apply(basis[j])) - e.apply(
+                            law.nabla(basis[i], basis[j])
+                        )
+                        assert table[i][j] == expected

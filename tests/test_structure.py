@@ -16,6 +16,7 @@ from bipara.structure import (
     BiparaStructure,
     StructureError,
     adapted_basis,
+    affine_structure,
     classify_triple,
     delta_gl_algebra_membership,
     delta_gl_membership,
@@ -688,3 +689,25 @@ def test_zero_frame_certifies_nothing(generated_pool, fixture_dir):
         assert f @ f == identity and p @ p == identity
         assert (f @ p + p @ f).is_zero
         assert f.trace().is_zero and p.trace().is_zero
+
+
+def test_j_is_f_after_p_and_turns_the_adapted_frame(generated_pool, fixture_dir):
+    # J X_i = F P X_i = F Y_i = -Y_i and J Y_i = F X_i = X_i.
+    fixtures = [build_structure(load_spec(str(path))) for path in sorted(fixture_dir.glob("*.json"))]
+    builtins = [flat_structure(2, "constant_frame"), heisenberg_structure(), affine_structure()]
+    for s in list(generated_pool) + fixtures + builtins:
+        assert s.J == EndoField(s.context, s.F.matrix @ s.P.matrix)
+        for i in range(s.n):
+            x_i, y_i = s.frame_field(i), s.frame_field(s.n + i)
+            assert s.J.apply(x_i) == -y_i
+            assert s.J.apply(y_i) == x_i
+
+
+def test_certified_validate_forms_no_matrix_product(generated_pool, monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("validate formed a matrix product")
+
+    monkeypatch.setattr(PolyMatrix, "__matmul__", refuse)
+    for s in generated_pool:
+        t = BiparaStructure.validate(s.F, s.P, adapted_frame=s.adapted_frame)
+        assert "J" not in t.__dict__
