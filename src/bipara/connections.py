@@ -17,6 +17,13 @@ The well-adapted connection is constructed twice, by independent routes:
 
 The two routes must agree exactly; the acceptance suite enforces this.
 
+Each frame field is projected once per structure: ``BiparaStructure.frame_split``
+holds (F+E_i, F-E_i, P F+E_i, P F-E_i) for every basis field E_i.  The
+canonical law and the two routes of the difference tensor are each one
+function of such split arguments; the frame tables read the cached splits,
+and a general field is split once (``BiparaStructure.split``) and goes
+through the same function.
+
 Tensor tables (torsion, curvature, covariant derivatives) are computed from
 the cached frame-pair table of a law by Leibniz expansion with exact
 polynomial differentiation of the coefficient fields.  Tables are pure
@@ -70,8 +77,9 @@ class ConnectionLaw:
     """A derivation law usable on arbitrary fields.
 
     ``kind`` is one of ``canonical``, ``well-adapted``, ``custom``.  The law
-    is immutable; the frame-pair table is computed once from the evaluator
-    and reused by every tensor computation.
+    is immutable; the frame-pair table is built once, on first read, and
+    reused by every tensor computation.  ``frame_table`` builds it; without
+    one, the evaluator runs on every frame pair.
     """
 
     def __init__(
@@ -79,13 +87,12 @@ class ConnectionLaw:
         structure: BiparaStructure,
         kind: str,
         evaluator: Callable[[VectorField, VectorField], VectorField],
-        frame_table: tuple | None = None,
+        frame_table: Callable[[], tuple] | None = None,
     ):
         self.structure = structure
         self.kind = kind
         self._evaluator = evaluator
-        if frame_table is not None:
-            self.__dict__["frame_table"] = frame_table
+        self._frame_table = frame_table
 
     @property
     def context(self) -> FrameContext:
@@ -99,10 +106,9 @@ class ConnectionLaw:
     @cached_property
     def frame_table(self) -> tuple[tuple[VectorField, ...], ...]:
         """nabla_{E_i} E_j for all frame pairs."""
-        basis = self.structure.basis
-        return tuple(
-            tuple(self._evaluator(ei, ej) for ej in basis) for ei in basis
-        )
+        if self._frame_table is not None:
+            return self._frame_table()
+        return _pair_table(self._evaluator, self.structure.basis)
 
     def cells(self):
         """((i, j), nabla_{E_i} E_j) over all frame pairs, in index order."""
@@ -130,23 +136,30 @@ def canonical_connection(s: BiparaStructure) -> ConnectionLaw:
     fm = s.projectors.f_minus
     p = s.P
 
-    def law(x: VectorField, y: VectorField) -> VectorField:
-        xp, xm = fp.apply(x), fm.apply(x)
-        yp, ym = fp.apply(y), fm.apply(y)
-        plus_part = fp.apply(
-            lie_bracket(xm, yp) + p.apply(lie_bracket(xp, p.apply(yp)))
-        )
-        minus_part = fm.apply(
-            lie_bracket(xp, ym) + p.apply(lie_bracket(xm, p.apply(ym)))
-        )
+    def split_law(xs, ys) -> VectorField:
+        """nabla_X Y from ``split(X)`` and ``split(Y)``."""
+        xp, xm, _, _ = xs
+        yp, ym, pyp, pym = ys
+        plus_part = fp.apply(lie_bracket(xm, yp) + p.apply(lie_bracket(xp, pyp)))
+        minus_part = fm.apply(lie_bracket(xp, ym) + p.apply(lie_bracket(xm, pym)))
         return plus_part + minus_part
 
-    return ConnectionLaw(s, "canonical", law)
+    return ConnectionLaw(
+        s,
+        "canonical",
+        lambda x, y: split_law(s.split(x), s.split(y)),
+        frame_table=lambda: _pair_table(split_law, s.frame_split),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Torsion and curvature
 # ---------------------------------------------------------------------------
+
+
+def _pair_table(value, args) -> tuple[tuple[VectorField, ...], ...]:
+    """The frame-pair table ``value(args[i], args[j])``, in index order."""
+    return tuple(tuple(value(a, b) for b in args) for a in args)
 
 
 def _pair_cells(table):
@@ -446,14 +459,19 @@ class DifferenceTensor:
     bracket-only expansion.  Both must agree exactly, which the constructor
     checks on all frame pairs.  A law with the canonical torsion table passes
     that check, so the constructor also requires ``t.law.kind == "canonical"``.
+
+    Each route is one function of split arguments (``BiparaStructure.split``),
+    whose outer maps F+, F-, P∘F+ and P∘F- each apply once to a sum.
     """
 
     def __init__(self, t: TorsionTensor):
         self.canonical = t.law
-        self.structure = t.law.structure
+        self.structure = s = t.law.structure
         self._torsion = t
-        basis = self.structure.basis
-        pair = _first_pair_mismatch(self.table, lambda i, j: self.bracket_route(basis[i], basis[j]))
+        fp, fm = s.projectors.f_plus, s.projectors.f_minus
+        self._outer = (fp, fm, s.P.compose(fp), s.P.compose(fm))
+        split = s.frame_split
+        pair = _first_pair_mismatch(self.table, lambda i, j: self._bracket_split(split[i], split[j]))
         if pair is not None:
             raise StructureError(
                 [{"name": "difference-tensor routes disagree", "witness": {"pair": pair}}]
@@ -465,51 +483,42 @@ class DifferenceTensor:
 
     def torsion_route(self, x: VectorField, y: VectorField) -> VectorField:
         s = self.structure
-        fp, fm = s.projectors.f_plus, s.projectors.f_minus
-        p = s.P
-        t = self._torsion.evaluate
-        xp, xm = fp.apply(x), fm.apply(x)
-        yp, ym = fp.apply(y), fm.apply(y)
-        total = (
-            fp.apply(t(xp, yp))
-            + p.apply(fp.apply(t(xp, p.apply(ym))))
-            + p.apply(fm.apply(t(xm, p.apply(yp))))
-            + fm.apply(t(xm, ym))
-        )
-        return total.scale(Fraction(1, 3))
+        return self._torsion_split(s.split(x), s.split(y))
 
     def bracket_route(self, x: VectorField, y: VectorField) -> VectorField:
         """Bracket-only expansion, assembled from the four block identities."""
         s = self.structure
-        fp, fm = s.projectors.f_plus, s.projectors.f_minus
-        p = s.P
-        xp, xm = fp.apply(x), fm.apply(x)
-        yp, ym = fp.apply(y), fm.apply(y)
-        pxp, pxm = p.apply(xp), p.apply(xm)
-        pyp, pym = p.apply(yp), p.apply(ym)
+        return self._bracket_split(s.split(x), s.split(y))
+
+    def _torsion_split(self, xs, ys) -> VectorField:
+        xp, xm, _, _ = xs
+        yp, ym, pyp, pym = ys
+        fp, fm, pfp, pfm = self._outer
+        t = self._torsion.evaluate
+        total = (
+            fp.apply(t(xp, yp))
+            + pfp.apply(t(xp, pym))
+            + pfm.apply(t(xm, pyp))
+            + fm.apply(t(xm, ym))
+        )
+        return total.scale(Fraction(1, 3))
+
+    def _bracket_split(self, xs, ys) -> VectorField:
+        xp, xm, pxp, pxm = xs
+        yp, ym, pyp, pym = ys
+        fp, fm, pfp, pfm = self._outer
         br = lie_bracket
         total = (
-            p.apply(fm.apply(br(xp, pyp)))
-            - fp.apply(br(xp, yp))
-            + p.apply(fm.apply(br(pxp, yp)))
-            + fm.apply(br(xp, ym))
-            - p.apply(fp.apply(br(xp, pym)))
-            + fm.apply(br(pxp, pym))
-            + fp.apply(br(xm, yp))
-            + fp.apply(br(pxm, pyp))
-            - p.apply(fm.apply(br(xm, pyp)))
-            + p.apply(fp.apply(br(xm, pym)))
-            + p.apply(fp.apply(br(pxm, ym)))
-            - fm.apply(br(xm, ym))
+            pfm.apply(br(xp, pyp) + br(pxp, yp) - br(xm, pyp))
+            + fp.apply(br(xm, yp) + br(pxm, pyp) - br(xp, yp))
+            + fm.apply(br(xp, ym) + br(pxp, pym) - br(xm, ym))
+            + pfp.apply(br(xm, pym) + br(pxm, ym) - br(xp, pym))
         )
         return total.scale(Fraction(1, 3))
 
     @cached_property
     def table(self) -> tuple[tuple[VectorField, ...], ...]:
-        basis = self.structure.basis
-        return tuple(
-            tuple(self.torsion_route(ei, ej) for ej in basis) for ei in basis
-        )
+        return _pair_table(self._torsion_split, self.structure.frame_split)
 
     def cells(self):
         """((i, j), A(E_i, E_j)) over all frame pairs, in index order."""
@@ -531,11 +540,14 @@ def well_adapted_connection(diff: DifferenceTensor) -> ConnectionLaw:
     def law(x: VectorField, y: VectorField) -> VectorField:
         return canon.nabla(x, y) - diff.evaluate(x, y)
 
-    table = tuple(
-        tuple(canon.frame_table[i][j] - diff.table[i][j] for j in range(s.dim))
-        for i in range(s.dim)
+    well_adapted = ConnectionLaw(s, "well-adapted", law)
+    # Set now rather than built on first read: the difference tensor already
+    # holds both tables, and a report builds only the canonical frame table.
+    well_adapted.frame_table = tuple(
+        tuple(c - a for c, a in zip(canon_row, diff_row))
+        for canon_row, diff_row in zip(canon.frame_table, diff.table)
     )
-    return ConnectionLaw(s, "well-adapted", law, frame_table=table)
+    return well_adapted
 
 
 def well_adapted_routes_agree(frame_free: ConnectionLaw, christoffels: ChristoffelTable) -> bool:

@@ -111,8 +111,7 @@ def nijenhuis(e: EndoField) -> Callable[[VectorField, VectorField], VectorField]
         ex, ey = e.apply(x), e.apply(y)
         return (
             lie_bracket(ex, ey)
-            - e.apply(lie_bracket(ex, y))
-            - e.apply(lie_bracket(x, ey))
+            - e.apply(lie_bracket(ex, y) + lie_bracket(x, ey))
             + e2.apply(lie_bracket(x, y))
         )
 
@@ -136,10 +135,8 @@ def fn_bracket(s: BiparaStructure) -> Callable[[VectorField, VectorField], Vecto
         return (
             lie_bracket(fx, py)
             + lie_bracket(px, fy)
-            - f.apply(lie_bracket(px, y))
-            - f.apply(lie_bracket(x, py))
-            - p.apply(lie_bracket(fx, y))
-            - p.apply(lie_bracket(x, fy))
+            - f.apply(lie_bracket(px, y) + lie_bracket(x, py))
+            - p.apply(lie_bracket(fx, y) + lie_bracket(x, fy))
         )
 
     return evaluate
@@ -191,9 +188,12 @@ def fp_torsion_identities(s: BiparaStructure) -> tuple[Verdict, Verdict, Verdict
 
 
 def involutivity_flags(s: BiparaStructure) -> dict[str, bool]:
-    """Direct involutivity of the four eigendistributions (spanning-set check)."""
+    """Direct involutivity of the four eigendistributions (spanning-set check).
+
+    The projections of the basis fields, which span each distribution, are
+    the columns of its projector.
+    """
     proj = s.projectors
-    basis = s.basis
     out = {}
     for name, into, complement in (
         ("T_F_plus", proj.f_plus, proj.f_minus),
@@ -202,7 +202,7 @@ def involutivity_flags(s: BiparaStructure) -> dict[str, bool]:
         ("T_P_minus", proj.p_minus, proj.p_plus),
     ):
         ok = True
-        spans = [into.apply(b) for b in basis]
+        spans = [into.column_field(i) for i in range(s.dim)]
         for i in range(s.dim):
             if not ok:
                 break

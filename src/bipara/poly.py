@@ -193,6 +193,11 @@ class MultiPoly:
 
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
+        # Values are immutable, so a zero operand returns the other one as is.
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             old = out.get(exps)
@@ -214,6 +219,10 @@ class MultiPoly:
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             old = out.get(exps)
@@ -425,7 +434,8 @@ _VARS: dict[tuple[tuple[str, ...], str], MultiPoly] = {}
 # limit) come first.
 #
 # A term that starts with a canonical monomial, the form ``str(MultiPoly)``
-# writes every term in, reads that monomial as one more token:
+# writes every term in, or with '-' and one (a negative first term), reads
+# that monomial as one more token:
 #
 #   MONOMIAL := (NUMBER ('/' NUMBER)? '*')? power ('*' power)*
 #   power    := NAME ('^' NUMBER)?      (ASCII first letter, no whitespace)
@@ -567,7 +577,7 @@ class _Parser:
     def _term(self) -> MultiPoly:
         acc = self._monomial() if self.kind == "name" or self.kind == "number" else None
         if acc is None:
-            acc = self._factor()
+            acc = self._factor(leading=True)
         while self._peek() == "*":
             start = self.start
             self._advance()
@@ -619,11 +629,19 @@ class _Parser:
         self._advance()
         return MultiPoly._trusted(variables, {tuple(exps): coeff})
 
-    def _factor(self) -> MultiPoly:
+    def _factor(self, leading: bool = False) -> MultiPoly:
+        """A factor; ``leading`` when it starts a term, where ``-<monomial>`` is one step.
+
+        The monomial's factors each have one term, so -(c*x*y) and (-c)*x*y
+        have the same value and cost the same term products.
+        """
         if self._peek() == "-":
             self._nest(self.start)
             self._advance()
-            negated = -self._factor()
+            inner = None
+            if leading and (self.kind == "name" or self.kind == "number"):
+                inner = self._monomial()
+            negated = -(inner if inner is not None else self._factor())
             self.depth -= 1
             return negated
         base = self._primary()

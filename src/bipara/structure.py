@@ -3,8 +3,10 @@
 A structure is a pair (F, P) of anticommuting involutive (1,1)-tensor fields.
 Validation establishes every defining identity exactly, optionally against
 an adapted frame {X_1..X_n, Y_1..Y_n} with F X_i = X_i, F Y_i = -Y_i,
-P X_i = Y_i, P Y_i = X_i.  The almost complex structure J = F o P and the
-four eigenprojectors are derived values, each built on first read.
+P X_i = Y_i, P Y_i = X_i.  The almost complex structure J = F o P, the
+four eigenprojectors and the split frame (F+-E_i and P F+-E_i for each basis
+field E_i, see ``BiparaStructure.split``) are derived values, each built on
+first read.
 
 An adapted frame E is a certificate when it passes those 4n column checks and
 E(0) (its constant parts) has full rank: then det E is a nonzero polynomial,
@@ -141,6 +143,23 @@ class BiparaStructure:
             p_plus=(eye + self.P).scale(half),
             p_minus=(eye - self.P).scale(half),
         )
+
+    def split(self, x: VectorField) -> tuple[VectorField, VectorField, VectorField, VectorField]:
+        """(F+X, F-X, P F+X, P F-X): the projections the connection formulas read."""
+        proj = self.projectors
+        return self._with_p_images(proj.f_plus.apply(x), proj.f_minus.apply(x))
+
+    @cached_property
+    def frame_split(self) -> tuple[tuple[VectorField, VectorField, VectorField, VectorField], ...]:
+        """``split(E_i)`` for each basis field, built once; F+-E_i is column i of the projector."""
+        proj = self.projectors
+        return tuple(
+            self._with_p_images(proj.f_plus.column_field(i), proj.f_minus.column_field(i))
+            for i in range(self.dim)
+        )
+
+    def _with_p_images(self, xp: VectorField, xm: VectorField):
+        return xp, xm, self.P.apply(xp), self.P.apply(xm)
 
     @cached_property
     def coframe(self) -> PolyMatrix:

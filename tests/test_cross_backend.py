@@ -35,6 +35,7 @@ from bipara import (
 )
 from bipara.cli import Analysis
 from bipara.connections import trace_condition_holds, well_adapted_routes_agree
+from bipara.poly import MultiPoly
 
 
 def chart_variables(n: int) -> tuple[str, ...]:
@@ -181,3 +182,36 @@ def test_christoffel_tables_agree_across_backends(family, n, columns, table):
     assert nonzero == ({"well_adapted"} if family == "affine" else set())
     assert well_adapted_routes_agree(on_chart.well_adapted, on_chart.christoffels_well_adapted)
     assert trace_condition_holds(on_chart.torsion("well-adapted"))
+
+
+def _random_field(ctx, rng: random.Random) -> VectorField:
+    """Components of up to three terms of degree <= 2 (constants on a constant frame)."""
+    variables = ctx.variables
+    components = []
+    for _ in range(ctx.dim):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            exps = [0] * len(variables)
+            for _ in range(rng.randint(0, 2) if variables else 0):
+                exps[rng.randrange(len(variables))] += 1
+            terms[tuple(exps)] = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2)))
+        components.append(MultiPoly(variables, terms))
+    return VectorField(ctx, components)
+
+
+@pytest.mark.parametrize("name", ["heis", "aff", "flat_n2", "nilpotent_chart"])
+def test_difference_tensor_routes_agree_off_the_frame(name, request):
+    # The constructor compares the routes on frame pairs, which the split
+    # frame serves; here general fields are split on the fly, and on a chart
+    # their polynomial coefficients bring in the derivative terms of brackets.
+    if name == "nilpotent_chart":
+        s = chart_twin(3, nilpotent_frame(3, random.Random(1729))[0])
+    else:
+        s = request.getfixturevalue(name)
+    diff = Analysis(s).difference
+    rng = random.Random(name)
+    for _ in range(6):
+        x, y = _random_field(s.context, rng), _random_field(s.context, rng)
+        value = diff.evaluate(x, y)
+        assert diff.bracket_route(x, y) == value
+        assert diff.torsion_route(x, y) == value

@@ -15,6 +15,7 @@ from bipara.poly import (
     MultiPoly,
     PolyError,
     PolyParseError,
+    _Parser,
     parse_poly,
 )
 
@@ -408,6 +409,47 @@ def test_parse_error_messages_and_offsets(text, message, offset):
         parse_poly(text, VARS)
     assert str(err.value) == f"{message} (at offset {offset})"
     assert err.value.offset == offset
+
+
+def test_negative_leading_monomial_is_read_in_one_step(monkeypatch):
+    # Each text is read token by token through its parenthesized twin; the
+    # leading '-<monomial>' must give the same value, coefficient forms and
+    # term products without a ring product.
+    twins = {
+        "-3*x1*y2": "-(3)*(x1)*(y2)",
+        "-x1": "-(x1)",
+        "-1/2*x1^2*y2": "-(1/2)*(x1)^2*(y2)",
+        "-4/2*x2^3 + y1": "-(4/2)*(x2)^3 + y1",
+        " - 2*x1*y1 - y2": " - (2)*(x1)*(y1) - y2",
+    }
+    expected = {}
+    for text, twin in twins.items():
+        parser = _Parser(twin, VARS)
+        expected[text] = (parser.parse(), parser.term_products)
+
+    def no_product(self, other):
+        raise AssertionError("ring product")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", no_product)
+    for text, (value, products) in expected.items():
+        parser = _Parser(text, VARS)
+        parsed = parser.parse()
+        assert parsed == value, text
+        assert [type(c) for c in parsed.terms.values()] == [type(c) for c in value.terms.values()], text
+        assert parser.term_products == products, text
+
+
+def test_zero_operands_return_the_other_operand():
+    for variables in (VARS, ()):
+        zero = MultiPoly.zero(variables)
+        exps = (1, 0, 2, 0) if variables else ()
+        for coeff in (3, Fraction(-5, 2)):
+            p = MultiPoly(variables, {exps: coeff})
+            for z in (0, zero):
+                assert (p + z) is p and (z + p) is p and (p - z) is p
+                assert (z - p) == -p and (z - p).terms == {exps: -coeff}
+            assert all(type(c) is type(coeff) for q in (p + 0, 0 - p) for c in q.terms.values())
+        assert (zero + zero).is_zero and (zero - zero).is_zero and (0 - zero).is_zero
 
 
 def test_digits_are_what_int_reads():

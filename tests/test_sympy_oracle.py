@@ -10,7 +10,7 @@ also compare domains, and printing through strings is far slower.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipara.poly import MultiPoly
@@ -19,6 +19,7 @@ sympy = pytest.importorskip("sympy")
 
 VARS = ("x1", "x2", "y1", "y2")
 SYMBOLS = sympy.symbols(VARS)
+ZERO = MultiPoly(VARS, {})
 IMAGE_VARS = ("u", "v")
 IMAGE_SYMBOLS = sympy.symbols(IMAGE_VARS)
 
@@ -48,6 +49,11 @@ def terms_of(q: "sympy.Poly") -> dict:
     st.lists(coeffs, min_size=len(VARS), max_size=len(VARS)),
 )
 @settings(max_examples=80, deadline=None)
+# An empty operand on either side, or both: the sum and the difference return
+# the other operand (negated for 0 - b) without building a new one.
+@example(a=ZERO, b=MultiPoly(VARS, {(1, 0, 2, 0): Fraction(-3, 2), (0, 1, 0, 0): 4}), name="x1", point=[1, 2, 3, 4])
+@example(a=MultiPoly(VARS, {(0, 0, 1, 1): 5, (2, 0, 0, 0): Fraction(1, 3)}), b=ZERO, name="y1", point=[0, -1, 2, 1])
+@example(a=ZERO, b=ZERO, name="x2", point=[1, 1, 1, 1])
 def test_ring_operations_match_sympy(a, b, name, point):
     sa, sb = to_sympy(a, SYMBOLS), to_sympy(b, SYMBOLS)
     assert a.terms == terms_of(sa)
