@@ -117,6 +117,8 @@ class ConnectionLaw:
     def nabla_of_field(self, i: int, w: VectorField) -> VectorField:
         """nabla_{E_i} W via the frame table and Leibniz expansion."""
         ctx = self.context
+        if w.context is not ctx and w.context != ctx:
+            raise ContextMismatch("field does not live on the connection's context")
         table = self.frame_table
         out = [ctx.zero] * ctx.dim
         for m, wm in enumerate(w.components):
@@ -127,7 +129,7 @@ class ConnectionLaw:
                 for t, comp in enumerate(table[i][m].components):
                     if not comp.is_zero:
                         out[t] = out[t] + wm * comp
-        return VectorField(ctx, out)
+        return VectorField._trusted(ctx, out)
 
 
 def canonical_connection(s: BiparaStructure) -> ConnectionLaw:
@@ -179,7 +181,7 @@ def _first_pair_mismatch(table, value):
 
 def _contract(ctx: FrameContext, table, xs, ys) -> VectorField:
     """sum_ij xs[i] ys[j] table[i][j]: a (1,2)-tensor on frame components xs, ys."""
-    acc = VectorField(ctx, [ctx.zero] * ctx.dim)
+    acc = ctx.zero_field
     for i, xi in enumerate(xs):
         if xi.is_zero:
             continue
@@ -210,7 +212,7 @@ class TorsionTensor:
                 if j < i:
                     row.append(-rows[j][i])
                 elif j == i:
-                    row.append(VectorField(ctx, [ctx.zero] * dim))
+                    row.append(ctx.zero_field)
                 else:
                     bracket = VectorField.from_rationals(ctx, ctx.basis_bracket(i, j))
                     row.append(ft[i][j] - ft[j][i] - bracket)
@@ -249,7 +251,7 @@ class CurvatureTensor:
                 for k in range(dim):
                     value = law.nabla_of_field(i, ft[j][k]) - law.nabla_of_field(j, ft[i][k])
                     for m, c in enumerate(bracket_coeffs):
-                        if c:
+                        if c and not ft[m][k].is_zero:
                             value = value - ft[m][k].scale(c)
                     out[(i, j, k)] = value
         return out
@@ -261,7 +263,7 @@ class CurvatureTensor:
     def evaluate(self, x: VectorField, y: VectorField, z: VectorField) -> VectorField:
         ctx = self.law.context
         xs, ys, zs = x.components, y.components, z.components
-        acc = VectorField(ctx, [ctx.zero] * ctx.dim)
+        acc = ctx.zero_field
         for (i, j, k), cell in self.cells():
             if cell.is_zero or zs[k].is_zero:
                 continue

@@ -10,8 +10,9 @@ Two backends share one interface and every kernel; they differ only in data:
   bilinear extension of the table.
 
 A context keeps its ring's zero once, as ``FrameContext.zero`` (the shared
-``MultiPoly.zero(variables)`` instance), and every kernel builds its zero
-scalars and fields from it.  [E_i, E_j] is ``FrameContext.basis_bracket(i, j)``,
+``MultiPoly.zero(variables)`` instance), and its zero field once, as
+``FrameContext.zero_field``; every kernel takes its zero scalars and fields
+from these two.  [E_i, E_j] is ``FrameContext.basis_bracket(i, j)``,
 read off the structure constants; ``lie_bracket`` brackets arbitrary fields.
 
 A diffeomorphism (:class:`PolyMap`) is the same data on both backends: its
@@ -116,6 +117,11 @@ class FrameContext:
         """The zero of the ring ``variables``: the shared ``MultiPoly.zero`` instance."""
         return MultiPoly.zero(self.variables)
 
+    @cached_property
+    def zero_field(self) -> "VectorField":
+        """The zero vector field, one shared instance per context."""
+        return VectorField._trusted(self, (self.zero,) * self.dim)
+
     def basis_bracket(self, i: int, j: int) -> tuple[Fraction, ...]:
         """[E_i, E_j] as a coefficient vector (zero on a chart: coordinate fields commute)."""
         if i == j:
@@ -171,13 +177,20 @@ def algebra_context(
 def _require_same_context(*objects):
     ctx = objects[0].context
     for obj in objects[1:]:
-        if obj.context != ctx:
+        if obj.context is not ctx and obj.context != ctx:
             raise ContextMismatch("objects live in different frame contexts")
     return ctx
 
 
 class VectorField:
-    """A vector field given by its components in the frame."""
+    """A vector field given by its components in the frame.
+
+    The public constructor checks the component count and the ring of every
+    component.  The kernels build their results with :meth:`_trusted`, which
+    skips both checks; it is only for results of operations on validated
+    fields of one context, whose components are then in that ring and
+    ``dim`` in number by construction.
+    """
 
     __slots__ = ("context", "components")
 
@@ -193,6 +206,14 @@ class VectorField:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "components", components)
 
+    @classmethod
+    def _trusted(cls, context: FrameContext, components: Sequence[MultiPoly]) -> "VectorField":
+        """Wrap ``dim`` components of the ring of ``context`` without re-checking them."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "context", context)
+        object.__setattr__(field, "components", tuple(components))
+        return field
+
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("VectorField is immutable")
 
@@ -202,20 +223,20 @@ class VectorField:
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_context(self, other)
-        return VectorField(self.context, [a + b for a, b in zip(self.components, other.components)])
+        return VectorField._trusted(self.context, [a + b for a, b in zip(self.components, other.components)])
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         _require_same_context(self, other)
-        return VectorField(self.context, [a - b for a, b in zip(self.components, other.components)])
+        return VectorField._trusted(self.context, [a - b for a, b in zip(self.components, other.components)])
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.context, [-a for a in self.components])
+        return VectorField._trusted(self.context, [-a for a in self.components])
 
     def scale(self, factor) -> "VectorField":
         """Multiply by a polynomial or rational scalar."""
         if isinstance(factor, MultiPoly):
-            return VectorField(self.context, [factor * a for a in self.components])
-        return VectorField(self.context, [a.scale(factor) for a in self.components])
+            return VectorField._trusted(self.context, [factor * a for a in self.components])
+        return VectorField._trusted(self.context, [a.scale(factor) for a in self.components])
 
     @property
     def is_zero(self) -> bool:
@@ -263,7 +284,7 @@ class EndoField:
 
     def apply(self, x: VectorField) -> VectorField:
         _require_same_context(self, x)
-        return VectorField(self.context, self.matrix.matvec(list(x.components)))
+        return VectorField._trusted(self.context, self.matrix.matvec(list(x.components)))
 
     def compose(self, other: "EndoField") -> "EndoField":
         """self after other (matrix product self.matrix @ other.matrix)."""
@@ -347,6 +368,8 @@ class BilinearField:
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y]^i = sum_k (X^k d_k Y^i - Y^k d_k X^i) + sum_{a<b} (X^a Y^b - X^b Y^a) c^i_ab."""
     ctx = _require_same_context(x, y)
+    if x.is_zero or y.is_zero:
+        return ctx.zero_field
     xs, ys = x.components, y.components
     out = []
     for i in range(ctx.dim):
@@ -365,7 +388,7 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
                 if not dxi.is_zero:
                     acc = acc - yk * dxi
         out.append(acc)
-    return VectorField(ctx, _add_structure_part(ctx, xs, ys, out))
+    return VectorField._trusted(ctx, _add_structure_part(ctx, xs, ys, out))
 
 
 def _add_structure_part(ctx: FrameContext, xs, ys, out: list[MultiPoly]) -> list[MultiPoly]:

@@ -278,6 +278,8 @@ class MultiPoly:
 
     def scale(self, scalar) -> "MultiPoly":
         scalar = _as_rational(scalar)
+        if not self.terms:
+            return self
         if scalar == 0:
             return MultiPoly.zero(self.variables)
         return MultiPoly._trusted(

@@ -22,7 +22,7 @@ from bipara.connections import (
     well_adapted_connection,
     well_adapted_routes_agree,
 )
-from bipara.geometry import VectorField, lie_bracket
+from bipara.geometry import ContextMismatch, VectorField, algebra_context, basis_fields, lie_bracket
 from bipara.poly import parse_poly
 from bipara.structure import (
     StructureError,
@@ -122,6 +122,15 @@ def test_table_route_equals_direct_evaluator_on_polynomial_args():
     x = VectorField(s.context, [parse_poly(t, v) for t in ("x1*y1", "1", "x2", "0")])
     y = VectorField(s.context, [parse_poly(t, v) for t in ("y2", "x1", "0", "x1^2")])
     assert law.nabla(x, y) == nabla_via_table(law, x, y)
+
+
+def test_law_rejects_fields_of_another_context(heis):
+    law = canonical_connection(heis)
+    other = basis_fields(algebra_context(heis.dim))[0]  # same dimension, abelian
+    with pytest.raises(ContextMismatch):
+        law.nabla(heis.basis[0], other)
+    with pytest.raises(ContextMismatch):
+        law.nabla_of_field(0, other)
 
 
 def test_connection_law_linearity_properties():

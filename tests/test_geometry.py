@@ -436,3 +436,98 @@ def test_constant_frame_fields_reject_chart_ring_polynomials():
         with pytest.raises(PolyError):
             EndoField(ctx, PolyMatrix.from_rows([[entry, zero], [zero, entry]]))
     assert VectorField.from_rationals(ctx, [1, 2]).components[1] == 2
+
+
+# The kernels build their results with VectorField._trusted; the public
+# constructor and the context checks at every binary operation stay.
+
+BACKENDS = pytest.mark.parametrize(
+    "ctx", [CHART, heisenberg_structure().context], ids=["chart", "constant"]
+)
+
+
+def _twin(ctx: FrameContext) -> FrameContext:
+    """An equal context that is a separate object."""
+    twin = FrameContext(ctx.dim, ctx.variables, ctx.bracket_table)
+    assert twin == ctx and twin is not ctx
+    return twin
+
+
+@BACKENDS
+def test_public_field_constructor_checks_length_and_ring(ctx):
+    zero = ctx.zero
+    with pytest.raises(GeometryError, match="component count"):
+        VectorField(ctx, [zero] * (ctx.dim - 1))
+    with pytest.raises(PolyError, match="wrong ring"):
+        VectorField(ctx, [MultiPoly.const(("u",), 1)] + [zero] * (ctx.dim - 1))
+
+
+@BACKENDS
+def test_binary_field_operations_check_contexts(ctx):
+    rng = random.Random(3)
+    x, e, _ = _random_tensors(ctx, rng)
+    other = algebra_context(ctx.dim)  # abelian: same dimension, another context
+    y = basis_fields(other)[0]
+    for op in (
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: e.apply(b),
+        lie_bracket,
+    ):
+        with pytest.raises(ContextMismatch):
+            op(x, y)
+    # A zero operand takes no shortcut past the context check.
+    with pytest.raises(ContextMismatch):
+        lie_bracket(ctx.zero_field, y)
+    # Equal contexts that are separate objects are one context.
+    twin = _twin(ctx)
+    x_twin = VectorField(twin, x.components)
+    assert x + x_twin == x.scale(2)
+    assert (x - x_twin).is_zero
+    assert EndoField(twin, e.matrix).apply(x) == e.apply(x_twin)
+    assert lie_bracket(x, x_twin).is_zero
+
+
+@BACKENDS
+def test_field_scale_by_polynomial_of_another_ring_raises(ctx):
+    x = basis_fields(ctx)[0]
+    with pytest.raises(PolyError):
+        x.scale(MultiPoly.var(("u", "v"), "u"))
+
+
+@BACKENDS
+def test_kernel_results_equal_checked_fields(ctx):
+    rng = random.Random(17)
+    for _ in range(3):
+        x, e, _ = _random_tensors(ctx, rng)
+        y, _, _ = _random_tensors(ctx, rng)
+        f = _random_entry(ctx, rng)
+        results = (
+            x + y,
+            x - y,
+            -x,
+            x.scale(f),
+            x.scale(Fraction(-2, 3)),
+            e.apply(x),
+            lie_bracket(x, y),
+        )
+        for result in results:
+            checked = VectorField(ctx, result.components)
+            assert result == checked and hash(result) == hash(checked)
+            assert type(result.components) is tuple and len(result.components) == ctx.dim
+
+
+@BACKENDS
+def test_zero_operand_bracket_equals_the_full_computation(ctx):
+    rng = random.Random(29)
+    zero = VectorField.from_rationals(ctx, [0] * ctx.dim)
+    assert ctx.zero_field is ctx.zero_field  # one shared field per context
+    assert ctx.zero_field == zero == _twin(ctx).zero_field
+    for _ in range(3):
+        x, _, _ = _random_tensors(ctx, rng)
+        y, _, _ = _random_tensors(ctx, rng)
+        # [X - X, Y] and [X, Y - Y] by bilinearity, with no zero operand
+        full = lie_bracket(x, y) - lie_bracket(x, y)
+        assert lie_bracket(x - x, y) == full == zero
+        assert lie_bracket(y, zero) == full
+        assert hash(lie_bracket(zero, y)) == hash(zero)

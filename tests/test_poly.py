@@ -170,6 +170,16 @@ def test_zero_is_shared_and_immutable():
         zero.variables = ("x1",)
 
 
+def test_scale_of_zero_still_checks_the_scalar():
+    zero = MultiPoly.zero(("x1", "x2"))
+    with pytest.raises(PolyError):
+        zero.scale("x")
+    with pytest.raises(PolyError):
+        zero.scale(0.5)
+    assert zero.scale(Fraction(1, 3)).is_zero
+    assert zero.scale(Fraction(1, 3)) == zero
+
+
 def test_public_constructor_still_validates():
     with pytest.raises(PolyError):
         MultiPoly(("x1",), {(1, 0): Fraction(1)})
