@@ -75,12 +75,14 @@ from .structure import (
     Projectors,
     StructureError,
     adapted_basis,
+    adapted_structure,
     affine_structure,
     classify_triple,
     delta_gl_algebra_membership,
     delta_gl_membership,
     flat_structure,
     heisenberg_structure,
+    nilpotent_chart,
     pushforward_structure,
     random_structure,
     random_unipotent_map,

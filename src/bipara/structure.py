@@ -16,9 +16,11 @@ traces without forming any of those products.  Without a certificate (no
 frame, a failed column check, or E(0) singular) every identity is checked
 directly, and the failure list is the same as if no shortcut existed.
 
-The block constants of the adapted presentation (F = diag(I, -I), P the
-block swap, the flat chart's frame [[I, I], [I, -I]] and the sign matrix of
-``structure_from_alpha``) all come from ``linalg.rat_blocks``.
+``adapted_structure(ctx, E)`` is the one place that assembles F and P from
+the blocks of the adapted presentation; every built-in structure, the
+alpha-structure solve and ``nilpotent_chart`` go through it.  The block
+constants (F = diag(I, -I), P the block swap and the flat chart's frame
+[[I, I], [I, -I]]) all come from ``linalg.rat_blocks``.
 
 Three named fixtures ship as built-ins:
 
@@ -52,7 +54,7 @@ from .geometry import (
     lie_bracket,
     pushforward_endo,
 )
-from .linalg import PolyMatrix, poly_matrix_inverse, rat_blocks, rat_inverse, rat_matmul, rat_rank
+from .linalg import LinAlgError, PolyMatrix, poly_matrix_inverse, rat_blocks, rat_inverse, rat_matmul, rat_rank
 from .poly import MultiPoly
 
 __all__ = [
@@ -61,6 +63,7 @@ __all__ = [
     "StructureError",
     "TRIPLE_KINDS",
     "adapted_basis",
+    "adapted_structure",
     "affine_structure",
     "classify_triple",
     "delta_gl_algebra_membership",
@@ -68,6 +71,7 @@ __all__ = [
     "flat_structure",
     "heisenberg_structure",
     "matrix_witness",
+    "nilpotent_chart",
     "pushforward_structure",
     "random_structure",
     "random_unipotent_map",
@@ -166,7 +170,7 @@ class BiparaStructure:
         """Inverse of the adapted frame; its rows pair with X_1..X_n, Y_1..Y_n."""
         if self.adapted_frame is None:
             raise StructureError([{"name": "missing adapted frame", "witness": None}])
-        return poly_matrix_inverse(self.adapted_frame)
+        return _frame_inverse(self.adapted_frame)
 
     @cached_property
     def frame_brackets(self) -> tuple[tuple[tuple[MultiPoly, ...], ...], ...]:
@@ -269,16 +273,33 @@ _DIAG = ((1, 0), (0, -1))
 _SWAP = ((0, 1), (1, 0))
 
 
-def _block_endo(ctx: FrameContext, blocks) -> EndoField:
-    """The endomorphism field with the constant matrix ``rat_blocks(n, blocks)``."""
-    return EndoField(ctx, PolyMatrix.from_rational_rows(rat_blocks(ctx.dim // 2, blocks), ctx.variables))
+def _frame_inverse(frame: PolyMatrix) -> PolyMatrix:
+    """E^-1 by ``poly_matrix_inverse``; a failure names the adapted frame."""
+    try:
+        return poly_matrix_inverse(frame)
+    except LinAlgError as err:
+        raise LinAlgError(f"adapted_frame: {err}") from err
 
 
-def _adapted_structure(ctx: FrameContext) -> BiparaStructure:
-    """F = diag(I, -I) and P the block swap on a constant frame that is itself adapted."""
-    return BiparaStructure.validate(
-        _block_endo(ctx, _DIAG), _block_endo(ctx, _SWAP), adapted_frame=PolyMatrix.identity(ctx.dim, ())
-    )
+def adapted_structure(ctx: FrameContext, frame: PolyMatrix | None = None) -> BiparaStructure:
+    """The structure whose adapted frame is E = ``frame``, certified by E.
+
+    F = E diag(I, -I) E^-1 and P = E [[0, I], [I, 0]] E^-1.  With no frame,
+    E = I and F, P are the blocks themselves, with no conjugation.  A frame
+    with no polynomial inverse raises ``LinAlgError`` naming ``adapted_frame``.
+    """
+    n = ctx.dim // 2
+    f, p = (PolyMatrix.from_rational_rows(rat_blocks(n, blocks), ctx.variables) for blocks in (_DIAG, _SWAP))
+    if frame is None:
+        frame = PolyMatrix.identity(ctx.dim, ctx.variables)
+    else:
+        coframe = _frame_inverse(frame)
+        f, p = frame @ f @ coframe, frame @ p @ coframe
+    return BiparaStructure.validate(EndoField(ctx, f), EndoField(ctx, p), adapted_frame=frame)
+
+
+def _chart_variables(n: int) -> tuple[str, ...]:
+    return tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n))
 
 
 def flat_structure(n: int, backend: str = POLYNOMIAL_CHART) -> BiparaStructure:
@@ -290,23 +311,42 @@ def flat_structure(n: int, backend: str = POLYNOMIAL_CHART) -> BiparaStructure:
     P the block swap, frame = standard basis).
     """
     if backend == POLYNOMIAL_CHART:
-        variables = tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n))
-        ctx = chart_context(variables)
+        variables = _chart_variables(n)
         frame = PolyMatrix.from_rational_rows(rat_blocks(n, ((1, 1), (1, -1))), variables)
-        return BiparaStructure.validate(
-            _block_endo(ctx, _SWAP), _block_endo(ctx, _DIAG), adapted_frame=frame
-        )
-    return _adapted_structure(algebra_context(2 * n, {}))
+        return adapted_structure(chart_context(variables), frame)
+    return adapted_structure(algebra_context(2 * n, {}))
 
 
 def heisenberg_structure() -> BiparaStructure:
     """Constant-frame fixture with [X1, X2] = Y1 (dim 4, adapted frame)."""
-    return _adapted_structure(algebra_context(4, {(0, 1): (0, 0, 1, 0)}))
+    return adapted_structure(algebra_context(4, {(0, 1): (0, 0, 1, 0)}))
 
 
 def affine_structure() -> BiparaStructure:
     """Constant-frame fixture with [X1, X2] = X1 (dim 4, adapted frame)."""
-    return _adapted_structure(algebra_context(4, {(0, 1): (1, 0, 0, 0)}))
+    return adapted_structure(algebra_context(4, {(0, 1): (1, 0, 0, 0)}))
+
+
+def nilpotent_chart(n: int, table: dict[tuple[int, int], Sequence]) -> BiparaStructure:
+    """The chart structure adapted to X_j = dx_j + sum_{i<j} c^k_ij x_i dy_k, Y_k = dy_k.
+
+    ``table`` maps each pair 0 <= i < j < n to the 2n coefficients of
+    [X_i, X_j] = sum_k c^k_ij Y_k (zero X part), as ``algebra_context`` reads
+    it; the constant-frame twin is ``adapted_structure(algebra_context(2n, table))``.
+    A nonzero c makes the structure non-integrable.
+    """
+    variables = _chart_variables(n)
+    dim = 2 * n
+    rows = [[MultiPoly.const(variables, int(a == b)) for b in range(dim)] for a in range(dim)]
+    for (i, j), coeffs in table.items():
+        if not (0 <= i < j < n and len(coeffs) == dim and not any(coeffs[:n])):
+            raise StructureError(
+                [{"name": f"bracket ({i}, {j}) is not 2-step nilpotent for n = {n}", "witness": None}]
+            )
+        x_i = MultiPoly.var(variables, variables[i])
+        for k in range(n):
+            rows[n + k][j] = rows[n + k][j] + x_i.scale(coeffs[n + k])
+    return adapted_structure(chart_context(variables), PolyMatrix.from_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +421,11 @@ def structure_from_alpha(
         if rat_rank(stack(*pair)) != dim:
             raise StructureError([{"name": f"transversality failure: {name} != TM", "witness": None}])
 
-    b12 = stack(c1, c2)
-    b12_inv = rat_inverse(b12)
-    f_rows = rat_matmul(rat_matmul(b12, rat_blocks(n, _DIAG)), b12_inv)
+    b12_inv = rat_inverse(stack(c1, c2))
 
     # Decompose each V3 spanning vector as a_k + b_k with a_k in V1, b_k in V2;
-    # P swaps the graph: P a_k = b_k, P b_k = a_k.
+    # P swaps the graph: P a_k = b_k, P b_k = a_k, so (a_1..a_n, b_1..b_n) is
+    # an adapted frame.
     a_cols, b_cols = [], []
     for w in c3:
         coeffs = rat_matmul(b12_inv, [[v] for v in w])
@@ -397,19 +436,11 @@ def structure_from_alpha(
     ab = stack(a_cols, b_cols)
     if rat_rank(ab) != dim:
         raise StructureError([{"name": "transversality failure: degenerate graph map", "witness": None}])
-    ba = stack(b_cols, a_cols)
-    p_rows = rat_matmul(ba, rat_inverse(ab))
-
-    f_endo = EndoField(ctx, PolyMatrix.from_rational_rows(f_rows, ctx.variables))
-    p_endo = EndoField(ctx, PolyMatrix.from_rational_rows(p_rows, ctx.variables))
-    s = BiparaStructure.validate(
-        f_endo, p_endo, adapted_frame=PolyMatrix.from_rational_rows(ab, ctx.variables)
-    )
+    s = adapted_structure(ctx, PolyMatrix.from_rational_rows(ab, ctx.variables))
     # T_P^- = F(V3): every F w with w in V3 must be a (-1)-eigenvector of P.
-    for w in c3:
-        fw = [sum((f_rows[i][t] * w[t] for t in range(dim)), Fraction(0)) for i in range(dim)]
-        pfw = [sum((p_rows[i][t] * fw[t] for t in range(dim)), Fraction(0)) for i in range(dim)]
-        if pfw != [-v for v in fw]:
+    for w in v3:
+        fw = s.F.apply(w)
+        if s.P.apply(fw) != -fw:
             raise StructureError(
                 [{"name": "derived identity T_P^- = F(V3) failed", "witness": None}]
             )
@@ -607,7 +638,8 @@ def random_structure(
     """A random validated structure carrying an adapted frame.
 
     Chart backend: the flat model conjugated by a random unipotent map, hence
-    integrable by construction.  Constant backend: a Jacobi-valid random
+    integrable by construction; non-integrable charts come from
+    ``nilpotent_chart``.  Constant backend: a Jacobi-valid random
     bracket table in adapted presentation, optionally transported along a
     random constant isomorphism; mixed brackets generally make it
     non-integrable.
@@ -619,7 +651,7 @@ def random_structure(
         return pushforward_structure(m, base)
     table = _random_bracket_table(n, rng)
     ctx = algebra_context(2 * n, table)
-    s = _adapted_structure(ctx)
+    s = adapted_structure(ctx)
     if conjugate is None:
         conjugate = rng.random() < 0.5
     if not conjugate:

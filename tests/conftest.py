@@ -1,4 +1,6 @@
 import os
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,30 +42,69 @@ def aff():
     return affine_structure()
 
 
+# How each pool entry is built, its half-dimension n and the entry count, in
+# pool order.  New kinds go at the end, so the earlier entries keep their
+# seeds and their indices.
+POOL_SPEC = [
+    ("constant_frame", 1, 6),
+    ("constant_frame", 2, 7),
+    ("constant_frame", 3, 5),
+    ("polynomial_chart", 1, 12),
+    ("polynomial_chart", 2, 12),
+    ("polynomial_chart", 3, 8),
+    ("nilpotent_chart", 2, 3),
+    ("nilpotent_chart", 3, 2),
+]
+
+
+def nilpotent_table(n: int, rng: random.Random) -> dict:
+    """A 2-step nilpotent table for ``nilpotent_chart``: [X_i, X_j] = sum_k c^k_ij Y_k.
+
+    Every c^k_ij with k = (i + j) mod n is nonzero, the others are drawn from
+    {0, 1, -2}.
+    """
+    table = {}
+    for j in range(n):
+        for i in range(j):
+            coeffs = [Fraction(0)] * (2 * n)
+            for k in range(n):
+                c = rng.choice((1, -1, Fraction(1, 2))) if k == (i + j) % n else rng.choice((0, 1, -2))
+                coeffs[n + k] = Fraction(c)
+            table[(i, j)] = tuple(coeffs)
+    return table
+
+
+def _pool_entry(kind: str, n: int, seed: int):
+    from bipara import nilpotent_chart, pushforward_structure, random_structure, random_unipotent_map
+
+    if kind == "nilpotent_chart":
+        rng = random.Random(seed)
+        base = nilpotent_chart(n, nilpotent_table(n, rng))
+        return pushforward_structure(random_unipotent_map(base.context, 2, rng), base)
+    return random_structure(n, kind, degree=2, seed=seed)
+
+
 def structure_pool(seed: int):
     """The shared pool of generated structures used across the suites.
 
-    Mix of backends and half-dimensions; chart structures are unipotent
-    conjugates of the flat model (degree <= 2), constant-frame ones come from
-    Jacobi-valid random bracket tables.
+    Mix of backends and half-dimensions (see ``POOL_SPEC``):
+    ``polynomial_chart`` entries are unipotent conjugates of the flat model
+    (degree <= 2), hence integrable and flat; ``nilpotent_chart`` entries
+    are non-integrable 2-step nilpotent charts pushed by a degree-2
+    unipotent map; constant-frame ones come from Jacobi-valid random bracket
+    tables.
     """
-    from bipara import random_structure
-
-    pool = []
-    spec = [
-        ("constant_frame", 1, 6),
-        ("constant_frame", 2, 7),
-        ("constant_frame", 3, 5),
-        ("polynomial_chart", 1, 12),
-        ("polynomial_chart", 2, 12),
-        ("polynomial_chart", 3, 8),
+    return [
+        _pool_entry(kind, n, seed + 1000 * counter + k)
+        for counter, (kind, n, count) in enumerate(POOL_SPEC)
+        for k in range(count)
     ]
-    counter = 0
-    for backend, n, count in spec:
-        for k in range(count):
-            pool.append(random_structure(n, backend, degree=2, seed=seed + 1000 * counter + k))
-        counter += 1
-    return pool
+
+
+@pytest.fixture(scope="session")
+def pool_kinds() -> list[str]:
+    """The ``POOL_SPEC`` kind of each ``generated_pool`` entry, in order."""
+    return [kind for kind, _, count in POOL_SPEC for _ in range(count)]
 
 
 @pytest.fixture(scope="session")

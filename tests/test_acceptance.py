@@ -179,12 +179,9 @@ def test_criterion_4_integrability_biconditional(pool_with_laws, flat_n2, heis, 
 # -- criterion 5 ---------------------------------------------------------------
 
 
-def test_criterion_5_flatness(pool_with_laws, heis):
-    conjugates = [
-        (s, law)
-        for s, law in pool_with_laws
-        if s.context.backend == "polynomial_chart"
-    ]
+def test_criterion_5_flatness(pool_with_laws, pool_kinds, heis):
+    # The flat model's unipotent conjugates, picked by how the pool built them.
+    conjugates = [pair for pair, kind in zip(pool_with_laws, pool_kinds) if kind == "polynomial_chart"]
     assert len(conjugates) >= 20
     for s, law in conjugates:
         assert torsion(law).is_zero
@@ -196,6 +193,13 @@ def test_criterion_5_flatness(pool_with_laws, heis):
     verdict = flatness_verdict(torsion(heis_law), curvature(heis_law))
     assert not verdict.holds
     report("5 flat conjugates are flat; the torsion fixture is not")
+
+
+def test_pool_holds_non_integrable_charts(pool_with_laws):
+    assert any(
+        s.context.backend == "polynomial_chart" and not torsion(law).is_zero
+        for s, law in pool_with_laws
+    )
 
 
 # -- criterion 6 ---------------------------------------------------------------

@@ -259,6 +259,16 @@ def test_equivalent_without_a_polynomial_coframe_uses_the_frame_free_law(
     assert len(frame_free) == (2 if holds else 0)
 
 
+@pytest.mark.parametrize("argv", [["report"], ["connection", "--christoffels"]], ids=["report", "christoffels"])
+def test_frame_without_a_polynomial_inverse_is_named(fixture_dir, tmp_path, capsys, argv):
+    # X_1 and Y_1 of the flat frame scaled by x1: validate accepts the frame,
+    # but its inverse leaves the ring.
+    spec = json.loads((fixture_dir / "flat_n1.json").read_text(encoding="utf-8"))
+    spec["adapted_frame"] = [["x1", "x1"], ["x1", "-x1"]]
+    assert main([*argv, str(write(tmp_path, "spec.json", spec))]) == 1
+    assert "error: adapted_frame: matrix is not polynomially invertible" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "spec_a, spec_b",
     [

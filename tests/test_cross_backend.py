@@ -11,10 +11,10 @@ component is the constant-frame component.
 The Christoffel symbols are coframe pairings of frame brackets, so on such a
 frame they are the structure constants' combinations on both backends.
 
-None of the frames is integrable: the torsion is nonzero on each, and on the
-affine frame the difference tensor and the well-adapted curvature are too.
-The other chart structures of the suites are conjugates of the flat model,
-where all of these vanish.
+Both twins come from ``adapted_structure``; the nilpotent charts are
+``nilpotent_chart`` on the tables of ``conftest.nilpotent_table``.  None of
+the frames is integrable: the torsion is nonzero on each, and on the affine
+frame the difference tensor and the well-adapted curvature are too.
 """
 
 import random
@@ -24,91 +24,35 @@ import pytest
 
 from bipara import (
     BiparaStructure,
-    EndoField,
     PolyMatrix,
     VectorField,
+    adapted_structure,
     algebra_context,
     chart_context,
     lie_bracket,
+    nilpotent_chart,
     parse_poly,
-    poly_matrix_inverse,
 )
 from bipara.cli import Analysis
 from bipara.connections import trace_condition_holds, well_adapted_routes_agree
 from bipara.poly import MultiPoly
+from conftest import nilpotent_table
 
 
-def chart_variables(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n))
+# X1 = d/dx1, X2 = d/dx2 + x1 d/dx1, Y_k = d/dy_k: [X1, X2] = X1
+AFFINE_COLUMNS = [["1", "0", "0", "0"], ["x1", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+AFFINE_TABLE = {(0, 1): (Fraction(1), Fraction(0), Fraction(0), Fraction(0))}
 
 
-def adapted_blocks(n: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """F = diag(I, -I) and P = the block swap in an adapted frame."""
-    dim = 2 * n
-    f = [[Fraction(0)] * dim for _ in range(dim)]
-    p = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(n):
-        f[i][i] = Fraction(1)
-        f[n + i][n + i] = Fraction(-1)
-        p[n + i][i] = Fraction(1)
-        p[i][n + i] = Fraction(1)
-    return f, p
-
-
-def constant_twin(n: int, table: dict) -> BiparaStructure:
-    ctx = algebra_context(2 * n, table)
-    f, p = adapted_blocks(n)
-    return BiparaStructure.validate(
-        EndoField(ctx, PolyMatrix.from_rational_rows(f, ())),
-        EndoField(ctx, PolyMatrix.from_rational_rows(p, ())),
-        adapted_frame=PolyMatrix.identity(2 * n, ()),
-    )
-
-
-def chart_twin(n: int, columns: list[list[str]]) -> BiparaStructure:
-    """The chart structure adapted to the frame whose fields are ``columns``."""
-    variables = chart_variables(n)
-    ctx = chart_context(variables)
-    dim = 2 * n
+def chart_twin(family: str, n: int, table: dict) -> BiparaStructure:
+    """The chart structure adapted to a frame with the structure constants ``table``."""
+    if family == "nilpotent":
+        return nilpotent_chart(n, table)
+    variables = ("x1", "x2", "y1", "y2")
     frame = PolyMatrix.from_rows(
-        [[parse_poly(columns[c][r], variables) for c in range(dim)] for r in range(dim)]
+        [[parse_poly(AFFINE_COLUMNS[c][r], variables) for c in range(4)] for r in range(4)]
     )
-    f, p = adapted_blocks(n)
-    coframe = poly_matrix_inverse(frame)
-    return BiparaStructure.validate(
-        EndoField(ctx, frame @ PolyMatrix.from_rational_rows(f, variables) @ coframe),
-        EndoField(ctx, frame @ PolyMatrix.from_rational_rows(p, variables) @ coframe),
-        adapted_frame=frame,
-    )
-
-
-def nilpotent_frame(n: int, rng: random.Random) -> tuple[list[list[str]], dict]:
-    """X_j = d/dx_j + sum_{i<j} c^k_ij x_i d/dy_k and Y_k = d/dy_k.
-
-    [X_i, X_j] = sum_k c^k_ij Y_k; every c^k_ij with k = (i + j) mod n is
-    nonzero, the others are drawn from {0, 1, -2}.
-    """
-    dim = 2 * n
-    variables = chart_variables(n)
-    columns = [["1" if r == c else "0" for r in range(dim)] for c in range(dim)]
-    table = {}
-    for j in range(n):
-        for i in range(j):
-            coeffs = [Fraction(0)] * dim
-            for k in range(n):
-                c = rng.choice((1, -1, Fraction(1, 2))) if k == (i + j) % n else rng.choice((0, 1, -2))
-                if c:
-                    coeffs[n + k] = Fraction(c)
-                    columns[j][n + k] += f" + ({c})*{variables[i]}"
-            table[(i, j)] = tuple(coeffs)
-    return columns, table
-
-
-AFFINE_FRAME = (
-    # X1 = d/dx1, X2 = d/dx2 + x1 d/dx1, Y_k = d/dy_k: [X1, X2] = X1
-    [["1", "0", "0", "0"], ["x1", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-    {(0, 1): (Fraction(1), Fraction(0), Fraction(0), Fraction(0))},
-)
+    return adapted_structure(chart_context(variables), frame)
 
 
 def _frame_components(s: BiparaStructure, v: VectorField) -> list[Fraction]:
@@ -135,15 +79,15 @@ def _tensor_components(s: BiparaStructure, frame: list[VectorField]) -> dict:
 
 
 _rng = random.Random(1729)
-CASES = [pytest.param("affine", 2, *AFFINE_FRAME, id="affine")] + [
-    pytest.param("nilpotent", n, *nilpotent_frame(n, _rng), id=f"nilpotent_n{n}") for n in (2, 3)
+CASES = [pytest.param("affine", 2, AFFINE_TABLE, id="affine")] + [
+    pytest.param("nilpotent", n, nilpotent_table(n, _rng), id=f"nilpotent_n{n}") for n in (2, 3)
 ]
 
 
-@pytest.mark.parametrize("family, n, columns, table", CASES)
-def test_chart_and_constant_frame_agree_in_the_frame(family, n, columns, table):
-    chart = chart_twin(n, columns)
-    const = constant_twin(n, table)
+@pytest.mark.parametrize("family, n, table", CASES)
+def test_chart_and_constant_frame_agree_in_the_frame(family, n, table):
+    chart = chart_twin(family, n, table)
+    const = adapted_structure(algebra_context(2 * n, table))
     chart_frame = [VectorField(chart.context, chart.adapted_frame.column(c)) for c in range(2 * n)]
     # the frame really has the structure constants of the table
     for a in range(2 * n):
@@ -167,10 +111,10 @@ def _christoffel_values(table) -> list[Fraction]:
     return [c.constant_value() for c in entries]
 
 
-@pytest.mark.parametrize("family, n, columns, table", CASES)
-def test_christoffel_tables_agree_across_backends(family, n, columns, table):
-    on_chart = Analysis(chart_twin(n, columns))
-    on_const = Analysis(constant_twin(n, table))
+@pytest.mark.parametrize("family, n, table", CASES)
+def test_christoffel_tables_agree_across_backends(family, n, table):
+    on_chart = Analysis(chart_twin(family, n, table))
+    on_const = Analysis(adapted_structure(algebra_context(2 * n, table)))
     nonzero = set()
     for kind in ("canonical", "well_adapted"):
         values = _christoffel_values(getattr(on_chart, f"christoffels_{kind}"))
@@ -205,7 +149,7 @@ def test_difference_tensor_routes_agree_off_the_frame(name, request):
     # frame serves; here general fields are split on the fly, and on a chart
     # their polynomial coefficients bring in the derivative terms of brackets.
     if name == "nilpotent_chart":
-        s = chart_twin(3, nilpotent_frame(3, random.Random(1729))[0])
+        s = nilpotent_chart(3, nilpotent_table(3, random.Random(1729)))
     else:
         s = request.getfixturevalue(name)
     diff = Analysis(s).difference

@@ -10,18 +10,20 @@ from bipara.geometry import (
     algebra_context,
     basis_fields,
 )
-from bipara.linalg import PolyMatrix, rat_rank
+from bipara.linalg import LinAlgError, PolyMatrix, rat_rank
 from bipara.poly import MultiPoly
 from bipara.structure import (
     BiparaStructure,
     StructureError,
     adapted_basis,
+    adapted_structure,
     affine_structure,
     classify_triple,
     delta_gl_algebra_membership,
     delta_gl_membership,
     flat_structure,
     heisenberg_structure,
+    nilpotent_chart,
     pushforward_structure,
     random_structure,
     structure_from_alpha,
@@ -88,6 +90,26 @@ def test_projector_rank_is_n(generated_pool):
         else:
             rows = s.projectors.f_plus.matrix.constant_rows()
         assert rat_rank(rows) == s.n
+
+
+@pytest.mark.parametrize("pair, coeffs", [
+    ((1, 1), (0, 0, 1, 0)),  # i >= j
+    ((1, 0), (0, 0, 1, 0)),
+    ((0, 2), (0, 0, 1, 0)),  # j >= n
+    ((0, 1), (0, 0, 1)),  # wrong length
+    ((0, 1), (1, 0, 0, 0)),  # nonzero X coefficient
+])
+def test_nilpotent_chart_rejects_a_table_that_is_not_2_step(pair, coeffs):
+    with pytest.raises(StructureError, match=rf"bracket \({pair[0]}, {pair[1]}\)"):
+        nilpotent_chart(2, {pair: coeffs})
+
+
+def test_adapted_structure_names_a_frame_without_polynomial_inverse():
+    ctx = flat_structure(1).context
+    x1 = MultiPoly.var(ctx.variables, "x1")
+    frame = PolyMatrix.from_rows([[x1, x1], [x1, -x1]])
+    with pytest.raises(LinAlgError, match=r"^adapted_frame: matrix is not polynomially invertible"):
+        adapted_structure(ctx, frame)
 
 
 def test_adapted_basis_simple_model():
