@@ -17,12 +17,18 @@ The well-adapted connection is constructed twice, by independent routes:
 
 The two routes must agree exactly; the acceptance suite enforces this.
 
-Each frame field is projected once per structure: ``BiparaStructure.frame_split``
-holds (F+E_i, F-E_i, P F+E_i, P F-E_i) for every basis field E_i.  The
-canonical law and the two routes of the difference tensor are each one
-function of such split arguments; the frame tables read the cached splits,
-and a general field is split once (``BiparaStructure.split``) and goes
-through the same function.
+Every law is two steps, ``nabla(X, Y) = combine(prepare(X), prepare(Y))``:
+``prepare`` is the work on one argument and ``combine`` the work on a pair.
+A frame table prepares each basis field once and combines the prepared
+basis pairwise, so no per-argument work is repeated per pair:
+
+* the canonical law prepares a field by splitting it,
+  (F+X, F-X, P F+X, P F-X) (``BiparaStructure.split``); its prepared basis
+  is the cached ``BiparaStructure.frame_split``, which the two routes of the
+  difference tensor read as well;
+* a law rebuilt from a Christoffel table prepares X as (X, coframe . X);
+* a pushed law prepares X as the inner law does after pulling X back
+  through the inverse map, and pushes each combined value forward.
 
 Tensor tables (torsion, curvature, covariant derivatives) are computed from
 the cached frame-pair table of a law by Leibniz expansion with exact
@@ -36,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Any, Callable
 
 from .geometry import (
     ContextMismatch,
@@ -77,22 +83,25 @@ class ConnectionLaw:
     """A derivation law usable on arbitrary fields.
 
     ``kind`` is one of ``canonical``, ``well-adapted``, ``custom``.  The law
-    is immutable; the frame-pair table is built once, on first read, and
-    reused by every tensor computation.  ``frame_table`` builds it; without
-    one, the evaluator runs on every frame pair.
+    is ``nabla(X, Y) = combine(prepare(X), prepare(Y))``; ``prepare`` holds
+    the work on one argument and defaults to passing the field through, so a
+    plain two-argument evaluator is a law as it stands.  The law is
+    immutable; the frame-pair table is built once, on first read, from the
+    prepared basis (each basis field prepared once) and reused by every
+    tensor computation.
     """
 
     def __init__(
         self,
         structure: BiparaStructure,
         kind: str,
-        evaluator: Callable[[VectorField, VectorField], VectorField],
-        frame_table: Callable[[], tuple] | None = None,
+        combine: Callable[[Any, Any], VectorField],
+        prepare: Callable[[VectorField], Any] = lambda field: field,
     ):
         self.structure = structure
         self.kind = kind
-        self._evaluator = evaluator
-        self._frame_table = frame_table
+        self.combine = combine
+        self.prepare = prepare
 
     @property
     def context(self) -> FrameContext:
@@ -101,14 +110,17 @@ class ConnectionLaw:
     def nabla(self, x: VectorField, y: VectorField) -> VectorField:
         if x.context != self.context or y.context != self.context:
             raise ContextMismatch("fields do not live on the connection's context")
-        return self._evaluator(x, y)
+        return self.combine(self.prepare(x), self.prepare(y))
+
+    @cached_property
+    def prepared_basis(self) -> tuple:
+        """``prepare(E_i)`` for each basis field, built once."""
+        return tuple(self.prepare(e) for e in self.structure.basis)
 
     @cached_property
     def frame_table(self) -> tuple[tuple[VectorField, ...], ...]:
         """nabla_{E_i} E_j for all frame pairs."""
-        if self._frame_table is not None:
-            return self._frame_table()
-        return _pair_table(self._evaluator, self.structure.basis)
+        return _pair_table(self.combine, self.prepared_basis)
 
     def cells(self):
         """((i, j), nabla_{E_i} E_j) over all frame pairs, in index order."""
@@ -146,12 +158,11 @@ def canonical_connection(s: BiparaStructure) -> ConnectionLaw:
         minus_part = fm.apply(lie_bracket(xp, ym) + p.apply(lie_bracket(xm, pym)))
         return plus_part + minus_part
 
-    return ConnectionLaw(
-        s,
-        "canonical",
-        lambda x, y: split_law(s.split(x), s.split(y)),
-        frame_table=lambda: _pair_table(split_law, s.frame_split),
-    )
+    law = ConnectionLaw(s, "canonical", split_law, prepare=s.split)
+    # The frame fields' splits are cached on the structure, read off the
+    # projector columns.
+    law.prepared_basis = s.frame_split
+    return law
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +450,17 @@ def connection_from_table(
 
     frame_table = [row(coeffs) for coeffs in table.xx + table.yx]
 
-    def law(x: VectorField, y: VectorField) -> VectorField:
-        xs = coframe.matvec(list(x.components))
-        ys = coframe.matvec(list(y.components))
+    def with_coframe(x: VectorField):
+        """(X, coframe . X): the field and its adapted-frame components."""
+        return x, coframe.matvec(list(x.components))
+
+    def law(prepared_x, prepared_y) -> VectorField:
+        x, xs = prepared_x
+        _, ys = prepared_y
         moved = VectorField(ctx, frame.matvec([directional_derivative(x, c) for c in ys]))
         return moved + _contract(ctx, frame_table, xs, ys)
 
-    return ConnectionLaw(s, kind, law)
+    return ConnectionLaw(s, kind, law, prepare=with_coframe)
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +571,10 @@ def well_adapted_routes_agree(frame_free: ConnectionLaw, christoffels: Christoff
     """Cross-validate the two well-adapted constructions on frame pairs."""
     s = frame_free.structure
     via_table = connection_from_table(s, christoffels, kind="well-adapted")
-    basis = s.basis
-    mismatch = _first_pair_mismatch(frame_free.frame_table, lambda i, j: via_table.nabla(basis[i], basis[j]))
+    prepared = via_table.prepared_basis
+    mismatch = _first_pair_mismatch(
+        frame_free.frame_table, lambda i, j: via_table.combine(prepared[i], prepared[j])
+    )
     return mismatch is None
 
 
@@ -593,13 +610,18 @@ def pushforward_connection(
 
     ``target_structure`` is the structure the law lives on after the push,
     validated by the caller (``pushforward_structure`` gives it for ``law.structure``).
+    A field is pulled back and prepared by ``law`` once; each combined value
+    is pushed forward.  The pulled fields live on ``law.context``, checked
+    here, so they need no second context check.
     """
     if law.context != m.source:
         raise ContextMismatch("connection does not live on the map source")
     back = m.inverted()
 
-    def pushed(x: VectorField, y: VectorField) -> VectorField:
-        pulled = law.nabla(pushforward_vector(back, x), pushforward_vector(back, y))
-        return pushforward_vector(m, pulled)
+    def pull_and_prepare(x: VectorField):
+        return law.prepare(pushforward_vector(back, x))
 
-    return ConnectionLaw(target_structure, law.kind, pushed)
+    def pushed(prepared_x, prepared_y) -> VectorField:
+        return pushforward_vector(m, law.combine(prepared_x, prepared_y))
+
+    return ConnectionLaw(target_structure, law.kind, pushed, prepare=pull_and_prepare)

@@ -550,15 +550,22 @@ class PolyMap:
         matrices over a commutative ring (and survives substituting
         ``forward``); and the inverse of a bracket-preserving isomorphism
         preserves brackets.
+
+        Its ``jacobian_of_inverse`` (this map's J, substituted) is built on
+        first read: pushing vector fields reads only ``jacobian_at_inverse``.
         """
-        sub = self._sub_forward
         back = object.__new__(PolyMap)
         back.source, back.target = self.target, self.source
         back.forward, back.inverse = self.inverse, self.forward
         back._sub_inverse, back._sub_forward = self._sub_forward, self._sub_inverse
-        back.jacobian_at_inverse = self.jacobian_of_inverse.substitute(sub)
-        back.jacobian_of_inverse = self.jacobian_at_inverse.substitute(sub)
+        back._inverted_from = self
+        back.jacobian_at_inverse = self.jacobian_of_inverse.substitute(self._sub_forward)
         return back
+
+    @cached_property
+    def jacobian_of_inverse(self) -> PolyMatrix:
+        """K = D(inverse): set by ``__init__``; an ``inverted()`` map builds it here."""
+        return self._inverted_from.jacobian_at_inverse.substitute(self._sub_inverse)
 
 
 def _square_rows(name: str, rows, dim: int) -> list[list[Fraction]]:

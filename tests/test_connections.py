@@ -26,11 +26,15 @@ from bipara.geometry import ContextMismatch, VectorField, algebra_context, basis
 from bipara.poly import parse_poly
 from bipara.structure import (
     StructureError,
+    _random_isomorphism,
+    affine_structure,
     flat_structure,
+    nilpotent_chart,
     pushforward_structure,
     random_structure,
     random_unipotent_map,
 )
+from conftest import nilpotent_table
 
 
 def fields(s):
@@ -512,6 +516,54 @@ def test_pushforward_of_flat_connection_stays_flat():
     pushed = pushforward_connection(m, canonical_connection(base), target_structure=target)
     assert torsion(pushed).is_zero
     assert curvature(pushed).is_zero
+
+
+def _source_map_target(kind):
+    """A structure, an equivalence m out of it and the structure m carries it to.
+
+    ``chart`` is a non-integrable n = 2 nilpotent chart pushed by a unipotent
+    map (one chart context at both ends); ``affine`` is ``affine_structure``
+    carried onto another algebra context.
+    """
+    rng = random.Random(2718)
+    if kind == "chart":
+        source = nilpotent_chart(2, nilpotent_table(2, rng))
+        m = random_unipotent_map(source.context, 2, rng)
+    else:
+        source = affine_structure()
+        m = _random_isomorphism(source.context, rng)
+    return source, m, pushforward_structure(m, source)
+
+
+PREPARED_LAWS = {
+    "canonical": lambda source, m, target: canonical_connection(target),
+    "table": lambda source, m, target: connection_from_table(target, canonical_christoffels(target)),
+    "pushed": lambda source, m, target: pushforward_connection(
+        m, connection_from_table(source, canonical_christoffels(source)), target_structure=target
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["chart", "affine"])
+@pytest.mark.parametrize("law_name", sorted(PREPARED_LAWS))
+def test_prepared_frame_table_equals_the_law_on_each_pair(kind, law_name):
+    # The table prepares each basis field once; nabla prepares both arguments per call.
+    source, m, target = _source_map_target(kind)
+    law = PREPARED_LAWS[law_name](source, m, target)
+    basis = target.basis
+    for (i, j), cell in law.cells():
+        assert cell == law.nabla(basis[i], basis[j])
+    assert law.frame_table == canonical_connection(target).frame_table
+
+
+def test_pushed_law_rejects_fields_of_the_source_context():
+    source, m, target = _source_map_target("affine")
+    assert m.source != m.target
+    pushed = PREPARED_LAWS["pushed"](source, m, target)
+    with pytest.raises(ContextMismatch):
+        pushed.nabla(source.basis[0], target.basis[1])
+    with pytest.raises(ContextMismatch):
+        pushed.nabla(target.basis[0], source.basis[1])
 
 
 def test_endo_covariant_derivative_definition(heis, aff):

@@ -30,10 +30,12 @@ from bipara.structure import (
     _random_isomorphism,
     affine_structure,
     flat_structure,
+    nilpotent_chart,
     pushforward_structure,
     random_structure,
     random_unipotent_map,
 )
+from conftest import nilpotent_table
 
 
 def test_verdict_witness_discipline():
@@ -131,14 +133,18 @@ def test_equivalence_identity_and_conjugate(flat_n2):
     assert equivalence_check(flat_n2, target, m).holds
 
 
-BACKENDS = pytest.mark.parametrize("backend", ["polynomial_chart", "constant_frame"])
+# Integrable charts and constant frames, and a non-integrable nilpotent chart.
+SOURCES = pytest.mark.parametrize("kind", ["polynomial_chart", "constant_frame", "nilpotent_chart"])
 
 
-def _equivalent_pair(backend):
+def _equivalent_pair(kind):
     """A freshly built structure, an equivalence m and the structure m carries it to."""
     rng = random.Random(4242)
-    if backend == "polynomial_chart":
-        source = random_structure(2, backend, degree=2, seed=31)
+    if kind == "polynomial_chart":
+        source = random_structure(2, kind, degree=2, seed=31)
+        m = random_unipotent_map(source.context, 2, rng)
+    elif kind == "nilpotent_chart":
+        source = nilpotent_chart(2, nilpotent_table(2, rng))
         m = random_unipotent_map(source.context, 2, rng)
     else:
         source = affine_structure()
@@ -146,9 +152,9 @@ def _equivalent_pair(backend):
     return source, m, pushforward_structure(m, source)
 
 
-@BACKENDS
-def test_equivalence_compares_table_route_laws_without_projectors(backend):
-    source, m, target = _equivalent_pair(backend)
+@SOURCES
+def test_equivalence_compares_table_route_laws_without_projectors(kind):
+    source, m, target = _equivalent_pair(kind)
     assert equivalence_check(source, target, m).holds
     # Nothing on this path reads the eigenprojectors or J, so none were built.
     for s in (source, target):
@@ -156,9 +162,9 @@ def test_equivalence_compares_table_route_laws_without_projectors(backend):
         assert "J" not in s.__dict__
 
 
-@BACKENDS
-def test_equivalence_check_fails_on_a_perturbed_target_table(backend, monkeypatch):
-    source, m, target = _equivalent_pair(backend)
+@SOURCES
+def test_equivalence_check_fails_on_a_perturbed_target_table(kind, monkeypatch):
+    source, m, target = _equivalent_pair(kind)
     original = diagnostics.canonical_christoffels
 
     def perturbed(s):

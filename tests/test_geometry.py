@@ -337,6 +337,22 @@ def test_inverted_equals_the_validated_inverse(kind, seed):
     assert back.jacobian_of_inverse == fresh.jacobian_of_inverse
 
 
+@MAP_KINDS
+def test_inverted_builds_its_inverse_jacobian_on_first_read(kind, seed):
+    # Pushing a vector field reads only jacobian_at_inverse, so K is not built.
+    m, _ = _map_pair(kind, seed)
+    back = m.inverted()
+    vector, _, _ = _random_tensors(m.target, random.Random(seed))
+    pushforward_vector(back, vector)
+    assert "jacobian_of_inverse" not in back.__dict__
+    if m.forward:
+        fresh = PolyMap(m.target, m.source, forward=m.inverse, inverse=m.forward)
+    else:
+        fresh = PolyMap(m.target, m.source, matrix=m.jacobian_of_inverse.constant_rows())
+    assert back.jacobian_of_inverse == fresh.jacobian_of_inverse
+    assert "jacobian_of_inverse" in back.__dict__
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_chart_jacobians_of_inverted_and_composite_are_those_of_their_coordinates(seed):
     f, g = _map_pair("chart", seed)
