@@ -37,6 +37,7 @@ from .connections import (
 )
 from .diagnostics import (
     Verdict,
+    coframe_error,
     equivalence_check,
     first_prolongation_dim,
     flatness_verdict,
@@ -646,7 +647,10 @@ def cmd_report(args) -> dict:
         "fn_bracket_FP": _cells_json(a.concomitant("FP").items()),
     }
     classification = {"triple_kind": classify_triple(s.F, s.P)}
-    if s.adapted_frame is not None:
+    frame_error = coframe_error(s)
+    if frame_error is not None:
+        warnings.append(f"Christoffel tables and frame verdicts left out: {frame_error}")
+    elif s.adapted_frame is not None:
         tensors["christoffels_canonical"] = _christoffel_json(a.christoffels_canonical)
         tensors["christoffels_well_adapted"] = _christoffel_json(a.christoffels_well_adapted)
         routes_ok = well_adapted_routes_agree(a.well_adapted, a.christoffels_well_adapted)

@@ -131,6 +131,8 @@ class ConnectionLaw:
         ctx = self.context
         if w.context is not ctx and w.context != ctx:
             raise ContextMismatch("field does not live on the connection's context")
+        if w.is_zero:
+            return ctx.zero_field
         table = self.frame_table
         out = [ctx.zero] * ctx.dim
         for m, wm in enumerate(w.components):

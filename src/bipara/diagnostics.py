@@ -53,6 +53,7 @@ __all__ = [
     "InconsistencyError",
     "InvariantCount",
     "Verdict",
+    "coframe_error",
     "commutant_check",
     "equivalence_check",
     "first_prolongation_dim",
@@ -268,6 +269,22 @@ def flatness_verdict(t: TorsionTensor, r: CurvatureTensor) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def coframe_error(s: BiparaStructure) -> LinAlgError | None:
+    """Why the adapted frame of ``s`` has no polynomial inverse, or None.
+
+    None as well when ``s`` has no adapted frame.  A frame can certify the
+    structure and still have an inverse outside the ring; then no
+    Christoffel table exists on it.
+    """
+    if s.adapted_frame is None:
+        return None
+    try:
+        s.coframe
+    except LinAlgError as err:
+        return err
+    return None
+
+
 def _canonical_law(s: BiparaStructure) -> ConnectionLaw:
     """The canonical law of ``s``, through its adapted-frame Christoffel table.
 
@@ -276,11 +293,7 @@ def _canonical_law(s: BiparaStructure) -> ConnectionLaw:
     frame, or when the frame has no polynomial inverse, the law is the
     frame-free one.
     """
-    if s.adapted_frame is None:
-        return canonical_connection(s)
-    try:
-        s.coframe
-    except LinAlgError:
+    if s.adapted_frame is None or coframe_error(s) is not None:
         return canonical_connection(s)
     return connection_from_table(s, canonical_christoffels(s), kind="canonical")
 

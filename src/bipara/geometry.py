@@ -12,7 +12,12 @@ Two backends share one interface and every kernel; they differ only in data:
 A context keeps its ring's zero once, as ``FrameContext.zero`` (the shared
 ``MultiPoly.zero(variables)`` instance), and its zero field once, as
 ``FrameContext.zero_field``; every kernel takes its zero scalars and fields
-from these two.  [E_i, E_j] is ``FrameContext.basis_bracket(i, j)``,
+from these two.  A zero operand short-circuits at the field layer, as the
+ring's zero does in ``MultiPoly``: ``+``, ``-`` and ``scale`` return an
+operand (or its negation) as it is, and ``EndoField.apply``,
+``lie_bracket`` and ``ConnectionLaw.nabla_of_field`` return the context's
+zero field, each after its context check (and ``scale`` after its check of
+the factor).  [E_i, E_j] is ``FrameContext.basis_bracket(i, j)``,
 read off the structure constants; ``lie_bracket`` brackets arbitrary fields.
 
 A diffeomorphism (:class:`PolyMap`) is the same data on both backends: its
@@ -223,24 +228,46 @@ class VectorField:
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_context(self, other)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         return VectorField._trusted(self.context, [a + b for a, b in zip(self.components, other.components)])
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         _require_same_context(self, other)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return -other
         return VectorField._trusted(self.context, [a - b for a, b in zip(self.components, other.components)])
 
     def __neg__(self) -> "VectorField":
+        if self.is_zero:
+            return self
         return VectorField._trusted(self.context, [-a for a in self.components])
 
     def scale(self, factor) -> "VectorField":
-        """Multiply by a polynomial or rational scalar."""
+        """Multiply by a polynomial or rational scalar.
+
+        A zero field returns itself, after the factor has passed the ring's
+        check on one zero component, so a bad factor raises as it does on
+        any other field.
+        """
+        zero = self.is_zero
+        components = (self.context.zero,) if zero else self.components
         if isinstance(factor, MultiPoly):
-            return VectorField._trusted(self.context, [factor * a for a in self.components])
-        return VectorField._trusted(self.context, [a.scale(factor) for a in self.components])
+            scaled = [factor * a for a in components]
+        else:
+            scaled = [a.scale(factor) for a in components]
+        return self if zero else VectorField._trusted(self.context, scaled)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
+        for c in self.components:
+            if c.terms:
+                return False
+        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
@@ -283,8 +310,10 @@ class EndoField:
         return cls(context, PolyMatrix.identity(context.dim, context.variables))
 
     def apply(self, x: VectorField) -> VectorField:
-        _require_same_context(self, x)
-        return VectorField._trusted(self.context, self.matrix.matvec(list(x.components)))
+        ctx = _require_same_context(self, x)
+        if x.is_zero:
+            return ctx.zero_field
+        return VectorField._trusted(ctx, self.matrix.matvec(list(x.components)))
 
     def compose(self, other: "EndoField") -> "EndoField":
         """self after other (matrix product self.matrix @ other.matrix)."""

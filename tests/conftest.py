@@ -110,3 +110,29 @@ def pool_kinds() -> list[str]:
 @pytest.fixture(scope="session")
 def generated_pool(suite_seed):
     return structure_pool(suite_seed)
+
+
+@pytest.fixture(scope="session")
+def pool_entry_of_kind(generated_pool, pool_kinds) -> dict:
+    """The first ``generated_pool`` entry of each ``POOL_SPEC`` kind with n >= 2."""
+    entries = {}
+    for kind, s in zip(pool_kinds, generated_pool):
+        if s.dim >= 4:
+            entries.setdefault(kind, s)
+    return entries
+
+
+def zero_shortcut_operands(s) -> list:
+    """Fields of ``s`` for the zero-operand tests: the shared and a built zero
+    field, the first and last frame fields and all of their ``frame_split`` parts."""
+    from bipara.geometry import VectorField
+
+    ctx = s.context
+    return [
+        ctx.zero_field,
+        VectorField.from_rationals(ctx, [0] * ctx.dim),
+        s.basis[0],
+        s.basis[-1],
+        *s.frame_split[0],
+        *s.frame_split[-1],
+    ]

@@ -259,14 +259,35 @@ def test_equivalent_without_a_polynomial_coframe_uses_the_frame_free_law(
     assert len(frame_free) == (2 if holds else 0)
 
 
-@pytest.mark.parametrize("argv", [["report"], ["connection", "--christoffels"]], ids=["report", "christoffels"])
-def test_frame_without_a_polynomial_inverse_is_named(fixture_dir, tmp_path, capsys, argv):
+def _flat_n1_with_frame_scaled_by_x1(fixture_dir) -> dict:
     # X_1 and Y_1 of the flat frame scaled by x1: validate accepts the frame,
     # but its inverse leaves the ring.
     spec = json.loads((fixture_dir / "flat_n1.json").read_text(encoding="utf-8"))
     spec["adapted_frame"] = [["x1", "x1"], ["x1", "-x1"]]
+    return spec
+
+
+@pytest.mark.parametrize("argv", [["connection", "--christoffels"]], ids=["christoffels"])
+def test_frame_without_a_polynomial_inverse_is_named(fixture_dir, tmp_path, capsys, argv):
+    spec = _flat_n1_with_frame_scaled_by_x1(fixture_dir)
     assert main([*argv, str(write(tmp_path, "spec.json", spec))]) == 1
     assert "error: adapted_frame: matrix is not polynomially invertible" in capsys.readouterr().err
+
+
+def test_report_leaves_out_the_tables_of_a_frame_without_polynomial_inverse(fixture_dir, tmp_path, capsys):
+    spec = _flat_n1_with_frame_scaled_by_x1(fixture_dir)
+    assert main(["report", str(write(tmp_path, "spec.json", spec))]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del spec["adapted_frame"]
+    assert main(["report", str(write(tmp_path, "frameless.json", spec))]) == 0
+    frameless = json.loads(capsys.readouterr().out)
+    # Reported as a spec without a frame: no Christoffel tables, no frame verdicts.
+    assert payload["tensors"] == frameless["tensors"]
+    assert payload["verdicts"] == frameless["verdicts"]
+    assert payload["classification"] == frameless["classification"]
+    assert frameless["warnings"] == []
+    [warning] = payload["warnings"]
+    assert "adapted_frame: matrix is not polynomially invertible" in warning
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,15 @@ from bipara.connections import (
     well_adapted_connection,
     well_adapted_routes_agree,
 )
-from bipara.geometry import ContextMismatch, VectorField, algebra_context, basis_fields, lie_bracket
+from bipara.diagnostics import coframe_error
+from bipara.geometry import (
+    ContextMismatch,
+    VectorField,
+    algebra_context,
+    basis_fields,
+    chart_context,
+    lie_bracket,
+)
 from bipara.poly import parse_poly
 from bipara.structure import (
     StructureError,
@@ -34,7 +42,7 @@ from bipara.structure import (
     random_structure,
     random_unipotent_map,
 )
-from conftest import nilpotent_table
+from conftest import nilpotent_table, zero_shortcut_operands
 
 
 def fields(s):
@@ -580,3 +588,38 @@ def test_endo_covariant_derivative_definition(heis, aff):
                             law.nabla(basis[i], basis[j])
                         )
                         assert table[i][j] == expected
+
+
+def _nabla_of_field_componentwise(law, i, w):
+    """nabla_{E_i} W by Leibniz expansion over every component, zero or not."""
+    ctx = law.context
+    out = [ctx.zero] * ctx.dim
+    for m, wm in enumerate(w.components):
+        out[m] = out[m] + ctx.frame_derivative(i, wm)
+        for t, comp in enumerate(law.frame_table[i][m].components):
+            out[t] = out[t] + wm * comp
+    return VectorField(ctx, out)
+
+
+def _laws_of(s):
+    laws = [canonical_connection(s)]
+    if s.adapted_frame is not None and coframe_error(s) is None:
+        laws.append(connection_from_table(s, canonical_christoffels(s)))
+    return laws
+
+
+@pytest.mark.parametrize("kind", ["constant_frame", "polynomial_chart", "nilpotent_chart"])
+def test_nabla_of_a_zero_field_equals_the_componentwise_result(pool_entry_of_kind, kind):
+    s = pool_entry_of_kind[kind]
+    ctx = s.context
+    other = chart_context([f"u{k}" for k in range(ctx.dim)]).zero_field
+    for law in _laws_of(s):
+        for w in zero_shortcut_operands(s):
+            for i in range(ctx.dim):
+                result = law.nabla_of_field(i, w)
+                expected = _nabla_of_field_componentwise(law, i, w)
+                assert result == expected and hash(result) == hash(expected)
+        assert law.nabla_of_field(0, ctx.zero_field) is ctx.zero_field
+        # A zero field of another context takes no shortcut past the context check.
+        with pytest.raises(ContextMismatch):
+            law.nabla_of_field(0, other)

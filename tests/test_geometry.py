@@ -32,6 +32,7 @@ from bipara.structure import (
     heisenberg_structure,
     random_unipotent_map,
 )
+from conftest import zero_shortcut_operands
 
 CHART = chart_context(("x1", "x2", "y1", "y2"))
 
@@ -547,3 +548,66 @@ def test_zero_operand_bracket_equals_the_full_computation(ctx):
         assert lie_bracket(x - x, y) == full == zero
         assert lie_bracket(y, zero) == full
         assert hash(lie_bracket(zero, y)) == hash(zero)
+
+
+# A zero operand short-circuits in the field operations; every result still
+# equals the one built component by component through the checking constructor.
+
+POOL_KINDS = pytest.mark.parametrize("kind", ["constant_frame", "polynomial_chart", "nilpotent_chart"])
+
+
+def _assert_same_field(result, expected):
+    assert result == expected and hash(result) == hash(expected)
+
+
+@POOL_KINDS
+def test_zero_operand_shortcuts_equal_the_componentwise_results(pool_entry_of_kind, kind):
+    s = pool_entry_of_kind[kind]
+    ctx = s.context
+    operands = zero_shortcut_operands(s)
+    factors = [Fraction(-2, 3), 0, 1, ctx.zero, MultiPoly.const(ctx.variables, 3)]
+    factors += [MultiPoly.var(ctx.variables, name) for name in ctx.variables[:1]]
+    endos = (s.F, s.P, s.projectors.f_plus)
+    for x in operands:
+        _assert_same_field(-x, VectorField(ctx, [-a for a in x.components]))
+        for c in factors:
+            if isinstance(c, MultiPoly):
+                expected = [c * a for a in x.components]
+            else:
+                expected = [a.scale(c) for a in x.components]
+            _assert_same_field(x.scale(c), VectorField(ctx, expected))
+        for e in endos:
+            _assert_same_field(e.apply(x), VectorField(ctx, e.matrix.matvec(list(x.components))))
+        for y in operands:
+            _assert_same_field(x + y, VectorField(ctx, [a + b for a, b in zip(x.components, y.components)]))
+            _assert_same_field(x - y, VectorField(ctx, [a - b for a, b in zip(x.components, y.components)]))
+    # The shortcut hands back an operand, or the context's zero field.
+    zero, x = ctx.zero_field, s.basis[0]
+    assert x + zero is x and zero + x is x and x - zero is x
+    assert -zero is zero and zero.scale(Fraction(1, 2)) is zero
+    assert s.F.apply(zero) is zero
+
+
+@POOL_KINDS
+def test_zero_operand_of_another_context_still_raises(pool_entry_of_kind, kind):
+    s = pool_entry_of_kind[kind]
+    ctx = s.context
+    other = chart_context([f"u{k}" for k in range(ctx.dim)]).zero_field
+    for a, b in ((s.basis[0], other), (other, s.basis[0]), (ctx.zero_field, other)):
+        with pytest.raises(ContextMismatch):
+            a + b
+        with pytest.raises(ContextMismatch):
+            a - b
+    with pytest.raises(ContextMismatch):
+        s.F.apply(other)
+    with pytest.raises(ContextMismatch):
+        EndoField.identity(other.context).apply(ctx.zero_field)
+
+
+@POOL_KINDS
+def test_scaling_a_zero_field_still_checks_the_factor(pool_entry_of_kind, kind):
+    ctx = pool_entry_of_kind[kind].context
+    foreign = (MultiPoly.var(("u", "v"), "u"), MultiPoly.const(ctx.variables + ("w",), 1))
+    for bad in ("x", 0.5, *foreign):
+        with pytest.raises(PolyError):
+            ctx.zero_field.scale(bad)
