@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 mathematical validation or applicability failure
 (the failed identity is named on stderr), 2 malformed input (JSON, schema or
-expression syntax, with positions where available).  Unknown flags also exit
-with 2 via argparse.
+expression syntax, with positions where available) or an output path that
+cannot be written.  Unknown flags also exit with 2 via argparse.
 
 Output is canonical JSON (sorted keys, LF line endings, canonical polynomial
 strings) so repeated runs are byte-identical; ``--text`` switches to an
@@ -62,7 +62,7 @@ from .geometry import (
 from .linalg import LinAlgError, PolyMatrix, rat_signature
 from .metrics import MetricError, bi_lagrangian_assembly, classify_metric
 from .poly import PolyParseError, parse_poly
-from .structure import BiparaStructure, StructureError, classify_triple
+from .structure import BiparaStructure, StructureError
 
 __all__ = ["Analysis", "SchemaError", "StructureSpec", "load_spec", "main"]
 
@@ -308,14 +308,6 @@ class Analysis:
     def well_adapted(self) -> ConnectionLaw:
         return well_adapted_connection(self.difference)
 
-    @cached_property
-    def christoffels_canonical(self) -> ChristoffelTable:
-        return canonical_christoffels(self.s)
-
-    @cached_property
-    def christoffels_well_adapted(self) -> ChristoffelTable:
-        return well_adapted_christoffels(self.s)
-
     def law(self, kind: str) -> ConnectionLaw:
         if kind == "canonical":
             return self.canonical
@@ -328,6 +320,11 @@ class Analysis:
 
     def curvature(self, kind: str) -> CurvatureTensor:
         return self._once(("curvature", kind), lambda: curvature(self.law(kind)))
+
+    def christoffels(self, kind: str) -> ChristoffelTable:
+        """The adapted-frame table of the ``kind`` law, built from the frame alone."""
+        builders = {"canonical": canonical_christoffels, "well-adapted": well_adapted_christoffels}
+        return self._once(("christoffels", kind), lambda: builders[kind](self.s))
 
     def concomitant(self, tensor: str) -> dict:
         """The N_F (``F``), N_P (``P``) or [F, P] (``FP``) table on pairs i < j."""
@@ -400,7 +397,10 @@ def emit(payload: dict, out_path: str | None, as_text: bool) -> None:
     else:
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
-        Path(out_path).write_text(body, encoding="utf-8", newline="\n")
+        try:
+            Path(out_path).write_text(body, encoding="utf-8", newline="\n")
+        except OSError as err:
+            raise SchemaError(f"cannot write {out_path}: {err}") from err
     else:
         sys.stdout.write(body)
 
@@ -437,37 +437,66 @@ def _text_lines(value, prefix: str = "") -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand implementations: one builder per payload section, and ``report``
+# joins the sections that the other subcommands print
 # ---------------------------------------------------------------------------
 
 
-def _load_and_build(path: str) -> tuple[StructureSpec, BiparaStructure]:
-    spec = load_spec(path)
-    return spec, build_structure(spec)
-
-
 def _load_analysis(path: str) -> tuple[StructureSpec, Analysis]:
-    spec, s = _load_and_build(path)
-    return spec, Analysis(s)
+    spec = load_spec(path)
+    return spec, Analysis(build_structure(spec))
 
 
-def _christoffel_json(table) -> dict:
-    out = {"xx": {}, "yx": {}}
-    n = table.n
-    for h in range(n):
-        for a in range(n):
-            for i in range(n):
-                value = table.xx[h][a][i]
-                if not value.is_zero:
-                    out["xx"][f"[{h + 1},{a + 1}]^{i + 1}"] = str(value)
-                value = table.yx[h][a][i]
-                if not value.is_zero:
-                    out["yx"][f"[{h + 1},{a + 1}]^{i + 1}"] = str(value)
+def _christoffel_json(table: ChristoffelTable) -> dict:
+    out = {}
+    for name, block in (("xx", table.xx), ("yx", table.yx)):
+        out[name] = {}
+        for h, plane in enumerate(block):
+            for a, row in enumerate(plane):
+                for i, value in enumerate(row):
+                    if not value.is_zero:
+                        out[name][f"[{h + 1},{a + 1}]^{i + 1}"] = str(value)
     return out
 
 
+def _integrability_and_flatness(a: Analysis, concomitants) -> list[Verdict]:
+    t = a.torsion("canonical")
+    return [
+        integrability_verdict(a.s, concomitants, t),
+        flatness_verdict(t, a.curvature("canonical")),
+    ]
+
+
+def _verdict(name: str, holds: bool, reason: str) -> Verdict:
+    return Verdict(name, holds, None if holds else {"reason": reason})
+
+
+def _metric_class_json(spec: StructureSpec, s: BiparaStructure) -> dict:
+    """Classify at the origin; add signatures at any user-supplied seed points."""
+    metric = BilinearField(s.context, spec.metric)
+    out = classify_metric(s, metric).to_json()
+    if spec.seed_points:
+        out["seed_point_signatures"] = [
+            list(rat_signature(metric.matrix.evaluate(list(point))))
+            for point in spec.seed_points
+        ]
+    return out
+
+
+def _bilagrangian_json(spec: StructureSpec, s: BiparaStructure) -> tuple[BilinearField, dict]:
+    """The metric G, and J, P and the verdicts of the assembly; ``MetricError`` names a bad H."""
+    big_g, j_endo, p_endo, verdicts = bi_lagrangian_assembly(
+        BilinearField(s.context, spec.omega), s.F, BilinearField(s.context, spec.h_matrix)
+    )
+    return big_g, {
+        "J": _matrix_json(j_endo.matrix),
+        "P": _matrix_json(p_endo.matrix),
+        "verdicts": [verdicts[k].to_json() for k in sorted(verdicts)],
+    }
+
+
 def cmd_validate(args) -> dict:
-    spec, _ = _load_and_build(args.spec)
+    spec, _ = _load_analysis(args.spec)
     return {
         "spec": _spec_echo(spec),
         "verdicts": [Verdict("structure_valid", True).to_json()],
@@ -477,19 +506,14 @@ def cmd_validate(args) -> dict:
 
 def cmd_connection(args) -> dict:
     _, a = _load_analysis(args.spec)
-    s = a.s
-    law = a.law(args.kind)
     payload = {
         "kind": args.kind,
-        "frame_derivatives": _cells_json(law.cells()),
+        "frame_derivatives": _cells_json(a.law(args.kind).cells()),
     }
     if args.christoffels:
-        if s.adapted_frame is None:
+        if a.s.adapted_frame is None:
             raise MathValidationError("--christoffels requires an adapted_frame in the spec")
-        table = (
-            a.christoffels_canonical if args.kind == "canonical" else a.christoffels_well_adapted
-        )
-        payload["christoffels"] = _christoffel_json(table)
+        payload["christoffels"] = _christoffel_json(a.christoffels(args.kind))
     return payload
 
 
@@ -522,35 +546,15 @@ def cmd_nijenhuis(args) -> dict:
 
 def cmd_classify(args) -> dict:
     spec, a = _load_analysis(args.spec)
-    s = a.s
-    t = a.torsion("canonical")
     # Lazy concomitants: the verdict stops at the first nonzero pair of each.
-    concomitants = tuple(_concomitant_pairs(s, tensor) for tensor in ("F", "P", "FP"))
+    concomitants = tuple(_concomitant_pairs(a.s, tensor) for tensor in ("F", "P", "FP"))
     payload = {
-        "triple_kind": classify_triple(s.F, s.P),
-        "verdicts": [
-            integrability_verdict(s, concomitants, t).to_json(),
-            flatness_verdict(t, a.curvature("canonical")).to_json(),
-        ],
+        "triple_kind": a.s.triple_kind,
+        "verdicts": [v.to_json() for v in _integrability_and_flatness(a, concomitants)],
     }
     if spec.metric is not None:
-        metric = BilinearField(s.context, spec.metric)
-        try:
-            payload["metric_class"] = _metric_class_json(spec, s, metric)
-        except MetricError as err:
-            raise MathValidationError(str(err)) from err
+        payload["metric_class"] = _metric_class_json(spec, a.s)
     return payload
-
-
-def _metric_class_json(spec: StructureSpec, s: BiparaStructure, metric: BilinearField) -> dict:
-    """Classify at the origin; add signatures at any user-supplied seed points."""
-    out = classify_metric(s, metric).to_json()
-    if spec.seed_points:
-        out["seed_point_signatures"] = [
-            list(rat_signature(metric.matrix.evaluate(list(point))))
-            for point in spec.seed_points
-        ]
-    return out
 
 
 def _load_map(path: str, source: FrameContext, target: FrameContext) -> PolyMap:
@@ -569,8 +573,8 @@ def _load_map(path: str, source: FrameContext, target: FrameContext) -> PolyMap:
 
 
 def cmd_equivalent(args) -> dict:
-    _, sa = _load_and_build(args.spec_a)
-    _, sb = _load_and_build(args.spec_b)
+    sa = build_structure(load_spec(args.spec_a))
+    sb = build_structure(load_spec(args.spec_b))
     # Before the map is parsed: its shape and variables depend on the endpoints.
     if sa.context.backend != sb.context.backend or sa.dim != sb.dim:
         raise MathValidationError(f"{args.map}: map endpoints must share backend and dimension")
@@ -609,32 +613,18 @@ def cmd_invariants(args) -> dict:
 
 
 def cmd_bilagrangian(args) -> dict:
-    spec, s = _load_and_build(args.spec)
+    spec, a = _load_analysis(args.spec)
     if spec.omega is None or spec.h_matrix is None:
         raise MathValidationError("bilagrangian requires 'omega' and 'H' in the spec")
-    omega = BilinearField(s.context, spec.omega)
-    h_field = BilinearField(s.context, spec.h_matrix)
-    try:
-        big_g, j_endo, p_endo, verdicts = bi_lagrangian_assembly(omega, s.F, h_field)
-    except MetricError as err:
-        raise MathValidationError(str(err)) from err
-    return {
-        "G": _matrix_json(big_g.matrix),
-        "J": _matrix_json(j_endo.matrix),
-        "P": _matrix_json(p_endo.matrix),
-        "verdicts": [verdicts[k].to_json() for k in sorted(verdicts)],
-    }
+    big_g, section = _bilagrangian_json(spec, a.s)
+    return {"G": _matrix_json(big_g.matrix), **section}
 
 
 def cmd_report(args) -> dict:
     spec, a = _load_analysis(args.spec)
     s = a.s
     concomitants = tuple(a.concomitant(tensor).items() for tensor in ("F", "P", "FP"))
-    verdicts = [
-        Verdict("structure_valid", True),
-        integrability_verdict(s, concomitants, a.torsion("canonical")),
-        flatness_verdict(a.torsion("canonical"), a.curvature("canonical")),
-    ]
+    verdicts = [Verdict("structure_valid", True), *_integrability_and_flatness(a, concomitants)]
     warnings: list[str] = []
     tensors = {
         "torsion_canonical": _cells_json(a.torsion("canonical").cells()),
@@ -646,33 +636,22 @@ def cmd_report(args) -> dict:
         "nijenhuis_P": _cells_json(a.concomitant("P").items()),
         "fn_bracket_FP": _cells_json(a.concomitant("FP").items()),
     }
-    classification = {"triple_kind": classify_triple(s.F, s.P)}
+    classification = {"triple_kind": s.triple_kind}
     frame_error = coframe_error(s)
     if frame_error is not None:
         warnings.append(f"Christoffel tables and frame verdicts left out: {frame_error}")
     elif s.adapted_frame is not None:
-        tensors["christoffels_canonical"] = _christoffel_json(a.christoffels_canonical)
-        tensors["christoffels_well_adapted"] = _christoffel_json(a.christoffels_well_adapted)
-        routes_ok = well_adapted_routes_agree(a.well_adapted, a.christoffels_well_adapted)
-        verdicts.append(
-            Verdict(
-                "well_adapted_routes_agree",
-                routes_ok,
-                None if routes_ok else {"reason": "table and frame-free routes differ"},
-            )
-        )
+        tensors["christoffels_canonical"] = _christoffel_json(a.christoffels("canonical"))
+        tensors["christoffels_well_adapted"] = _christoffel_json(a.christoffels("well-adapted"))
+        routes_ok = well_adapted_routes_agree(a.well_adapted, a.christoffels("well-adapted"))
         trace_ok = trace_condition_holds(a.torsion("well-adapted"))
-        verdicts.append(
-            Verdict(
-                "trace_condition_well_adapted",
-                trace_ok,
-                None if trace_ok else {"reason": "a trace identity fails"},
-            )
-        )
+        verdicts += [
+            _verdict("well_adapted_routes_agree", routes_ok, "table and frame-free routes differ"),
+            _verdict("trace_condition_well_adapted", trace_ok, "a trace identity fails"),
+        ]
     if spec.metric is not None:
-        metric = BilinearField(s.context, spec.metric)
         try:
-            classification["metric_class"] = _metric_class_json(spec, s, metric)
+            classification["metric_class"] = _metric_class_json(spec, s)
         except MetricError as err:
             warnings.append(f"metric not classified: {err}")
     payload = {
@@ -684,16 +663,7 @@ def cmd_report(args) -> dict:
     }
     if spec.omega is not None and spec.h_matrix is not None:
         try:
-            _, j_endo, p_endo, bl_verdicts = bi_lagrangian_assembly(
-                BilinearField(s.context, spec.omega),
-                s.F,
-                BilinearField(s.context, spec.h_matrix),
-            )
-            payload["bilagrangian"] = {
-                "J": _matrix_json(j_endo.matrix),
-                "P": _matrix_json(p_endo.matrix),
-                "verdicts": [bl_verdicts[k].to_json() for k in sorted(bl_verdicts)],
-            }
+            payload["bilagrangian"] = _bilagrangian_json(spec, s)[1]
         except MetricError as err:
             warnings.append(f"bi-Lagrangian assembly skipped: {err}")
     return payload
@@ -769,14 +739,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.func(args)
+        emit(args.func(args), getattr(args, "output", None), args.text)
     except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SCHEMA
     except (MathValidationError, MetricError, StructureError, LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MATH
-    emit(payload, getattr(args, "output", None), args.text)
     return EXIT_OK
 
 

@@ -500,10 +500,6 @@ class DifferenceTensor:
                 [{"name": "difference tensor needs the canonical torsion", "witness": t.law.kind}]
             )
 
-    def torsion_route(self, x: VectorField, y: VectorField) -> VectorField:
-        s = self.structure
-        return self._torsion_split(s.split(x), s.split(y))
-
     def bracket_route(self, x: VectorField, y: VectorField) -> VectorField:
         """Bracket-only expansion, assembled from the four block identities."""
         s = self.structure

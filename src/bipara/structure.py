@@ -113,6 +113,10 @@ class BiparaStructure:
 
     __slots__ = ("context", "F", "P", "adapted_frame", "__dict__")
 
+    # ``validate`` establishes F^2 = P^2 = Id and FP = -PF, so every instance
+    # is of this ``classify_triple`` kind.
+    triple_kind = "biparacomplex-type"
+
     def __init__(self, context, F, P, adapted_frame):
         self.context = context
         self.F = F

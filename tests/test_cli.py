@@ -443,6 +443,40 @@ def test_output_matches_golden_file(fixture_dir, capsys, fixture, command):
     assert capsys.readouterr().out == expected
 
 
+# Every optional section of a payload: sections_n1 is fixtures/flat_n1.json
+# with a metric, seed points, omega and H, so report carries the metric class
+# and the bi-Lagrangian section; the asymmetric H turns the latter into a
+# warning.  It lives beside its goldens, as fixtures/ holds the four shipped specs.
+SECTION_GOLDENS = [
+    ("sections_n1", "report"),
+    ("sections_n1", "classify"),
+    ("sections_n1", "bilagrangian"),
+    ("sections_n1", "validate"),
+    ("asymmetric_h", "report"),
+]
+
+
+@pytest.mark.parametrize("spec, command", SECTION_GOLDENS)
+def test_section_outputs_match_golden_file(tmp_path, capsys, spec, command):
+    if spec == "asymmetric_h":
+        path = write(tmp_path, "bl.json", ASYMMETRIC_H_SPEC)
+    else:
+        path = GOLDEN_DIR / f"{spec}.json"
+    assert main([command, str(path)]) == 0
+    expected = (GOLDEN_DIR / f"{spec}.{command}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_report_to_an_unwritable_path_is_named(fixture_dir, tmp_path, capsys, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+    assert main(["report", str(fixture_dir / "flat_n1.json"), "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
 TABLE_COMMANDS = (
     ("connection", "--christoffels", "--kind", "canonical"),
     ("connection", "--christoffels", "--kind", "well-adapted"),

@@ -410,7 +410,7 @@ def test_cells_cover_the_independent_entries_in_index_order(aff):
 def test_well_adapted_routes_agree_on_fixtures(flat_n2, heis, aff):
     for s in (flat_n2, heis, aff):
         a = Analysis(s)
-        assert well_adapted_routes_agree(a.well_adapted, a.christoffels_well_adapted)
+        assert well_adapted_routes_agree(a.well_adapted, a.christoffels("well-adapted"))
 
 
 def test_well_adapted_parallelizes_structure(generated_pool):

@@ -116,15 +116,15 @@ def test_christoffel_tables_agree_across_backends(family, n, table):
     on_chart = Analysis(chart_twin(family, n, table))
     on_const = Analysis(adapted_structure(algebra_context(2 * n, table)))
     nonzero = set()
-    for kind in ("canonical", "well_adapted"):
-        values = _christoffel_values(getattr(on_chart, f"christoffels_{kind}"))
-        assert values == _christoffel_values(getattr(on_const, f"christoffels_{kind}"))
+    for kind in ("canonical", "well-adapted"):
+        values = _christoffel_values(on_chart.christoffels(kind))
+        assert values == _christoffel_values(on_const.christoffels(kind))
         if any(values):
             nonzero.add(kind)
     # nilpotent brackets land in the central Y-span, which both tables pair to
     # zero; the affine [X1, X2] = X1 gives the well-adapted table its entries
-    assert nonzero == ({"well_adapted"} if family == "affine" else set())
-    assert well_adapted_routes_agree(on_chart.well_adapted, on_chart.christoffels_well_adapted)
+    assert nonzero == ({"well-adapted"} if family == "affine" else set())
+    assert well_adapted_routes_agree(on_chart.well_adapted, on_chart.christoffels("well-adapted"))
     assert trace_condition_holds(on_chart.torsion("well-adapted"))
 
 
@@ -158,4 +158,3 @@ def test_difference_tensor_routes_agree_off_the_frame(name, request):
         x, y = _random_field(s.context, rng), _random_field(s.context, rng)
         value = diff.evaluate(x, y)
         assert diff.bracket_route(x, y) == value
-        assert diff.torsion_route(x, y) == value

@@ -524,7 +524,8 @@ def test_every_kernel_stores_canonical_coefficients(generated_pool):
         objects = [s.F, s.P, s.adapted_frame, s.coframe, s.frame_brackets]
         for kind in ("canonical", "well-adapted"):
             objects += [a.law(kind).cells(), a.torsion(kind).cells(), a.curvature(kind).cells()]
-        objects += [a.difference.cells(), a.christoffels_canonical, a.christoffels_well_adapted]
+        objects += [a.difference.cells(), a.christoffels("canonical")]
+        objects += [a.christoffels("well-adapted")]
         objects += [a.concomitant(tensor) for tensor in ("F", "P", "FP")]
         # cells() are generators of (indices, field) pairs; the int indices hold no polynomial
         objects = [list(obj) if hasattr(obj, "__next__") else obj for obj in objects]

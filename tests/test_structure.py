@@ -220,7 +220,7 @@ def test_generate_identity_seed_reproduces_flat():
 def test_generated_structures_validate(generated_pool):
     for s in generated_pool:
         assert s.adapted_frame is not None
-        assert classify_triple(s.F, s.P) == "biparacomplex-type"
+        assert classify_triple(s.F, s.P) == s.triple_kind == "biparacomplex-type"
 
 
 def test_dim_eight_structure_end_to_end():
