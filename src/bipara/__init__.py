@@ -14,6 +14,7 @@ from .connections import (
     ConnectionLaw,
     CurvatureTensor,
     DifferenceTensor,
+    PairTensor,
     TorsionTensor,
     canonical_christoffels,
     canonical_connection,

@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from .connections import (
@@ -25,10 +25,12 @@ from .connections import (
     ConnectionLaw,
     CurvatureTensor,
     DifferenceTensor,
+    PairTensor,
     TorsionTensor,
     canonical_christoffels,
     canonical_connection,
     curvature,
+    pair_cell,
     torsion,
     trace_condition_holds,
     well_adapted_christoffels,
@@ -45,7 +47,6 @@ from .diagnostics import (
     integrability_verdict,
     invariant_count,
     nijenhuis,
-    pair_values,
     transpose_invariance,
 )
 from .geometry import (
@@ -155,9 +156,9 @@ def _read_json(path: str):
 
 # Bound on a spec's half-dimension n, checked before any matrix is parsed, so
 # an oversized spec exits 2 instead of running for minutes.  On a 2-vCPU VM,
-# `report` at n = 8 takes about 3.7 s on the slowest spec measured (a 2-step
-# nilpotent chart with a degree-1 frame) and 0.75 s on the flat constant-frame
-# spec; the flat spec took 36.5 s at n = 30.
+# `report` at n = 8 takes about 10 s on the slowest spec measured (a 2-step
+# nilpotent chart pushed by a degree-3 map) and 0.75 s on the flat
+# constant-frame spec; the flat spec took 36.5 s at n = 30.
 MAX_HALF_DIMENSION = 8
 
 
@@ -326,21 +327,15 @@ class Analysis:
         builders = {"canonical": canonical_christoffels, "well-adapted": well_adapted_christoffels}
         return self._once(("christoffels", kind), lambda: builders[kind](self.s))
 
-    def concomitant(self, tensor: str) -> dict:
-        """The N_F (``F``), N_P (``P``) or [F, P] (``FP``) table on pairs i < j."""
+    def concomitant(self, tensor: str) -> PairTensor:
+        """N_F (``F``), N_P (``P``) or [F, P] (``FP``), each pair evaluated on first read."""
 
-        return self._once(
-            ("concomitant", tensor), lambda: dict(_concomitant_pairs(self.s, tensor))
-        )
+        def build() -> PairTensor:
+            s = self.s
+            evaluate = fn_bracket(s) if tensor == "FP" else nijenhuis(s.F if tensor == "F" else s.P)
+            return PairTensor(s.context, partial(pair_cell, evaluate, s.basis), antisymmetric=True)
 
-
-def _concomitant_pairs(s: BiparaStructure, tensor: str):
-    """The N_F, N_P or [F, P] values on pairs i < j, evaluated lazily."""
-    if tensor == "FP":
-        evaluate = fn_bracket(s)
-    else:
-        evaluate = nijenhuis(s.F if tensor == "F" else s.P)
-    return pair_values(evaluate, s.basis)
+        return self._once(("concomitant", tensor), build)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +454,9 @@ def _christoffel_json(table: ChristoffelTable) -> dict:
     return out
 
 
-def _integrability_and_flatness(a: Analysis, concomitants) -> list[Verdict]:
+def _integrability_and_flatness(a: Analysis) -> list[Verdict]:
     t = a.torsion("canonical")
+    concomitants = tuple(a.concomitant(tensor) for tensor in ("F", "P", "FP"))
     return [
         integrability_verdict(a.s, concomitants, t),
         flatness_verdict(t, a.curvature("canonical")),
@@ -517,40 +513,35 @@ def cmd_connection(args) -> dict:
     return payload
 
 
+def _tensor_json(key: str, tensor) -> dict:
+    return {key: _cells_json(tensor.cells()), "is_zero": tensor.is_zero}
+
+
 def cmd_torsion(args) -> dict:
     _, a = _load_analysis(args.spec)
-    t = a.torsion(args.kind)
-    return {"kind": args.kind, "torsion": _cells_json(t.cells()), "is_zero": t.is_zero}
+    return {"kind": args.kind, **_tensor_json("torsion", a.torsion(args.kind))}
 
 
 def cmd_curvature(args) -> dict:
     _, a = _load_analysis(args.spec)
-    r = a.curvature(args.kind)
-    return {"kind": args.kind, "curvature": _cells_json(r.cells()), "is_zero": r.is_zero}
+    return {"kind": args.kind, **_tensor_json("curvature", a.curvature(args.kind))}
 
 
 def cmd_difference(args) -> dict:
     _, a = _load_analysis(args.spec)
-    diff = a.difference
-    return {
-        "difference": _cells_json(diff.cells()),
-        "is_zero": diff.is_zero,
-    }
+    return _tensor_json("difference", a.difference)
 
 
 def cmd_nijenhuis(args) -> dict:
     _, a = _load_analysis(args.spec)
-    table = _cells_json(a.concomitant(args.tensor).items())
-    return {"tensor": args.tensor, "table": table, "is_zero": not table}
+    return {"tensor": args.tensor, **_tensor_json("table", a.concomitant(args.tensor))}
 
 
 def cmd_classify(args) -> dict:
     spec, a = _load_analysis(args.spec)
-    # Lazy concomitants: the verdict stops at the first nonzero pair of each.
-    concomitants = tuple(_concomitant_pairs(a.s, tensor) for tensor in ("F", "P", "FP"))
     payload = {
         "triple_kind": a.s.triple_kind,
-        "verdicts": [v.to_json() for v in _integrability_and_flatness(a, concomitants)],
+        "verdicts": [v.to_json() for v in _integrability_and_flatness(a)],
     }
     if spec.metric is not None:
         payload["metric_class"] = _metric_class_json(spec, a.s)
@@ -623,8 +614,7 @@ def cmd_bilagrangian(args) -> dict:
 def cmd_report(args) -> dict:
     spec, a = _load_analysis(args.spec)
     s = a.s
-    concomitants = tuple(a.concomitant(tensor).items() for tensor in ("F", "P", "FP"))
-    verdicts = [Verdict("structure_valid", True), *_integrability_and_flatness(a, concomitants)]
+    verdicts = [Verdict("structure_valid", True), *_integrability_and_flatness(a)]
     warnings: list[str] = []
     tensors = {
         "torsion_canonical": _cells_json(a.torsion("canonical").cells()),
@@ -632,9 +622,9 @@ def cmd_report(args) -> dict:
         "difference": _cells_json(a.difference.cells()),
         "curvature_canonical": _cells_json(a.curvature("canonical").cells()),
         "curvature_well_adapted": _cells_json(a.curvature("well-adapted").cells()),
-        "nijenhuis_F": _cells_json(a.concomitant("F").items()),
-        "nijenhuis_P": _cells_json(a.concomitant("P").items()),
-        "fn_bracket_FP": _cells_json(a.concomitant("FP").items()),
+        "nijenhuis_F": _cells_json(a.concomitant("F").cells()),
+        "nijenhuis_P": _cells_json(a.concomitant("P").cells()),
+        "fn_bracket_FP": _cells_json(a.concomitant("FP").cells()),
     }
     classification = {"triple_kind": s.triple_kind}
     frame_error = coframe_error(s)

@@ -30,18 +30,18 @@ basis pairwise, so no per-argument work is repeated per pair:
 * a pushed law prepares X as the inner law does after pulling X back
   through the inverse map, and pushes each combined value forward.
 
-Tensor tables (torsion, curvature, covariant derivatives) are computed from
-the cached frame-pair table of a law by Leibniz expansion with exact
-polynomial differentiation of the coefficient fields.  Tables are pure
-values: recomputing them yields equal results, so lazy caching is safe under
-concurrent use.
+Torsion, difference tensor, covariant derivatives of endomorphism fields and
+the N_F, N_P, [F, P] concomitants are each a ``PairTensor``: values on frame
+pairs, each computed on first read and kept.  Curvature and covariant
+derivatives use Leibniz expansion over a law's cached frame table.  Cells and
+tables are pure values, so lazy caching is safe under concurrent use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable
 
 from .geometry import (
@@ -62,6 +62,7 @@ __all__ = [
     "ConnectionLaw",
     "CurvatureTensor",
     "DifferenceTensor",
+    "PairTensor",
     "TorsionTensor",
     "canonical_christoffels",
     "canonical_connection",
@@ -69,6 +70,7 @@ __all__ = [
     "curvature",
     "endo_covariant_derivative",
     "is_parallel",
+    "pair_cell",
     "preserves_distributions",
     "pushforward_connection",
     "torsion",
@@ -120,11 +122,12 @@ class ConnectionLaw:
     @cached_property
     def frame_table(self) -> tuple[tuple[VectorField, ...], ...]:
         """nabla_{E_i} E_j for all frame pairs."""
-        return _pair_table(self.combine, self.prepared_basis)
+        basis, combine = self.prepared_basis, self.combine
+        return tuple(tuple(combine(a, b) for b in basis) for a in basis)
 
     def cells(self):
         """((i, j), nabla_{E_i} E_j) over all frame pairs, in index order."""
-        return _pair_cells(self.frame_table)
+        return (((i, j), c) for i, row in enumerate(self.frame_table) for j, c in enumerate(row))
 
     def nabla_of_field(self, i: int, w: VectorField) -> VectorField:
         """nabla_{E_i} W via the frame table and Leibniz expansion."""
@@ -172,24 +175,13 @@ def canonical_connection(s: BiparaStructure) -> ConnectionLaw:
 # ---------------------------------------------------------------------------
 
 
-def _pair_table(value, args) -> tuple[tuple[VectorField, ...], ...]:
-    """The frame-pair table ``value(args[i], args[j])``, in index order."""
-    return tuple(tuple(value(a, b) for b in args) for a in args)
-
-
-def _pair_cells(table):
-    """((i, j), table[i][j]) over all pairs of a frame-pair table, in index order."""
-    for i, row in enumerate(table):
-        for j, cell in enumerate(row):
-            yield (i, j), cell
-
-
 def _first_pair_mismatch(table, value):
     """The first (i, j), in index order, with ``table[i][j] != value(i, j)``, or None.
 
     ``value`` is called only up to the pair returned.
     """
-    return next((key for key, cell in _pair_cells(table) if cell != value(*key)), None)
+    pairs = ((i, j) for i, row in enumerate(table) for j, c in enumerate(row) if c != value(i, j))
+    return next(pairs, None)
 
 
 def _contract(ctx: FrameContext, table, xs, ys) -> VectorField:
@@ -207,42 +199,76 @@ def _contract(ctx: FrameContext, table, xs, ys) -> VectorField:
     return acc
 
 
-class TorsionTensor:
-    """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y], with a cached frame table."""
+class PairTensor:
+    """A (1,2)-tensor field S known by its values S(E_i, E_j) on frame pairs.
 
-    def __init__(self, law: ConnectionLaw):
-        self.law = law
+    ``value(i, j)`` computes one cell, on its first read; the cell is kept.
+    An antisymmetric tensor computes the pairs i < j only.  ``value`` must not
+    hold the tensor (bind a module-level function with ``functools.partial``),
+    so a tensor forms no reference cycle and is freed once unreachable.
+    """
+
+    def __init__(self, context: FrameContext, value: Callable, antisymmetric: bool):
+        self.context = context
+        self.value = value
+        self.antisymmetric = antisymmetric
+        self._known: dict[tuple[int, int], VectorField] = {}
+
+    def cells(self):
+        """((i, j), S(E_i, E_j)) over the independent pairs, in index order.
+
+        The independent pairs are i < j for an antisymmetric tensor and all
+        pairs otherwise.  A cell is computed when the generator reaches it.
+        """
+        known, value = self._known, self.value
+        dim = self.context.dim
+        for i in range(dim):
+            for j in range(i + 1 if self.antisymmetric else 0, dim):
+                if (i, j) not in known:
+                    known[i, j] = value(i, j)
+                yield (i, j), known[i, j]
 
     @cached_property
     def table(self) -> tuple[tuple[VectorField, ...], ...]:
-        ctx = self.law.context
-        ft = self.law.frame_table
-        dim = ctx.dim
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                if j < i:
-                    row.append(-rows[j][i])
-                elif j == i:
-                    row.append(ctx.zero_field)
-                else:
-                    bracket = VectorField.from_rationals(ctx, ctx.basis_bracket(i, j))
-                    row.append(ft[i][j] - ft[j][i] - bracket)
-            rows.append(row)
-        return tuple(tuple(r) for r in rows)
-
-    def cells(self):
-        """((i, j), T(E_i, E_j)) over the independent pairs i < j, in index order."""
-        return (((i, j), cell) for (i, j), cell in _pair_cells(self.table) if i < j)
+        """S(E_i, E_j) on every frame pair, as rows."""
+        cells = dict(self.cells())
+        dim = range(self.context.dim)
+        if self.antisymmetric:
+            cells.update({(j, i): -cell for (i, j), cell in cells.items()})
+            cells.update({(i, i): self.context.zero_field for i in dim})
+        return tuple(tuple(cells[i, j] for j in dim) for i in dim)
 
     def evaluate(self, x: VectorField, y: VectorField) -> VectorField:
-        """Tensorial contraction of the frame table against the components."""
-        return _contract(self.law.context, self.table, x.components, y.components)
+        """S(X, Y): the frame table contracted against the components of X and Y."""
+        return _contract(self.context, self.table, x.components, y.components)
 
     @property
     def is_zero(self) -> bool:
         return first_nonzero(self.cells()) is None
+
+
+def pair_cell(evaluate, args, i: int, j: int) -> VectorField:
+    """``evaluate(args[i], args[j])``: with ``partial``, a ``PairTensor`` value on ``args``."""
+    return evaluate(args[i], args[j])
+
+
+def _torsion_cell(law: ConnectionLaw, i: int, j: int) -> VectorField:
+    """T(E_i, E_j) = nabla_{E_i} E_j - nabla_{E_j} E_i - [E_i, E_j]."""
+    ctx = law.context
+    ft = law.frame_table
+    return ft[i][j] - ft[j][i] - VectorField.from_rationals(ctx, ctx.basis_bracket(i, j))
+
+
+class TorsionTensor(PairTensor):
+    """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y], from the frame table of ``law``."""
+
+    def __init__(self, law: ConnectionLaw):
+        super().__init__(law.context, partial(_torsion_cell, law), antisymmetric=True)
+        self.law = law
+
+    # Bound in this class's own namespace too, so perfbench/layers.py can time
+    # the torsion table apart from the other pair tensors' tables.
+    table = PairTensor.table
 
 
 class CurvatureTensor:
@@ -304,30 +330,25 @@ def curvature(law: ConnectionLaw) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 
-def endo_covariant_derivative(law: ConnectionLaw, e: EndoField) -> tuple[tuple[VectorField, ...], ...]:
-    """(nabla_X e)(Y) = nabla_X(eY) - e(nabla_X Y) as a frame-pair table.
+def _endo_derivative_cell(law: ConnectionLaw, e: EndoField, i: int, j: int) -> VectorField:
+    """(nabla_{E_i} e)(E_j) = nabla_{E_i}(e E_j) - e(nabla_{E_i} E_j)."""
+    return law.nabla_of_field(i, e.column_field(j)) - e.apply(law.frame_table[i][j])
 
-    The result is tensorial in both slots, so the table determines the
-    (1,2)-tensor.
+
+def endo_covariant_derivative(law: ConnectionLaw, e: EndoField) -> PairTensor:
+    """(nabla_X e)(Y) = nabla_X(eY) - e(nabla_X Y), on frame pairs.
+
+    The result is tensorial in both slots, so its frame-pair values determine
+    the (1,2)-tensor.
     """
-    ctx = law.context
-    if e.context != ctx:
+    if e.context != law.context:
         raise ContextMismatch("endomorphism lives in a different frame context")
-    ft = law.frame_table
-    dim = ctx.dim
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            value = law.nabla_of_field(i, e.column_field(j)) - e.apply(ft[i][j])
-            row.append(value)
-        table.append(tuple(row))
-    return tuple(table)
+    return PairTensor(law.context, partial(_endo_derivative_cell, law, e), antisymmetric=False)
 
 
 def is_parallel(law: ConnectionLaw, e: EndoField) -> bool:
     """True iff the covariant derivative of ``e`` vanishes identically."""
-    return first_nonzero(_pair_cells(endo_covariant_derivative(law, e))) is None
+    return endo_covariant_derivative(law, e).is_zero
 
 
 def preserves_distributions(law: ConnectionLaw, s: BiparaStructure) -> bool:
@@ -470,14 +491,44 @@ def connection_from_table(
 # ---------------------------------------------------------------------------
 
 
-class DifferenceTensor:
+def _torsion_route(t: TorsionTensor, outer, xs, ys) -> VectorField:
+    """A(X, Y) from ``split(X)``, ``split(Y)`` and the canonical torsion ``t``."""
+    xp, xm, _, _ = xs
+    yp, ym, pyp, pym = ys
+    fp, fm, pfp, pfm = outer
+    ev = t.evaluate
+    total = (
+        fp.apply(ev(xp, yp))
+        + pfp.apply(ev(xp, pym))
+        + pfm.apply(ev(xm, pyp))
+        + fm.apply(ev(xm, ym))
+    )
+    return total.scale(Fraction(1, 3))
+
+
+def _bracket_route(outer, xs, ys) -> VectorField:
+    """A(X, Y) from ``split(X)`` and ``split(Y)`` by brackets alone."""
+    xp, xm, pxp, pxm = xs
+    yp, ym, pyp, pym = ys
+    fp, fm, pfp, pfm = outer
+    br = lie_bracket
+    total = (
+        pfm.apply(br(xp, pyp) + br(pxp, yp) - br(xm, pyp))
+        + fp.apply(br(xm, yp) + br(pxm, pyp) - br(xp, yp))
+        + fm.apply(br(xp, ym) + br(pxp, pym) - br(xm, ym))
+        + pfp.apply(br(xm, pym) + br(pxm, ym) - br(xp, pym))
+    )
+    return total.scale(Fraction(1, 3))
+
+
+class DifferenceTensor(PairTensor):
     """A = nabla - nabla', expressed through the canonical torsion ``t``.
 
-    ``t.law`` must be the canonical law.  ``evaluate`` contracts the
-    frame table (torsion route); ``bracket_route`` is the independent
-    bracket-only expansion.  Both must agree exactly, which the constructor
-    checks on all frame pairs.  A law with the canonical torsion table passes
-    that check, so the constructor also requires ``t.law.kind == "canonical"``.
+    ``t.law`` must be the canonical law.  The cells come from the torsion
+    route; ``bracket_route`` is the independent bracket-only expansion.  Both
+    must agree exactly, which the constructor checks on all frame pairs.  A
+    law with the canonical torsion table passes that check, so the
+    constructor also requires ``t.law.kind == "canonical"``.
 
     Each route is one function of split arguments (``BiparaStructure.split``),
     whose outer maps F+, F-, P∘F+ and P∘F- each apply once to a sum.
@@ -486,11 +537,13 @@ class DifferenceTensor:
     def __init__(self, t: TorsionTensor):
         self.canonical = t.law
         self.structure = s = t.law.structure
-        self._torsion = t
         fp, fm = s.projectors.f_plus, s.projectors.f_minus
-        self._outer = (fp, fm, s.P.compose(fp), s.P.compose(fm))
+        self._outer = outer = (fp, fm, s.P.compose(fp), s.P.compose(fm))
         split = s.frame_split
-        pair = _first_pair_mismatch(self.table, lambda i, j: self._bracket_split(split[i], split[j]))
+        torsion_route = partial(pair_cell, partial(_torsion_route, t, outer), split)
+        super().__init__(s.context, torsion_route, antisymmetric=False)
+        bracket_route = partial(pair_cell, partial(_bracket_route, outer), split)
+        pair = _first_pair_mismatch(self.table, bracket_route)
         if pair is not None:
             raise StructureError(
                 [{"name": "difference-tensor routes disagree", "witness": {"pair": pair}}]
@@ -503,48 +556,7 @@ class DifferenceTensor:
     def bracket_route(self, x: VectorField, y: VectorField) -> VectorField:
         """Bracket-only expansion, assembled from the four block identities."""
         s = self.structure
-        return self._bracket_split(s.split(x), s.split(y))
-
-    def _torsion_split(self, xs, ys) -> VectorField:
-        xp, xm, _, _ = xs
-        yp, ym, pyp, pym = ys
-        fp, fm, pfp, pfm = self._outer
-        t = self._torsion.evaluate
-        total = (
-            fp.apply(t(xp, yp))
-            + pfp.apply(t(xp, pym))
-            + pfm.apply(t(xm, pyp))
-            + fm.apply(t(xm, ym))
-        )
-        return total.scale(Fraction(1, 3))
-
-    def _bracket_split(self, xs, ys) -> VectorField:
-        xp, xm, pxp, pxm = xs
-        yp, ym, pyp, pym = ys
-        fp, fm, pfp, pfm = self._outer
-        br = lie_bracket
-        total = (
-            pfm.apply(br(xp, pyp) + br(pxp, yp) - br(xm, pyp))
-            + fp.apply(br(xm, yp) + br(pxm, pyp) - br(xp, yp))
-            + fm.apply(br(xp, ym) + br(pxp, pym) - br(xm, ym))
-            + pfp.apply(br(xm, pym) + br(pxm, ym) - br(xp, pym))
-        )
-        return total.scale(Fraction(1, 3))
-
-    @cached_property
-    def table(self) -> tuple[tuple[VectorField, ...], ...]:
-        return _pair_table(self._torsion_split, self.structure.frame_split)
-
-    def cells(self):
-        """((i, j), A(E_i, E_j)) over all frame pairs, in index order."""
-        return _pair_cells(self.table)
-
-    def evaluate(self, x: VectorField, y: VectorField) -> VectorField:
-        return _contract(self.structure.context, self.table, x.components, y.components)
-
-    @property
-    def is_zero(self) -> bool:
-        return first_nonzero(self.cells()) is None
+        return _bracket_route(self._outer, s.split(x), s.split(y))
 
 
 def well_adapted_connection(diff: DifferenceTensor) -> ConnectionLaw:

@@ -25,6 +25,7 @@ from typing import Callable
 from .connections import (
     ConnectionLaw,
     CurvatureTensor,
+    PairTensor,
     TorsionTensor,
     canonical_christoffels,
     canonical_connection,
@@ -64,7 +65,6 @@ __all__ = [
     "involutivity_flags",
     "fp_torsion_identities",
     "nijenhuis",
-    "pair_values",
     "trace_pairing_condition",
     "transpose_invariance",
 ]
@@ -117,13 +117,6 @@ def nijenhuis(e: EndoField) -> Callable[[VectorField, VectorField], VectorField]
         )
 
     return evaluate
-
-
-def pair_values(evaluate, basis):
-    """Yield ((i, j), evaluate(E_i, E_j)) over frame pairs i < j, lazily."""
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            yield (i, j), evaluate(basis[i], basis[j])
 
 
 def fn_bracket(s: BiparaStructure) -> Callable[[VectorField, VectorField], VectorField]:
@@ -223,17 +216,17 @@ def involutivity_flags(s: BiparaStructure) -> dict[str, bool]:
 
 
 def integrability_verdict(
-    s: BiparaStructure, concomitants: tuple, t: TorsionTensor
+    s: BiparaStructure, concomitants: tuple[PairTensor, PairTensor, PairTensor], t: TorsionTensor
 ) -> Verdict:
     """Evaluate the three equivalent integrability conditions independently.
 
-    ``concomitants`` gives the N_F, N_P and [F, P] values as ``pair_values``
-    yields them, built already or lazily; a lazy one is evaluated up to its
-    first nonzero pair.  ``t`` is the canonical torsion, and the witness of a
-    failing verdict: the consistency check leaves no other.
+    ``concomitants`` are the N_F, N_P and [F, P] tensors; each is evaluated
+    up to its first nonzero pair, and N_P not at all when N_F is nonzero.
+    ``t`` is the canonical torsion, and the witness of a failing verdict: the
+    consistency check leaves no other.
     """
-    nf_pairs, np_pairs, fp_pairs = concomitants
-    cond_nijenhuis = first_nonzero(nf_pairs) is None and first_nonzero(np_pairs) is None
+    nf, np_, fp = concomitants
+    cond_nijenhuis = nf.is_zero and np_.is_zero
 
     flags = involutivity_flags(s)
     cond_involutive = all(flags.values())
@@ -242,7 +235,7 @@ def integrability_verdict(
             f"Nijenhuis convention disagrees with direct involutivity: {flags}"
         )
 
-    fp_zero = first_nonzero(fp_pairs) is None
+    fp_zero = fp.is_zero
     torsion_witness = first_nonzero(t.cells())
     torsion_zero = torsion_witness is None
     if not (cond_nijenhuis == fp_zero == torsion_zero):

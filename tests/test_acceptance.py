@@ -11,17 +11,20 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from bipara.cli import Analysis
 from bipara.connections import (
     DifferenceTensor,
+    PairTensor,
     canonical_christoffels,
     canonical_connection,
     connection_from_table,
     curvature,
     is_parallel,
+    pair_cell,
     pushforward_connection,
     torsion,
     trace_condition_holds,
@@ -35,7 +38,6 @@ from bipara.diagnostics import (
     first_prolongation_dim,
     nijenhuis,
     fn_bracket,
-    pair_values,
     transpose_invariance,
 )
 from bipara.geometry import BilinearField, EndoField, algebra_context
@@ -61,9 +63,9 @@ def report(name: str):
 
 
 def concomitants(s):
-    """Lazy N_F, N_P and [F, P] pair values, as integrability_verdict reads them."""
+    """N_F, N_P and [F, P] as lazy pair tensors, as integrability_verdict reads them."""
     return tuple(
-        pair_values(evaluate, s.basis)
+        PairTensor(s.context, partial(pair_cell, evaluate, s.basis), antisymmetric=True)
         for evaluate in (nijenhuis(s.F), nijenhuis(s.P), fn_bracket(s))
     )
 
@@ -171,7 +173,7 @@ def test_criterion_4_integrability_biconditional(pool_with_laws, flat_n2, heis, 
         integrability_verdict(s, concomitants(s), torsion(law))
     for s in (flat_n2, heis, aff):
         a = Analysis(s)
-        tables = tuple(a.concomitant(tensor).items() for tensor in ("F", "P", "FP"))
+        tables = tuple(a.concomitant(tensor) for tensor in ("F", "P", "FP"))
         integrability_verdict(s, tables, a.torsion("canonical"))
     report("4 three integrability conditions agree on every structure")
 

@@ -1,5 +1,7 @@
+import gc
 import json
 import subprocess
+import types
 import sys
 import time
 from collections import Counter
@@ -8,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from bipara import diagnostics
-from bipara.cli import MAX_HALF_DIMENSION, main
+from bipara import cli, diagnostics
+from bipara.cli import MAX_HALF_DIMENSION, build_structure, load_spec, main
 from bipara.connections import ConnectionLaw, DifferenceTensor
 from bipara.poly import parse_poly
 
@@ -523,6 +525,70 @@ def test_report_builds_difference_tensor_and_frame_table_once(fixture_dir, monke
     assert main(["report", str(fixture_dir / "aff_n2.json")]) == 0
     capsys.readouterr()
     assert counts == {"difference": 1, "frame_table.canonical": 1}
+
+
+def _count_concomitant_calls(monkeypatch, s):
+    """Wrap the concomitant factories of ``cli``; count evaluator calls by tensor and frame pair."""
+    calls = Counter()
+
+    def counting(factory, name_of):
+        def make(arg):
+            evaluate = factory(arg)
+
+            def counted(x, y):
+                calls[name_of(arg), s.basis.index(x), s.basis.index(y)] += 1
+                return evaluate(x, y)
+
+            return counted
+
+        return make
+
+    monkeypatch.setattr(cli, "nijenhuis", counting(cli.nijenhuis, lambda e: "N_F" if e == s.F else "N_P"))
+    monkeypatch.setattr(cli, "fn_bracket", counting(cli.fn_bracket, lambda _: "FP"))
+    return calls
+
+
+def test_classify_evaluates_each_concomitant_up_to_its_first_nonzero_pair(
+    fixture_dir, monkeypatch, capsys
+):
+    spec = str(fixture_dir / "heis_n2.json")
+    calls = _count_concomitant_calls(monkeypatch, build_structure(load_spec(spec)))
+    assert main(["classify", spec]) == 0
+    capsys.readouterr()
+    # N_F(X1, X2) = 4 Y1 decides the Nijenhuis condition, so N_P is never read.
+    assert calls == {("N_F", 0, 1): 1, ("FP", 0, 1): 1}
+
+
+def test_report_evaluates_each_concomitant_pair_once(fixture_dir, monkeypatch, capsys):
+    spec = str(fixture_dir / "heis_n2.json")
+    calls = _count_concomitant_calls(monkeypatch, build_structure(load_spec(spec)))
+    assert main(["report", spec]) == 0
+    capsys.readouterr()
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    assert calls == {(name, i, j): 1 for name in ("N_F", "N_P", "FP") for i, j in pairs}
+
+
+def test_commands_leave_no_bipara_object_in_a_reference_cycle(fixture_dir, capsys):
+    # A tensor whose cell function held the tensor would form a cycle that
+    # keeps each report's structure graph alive until the cyclic collector
+    # runs.  The context's cached zero field is the one cycle allowed.
+    spec = str(fixture_dir / "aff_n2.json")
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        for command in ("report", "classify", "difference"):
+            assert main([command, spec]) == 0
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+    owners = {obj if isinstance(obj, types.FunctionType) else type(obj) for obj in garbage}
+    names = {o.__qualname__ for o in owners if (o.__module__ or "").startswith("bipara")}
+    assert names <= {"FrameContext", "VectorField"}
 
 
 def _flat_n1_spec(**overrides):

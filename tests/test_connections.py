@@ -30,6 +30,7 @@ from bipara.geometry import (
     basis_fields,
     chart_context,
     lie_bracket,
+    pushforward_vector,
 )
 from bipara.poly import parse_poly
 from bipara.structure import (
@@ -543,6 +544,36 @@ def _source_map_target(kind):
     return source, m, pushforward_structure(m, source)
 
 
+ATTACHED_PAIR_TENSORS = {
+    "T": lambda a: a.torsion("canonical"),
+    "T'": lambda a: a.torsion("well-adapted"),
+    "A": lambda a: a.difference,
+    "N_F": lambda a: a.concomitant("F"),
+    "N_P": lambda a: a.concomitant("P"),
+    "[F, P]": lambda a: a.concomitant("FP"),
+}
+
+
+def test_every_attached_pair_tensor_is_transported_by_an_equivalence():
+    # m . S_src(m^-1 X', m^-1 Y') = S_tgt(X', Y') on every pair of target
+    # basis fields, for each tensor attached to (F, P).
+    nonzero = set()
+    for kind in ("chart", "affine"):
+        source, m, target = _source_map_target(kind)
+        back = m.inverted()
+        at_source, at_target = Analysis(source), Analysis(target)
+        pulled = [pushforward_vector(back, x) for x in target.basis]
+        for name, attached in ATTACHED_PAIR_TENSORS.items():
+            s_src, s_tgt = attached(at_source), attached(at_target)
+            for x, x_src in zip(target.basis, pulled):
+                for y, y_src in zip(target.basis, pulled):
+                    assert pushforward_vector(m, s_src.evaluate(x_src, y_src)) == s_tgt.evaluate(x, y)
+            if not s_tgt.is_zero:
+                nonzero.add(name)
+    # A vanishes on the chart and N_F on the affine structure; neither on both.
+    assert nonzero == set(ATTACHED_PAIR_TENSORS)
+
+
 PREPARED_LAWS = {
     "canonical": lambda source, m, target: canonical_connection(target),
     "table": lambda source, m, target: connection_from_table(target, canonical_christoffels(target)),
@@ -587,7 +618,7 @@ def test_endo_covariant_derivative_definition(heis, aff):
                         expected = law.nabla(basis[i], e.apply(basis[j])) - e.apply(
                             law.nabla(basis[i], basis[j])
                         )
-                        assert table[i][j] == expected
+                        assert table.table[i][j] == expected
 
 
 def _nabla_of_field_componentwise(law, i, w):

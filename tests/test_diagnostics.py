@@ -1,12 +1,13 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from bipara import diagnostics
 from bipara.cli import Analysis
-from bipara.connections import canonical_connection, curvature, torsion
+from bipara.connections import PairTensor, canonical_connection, curvature, pair_cell, torsion
 from bipara.diagnostics import (
     InconsistencyError,
     Verdict,
@@ -20,7 +21,6 @@ from bipara.diagnostics import (
     involutivity_flags,
     fp_torsion_identities,
     nijenhuis,
-    pair_values,
     trace_pairing_condition,
     transpose_invariance,
 )
@@ -94,7 +94,7 @@ def test_involutivity_flags_match_nijenhuis(heis, flat_n2):
 def lazy_integrability(s):
     """The verdict on lazily evaluated concomitants, as ``classify`` runs it."""
     concomitants = tuple(
-        pair_values(evaluate, s.basis)
+        PairTensor(s.context, partial(pair_cell, evaluate, s.basis), antisymmetric=True)
         for evaluate in (nijenhuis(s.F), nijenhuis(s.P), fn_bracket(s))
     )
     return integrability_verdict(s, concomitants, torsion(canonical_connection(s)))

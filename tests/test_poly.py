@@ -526,7 +526,7 @@ def test_every_kernel_stores_canonical_coefficients(generated_pool):
             objects += [a.law(kind).cells(), a.torsion(kind).cells(), a.curvature(kind).cells()]
         objects += [a.difference.cells(), a.christoffels("canonical")]
         objects += [a.christoffels("well-adapted")]
-        objects += [a.concomitant(tensor) for tensor in ("F", "P", "FP")]
+        objects += [a.concomitant(tensor).cells() for tensor in ("F", "P", "FP")]
         # cells() are generators of (indices, field) pairs; the int indices hold no polynomial
         objects = [list(obj) if hasattr(obj, "__next__") else obj for obj in objects]
         coefficients = [c for p in _polys(objects) for c in p.terms.values()]
