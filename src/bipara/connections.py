@@ -355,26 +355,21 @@ def preserves_distributions(law: ConnectionLaw, s: BiparaStructure) -> bool:
     """True iff nabla maps sections of V1, V2 and V3 back into themselves.
 
     The complementary projection of nabla_X (proj Y) is tensorial in both
-    slots, so frame pairs decide the identity.
+    slots, so frame pairs decide the identity; proj E_j is column j of the
+    projector.
     """
     proj = s.projectors
-    checks = (
-        (proj.f_plus, proj.f_minus),
-        (proj.f_minus, proj.f_plus),
-        (proj.p_plus, proj.p_minus),
+    residues = (
+        complement.apply(law.nabla_of_field(i, projected))
+        for into, complement in (
+            (proj.f_plus, proj.f_minus),
+            (proj.f_minus, proj.f_plus),
+            (proj.p_plus, proj.p_minus),
+        )
+        for projected in map(into.column_field, range(s.dim))
+        for i in range(s.dim)
     )
-    basis = s.basis
-    dim = s.dim
-    for into, complement in checks:
-        for i in range(dim):
-            for j in range(dim):
-                projected = into.apply(basis[j])
-                if projected.is_zero:
-                    continue
-                residue = complement.apply(law.nabla_of_field(i, projected))
-                if not residue.is_zero:
-                    return False
-    return True
+    return all(r.is_zero for r in residues)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ The Nijenhuis convention used throughout is
 
 whose vanishing, for an involution e, is equivalent to both eigendistributions
 being involutive; the direct involutivity check is kept as a guard on the
-convention.
+convention.  The evaluator forms e^2 = e o e on its first evaluation, so a
+verdict that never reads N_P never composes P with P.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from typing import Callable
 
 from .connections import (
@@ -105,15 +108,18 @@ def _field_witness(pair, value: VectorField) -> dict:
 
 
 def nijenhuis(e: EndoField) -> Callable[[VectorField, VectorField], VectorField]:
-    """The Nijenhuis evaluator of a (1,1)-tensor field."""
-    e2 = e.compose(e)
+    """The Nijenhuis evaluator of a (1,1)-tensor field; e^2 is formed on its first call."""
+
+    @cache
+    def square() -> EndoField:
+        return e.compose(e)
 
     def evaluate(x: VectorField, y: VectorField) -> VectorField:
         ex, ey = e.apply(x), e.apply(y)
         return (
             lie_bracket(ex, ey)
             - e.apply(lie_bracket(ex, y) + lie_bracket(x, ey))
-            + e2.apply(lie_bracket(x, y))
+            + square().apply(lie_bracket(x, y))
         )
 
     return evaluate
@@ -141,41 +147,46 @@ def fp_torsion_identities(s: BiparaStructure) -> tuple[Verdict, Verdict, Verdict
 
     Both sides come from independent code paths: the concomitant is expanded
     bracket by bracket, the torsion side contracts the canonical torsion
-    table.
+    table.  The projected frame fields are read from ``s.frame_split``.
     """
     fp_eval = fn_bracket(s)
     t = torsion(canonical_connection(s))
     proj = s.projectors
-    basis = s.basis
+    split = s.frame_split
     two = Fraction(2)
 
-    def check(name, left_args, rhs) -> Verdict:
-        for i in range(s.dim):
-            for j in range(s.dim):
-                x, y = left_args(basis[i], basis[j])
-                if x.is_zero or y.is_zero:
-                    continue
-                lhs = fp_eval(x, y)
-                if lhs != rhs(x, y):
-                    return Verdict(name, False, _field_witness((i, j), lhs))
-        return Verdict(name, True)
+    def failures(a, b, rhs):
+        """((i, j), left side) wherever [F, P](x, y) != rhs on x = split[i][a], y = split[j][b]."""
+        for i, xs in enumerate(split):
+            for j, ys in enumerate(split):
+                lhs = fp_eval(xs[a], ys[b])
+                if lhs != rhs(xs, ys):
+                    yield (i, j), lhs
 
+    def check(name, a, b, rhs) -> Verdict:
+        hit = next(failures(a, b, rhs), None)
+        return Verdict(name, True) if hit is None else Verdict(name, False, _field_witness(*hit))
+
+    # split(X) = (F+X, F-X, P F+X, P F-X)
     plus = check(
         "fp_bracket_equals_2PT_on_plus",
-        lambda a, b: (proj.f_plus.apply(a), proj.f_plus.apply(b)),
-        lambda x, y: s.P.apply(t.evaluate(x, y)).scale(two),
+        0,
+        0,
+        lambda xs, ys: s.P.apply(t.evaluate(xs[0], ys[0])).scale(two),
     )
     minus = check(
         "fp_bracket_equals_minus_2PT_on_minus",
-        lambda a, b: (proj.f_minus.apply(a), proj.f_minus.apply(b)),
-        lambda x, y: s.P.apply(t.evaluate(x, y)).scale(-two),
+        1,
+        1,
+        lambda xs, ys: s.P.apply(t.evaluate(xs[1], ys[1])).scale(-two),
     )
     mixed = check(
         "fp_bracket_mixed_identity",
-        lambda a, b: (proj.f_plus.apply(a), proj.f_minus.apply(b)),
-        lambda x, y: (
-            proj.f_minus.apply(lie_bracket(x, s.P.apply(y)))
-            - proj.f_plus.apply(lie_bracket(s.P.apply(x), y))
+        0,
+        1,
+        lambda xs, ys: (
+            proj.f_minus.apply(lie_bracket(xs[0], ys[3]))
+            - proj.f_plus.apply(lie_bracket(xs[2], ys[1]))
         ).scale(two),
     )
     return plus, minus, mixed
@@ -185,7 +196,7 @@ def involutivity_flags(s: BiparaStructure) -> dict[str, bool]:
     """Direct involutivity of the four eigendistributions (spanning-set check).
 
     The projections of the basis fields, which span each distribution, are
-    the columns of its projector.
+    the columns of its projector; the nonzero ones are bracketed pairwise.
     """
     proj = s.projectors
     out = {}
@@ -195,18 +206,10 @@ def involutivity_flags(s: BiparaStructure) -> dict[str, bool]:
         ("T_P_plus", proj.p_plus, proj.p_minus),
         ("T_P_minus", proj.p_minus, proj.p_plus),
     ):
-        ok = True
-        spans = [into.column_field(i) for i in range(s.dim)]
-        for i in range(s.dim):
-            if not ok:
-                break
-            for j in range(i + 1, s.dim):
-                if spans[i].is_zero or spans[j].is_zero:
-                    continue
-                if not complement.apply(lie_bracket(spans[i], spans[j])).is_zero:
-                    ok = False
-                    break
-        out[name] = ok
+        spans = [c for c in map(into.column_field, range(s.dim)) if not c.is_zero]
+        out[name] = all(
+            complement.apply(lie_bracket(x, y)).is_zero for x, y in combinations(spans, 2)
+        )
     return out
 
 

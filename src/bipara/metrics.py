@@ -18,12 +18,7 @@ from fractions import Fraction
 
 from .connections import ConnectionLaw, is_parallel, torsion
 from .diagnostics import InconsistencyError, Verdict
-from .geometry import (
-    BilinearField,
-    ContextMismatch,
-    EndoField,
-    directional_derivative,
-)
+from .geometry import BilinearField, ContextMismatch, EndoField
 from .linalg import PolyMatrix, rat_inverse, rat_matmul, rat_nullspace, rat_rank, rat_signature
 from .structure import BiparaStructure, StructureError
 
@@ -65,11 +60,6 @@ class MetricClass:
         }
 
 
-def _constant_matrix_at(g: BilinearField) -> list[list[Fraction]]:
-    """The matrix of ``g`` at the base point (the origin)."""
-    return g.matrix.evaluate([Fraction(0)] * len(g.context.variables))
-
-
 def _pullback_sign(g: BilinearField, e: EndoField) -> int | None:
     """+1 / -1 if g(e., e.) = +-g exactly, else None."""
     pulled = e.matrix.transpose() @ g.matrix @ e.matrix
@@ -82,7 +72,7 @@ def _pullback_sign(g: BilinearField, e: EndoField) -> int | None:
 
 def is_positive_definite_at(g: BilinearField) -> bool:
     """True iff the symmetric field ``g`` is positive definite at the base point."""
-    pos, neg, zero = rat_signature(_constant_matrix_at(g))
+    pos, neg, zero = rat_signature(g.matrix.constant_parts())
     return neg == 0 and zero == 0
 
 
@@ -92,7 +82,7 @@ def classify_metric(s: BiparaStructure, g: BilinearField) -> MetricClass:
         raise ContextMismatch("metric lives in a different frame context")
     if not g.is_symmetric:
         raise MetricError("metric is not symmetric")
-    rows = _constant_matrix_at(g)
+    rows = g.matrix.constant_parts()
     if rat_rank(rows) != s.dim:
         raise MetricError("metric is degenerate at the base point")
     eps1 = _pullback_sign(g, s.F)
@@ -137,31 +127,31 @@ def metric_covariant_derivative_is_zero(law: ConnectionLaw, g: BilinearField) ->
         raise ContextMismatch("metric lives in a different frame context")
     table = law.frame_table
     basis = law.structure.basis
-    dim = ctx.dim
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                scalar = directional_derivative(basis[i], g.matrix.get(j, k))
-                value = scalar - g.value(table[i][j], basis[k]) - g.value(basis[j], table[i][k])
-                if not value.is_zero:
-                    return False
-    return True
+    dim = range(ctx.dim)
+    residues = (
+        ctx.frame_derivative(i, g.matrix.get(j, k))
+        - g.value(table[i][j], basis[k])
+        - g.value(basis[j], table[i][k])
+        for i in dim
+        for j in dim
+        for k in dim
+    )
+    return all(r.is_zero for r in residues)
 
 
 def _lowered_torsion_totally_skew(law: ConnectionLaw, g: BilinearField) -> bool:
-    t = torsion(law)
+    t = torsion(law).table
     basis = law.structure.basis
     dim = law.context.dim
     # antisymmetry in the first two slots is automatic; together with
     # g(T(X,Y),Z) = -g(T(X,Z),Y) it generates total skewness
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(j + 1, dim):
-                left = g.value(t.table[i][j], basis[k])
-                right = g.value(t.table[i][k], basis[j])
-                if not (left + right).is_zero:
-                    return False
-    return True
+    residues = (
+        g.value(t[i][j], basis[k]) + g.value(t[i][k], basis[j])
+        for i in range(dim)
+        for j in range(dim)
+        for k in range(j + 1, dim)
+    )
+    return all(r.is_zero for r in residues)
 
 
 def special_metric_predicates(
@@ -189,7 +179,7 @@ def special_metric_predicates(
         ok = eps_j == 1 and eps1 == -1
         witness = None
         if ok:
-            signature = rat_signature(_constant_matrix_at(g))
+            signature = rat_signature(g.matrix.constant_parts())
             if signature != (s.dim // 2, s.dim // 2, 0):  # pragma: no cover
                 raise InconsistencyError("hypersymplectic identities with non-neutral signature")
         else:
@@ -285,7 +275,7 @@ def solve_hypersymplectic_metric(s: BiparaStructure) -> BilinearField | None:
     candidates.append([sum(col) for col in zip(*basis)])
     for vec in candidates:
         field = to_field(vec)
-        if rat_rank(_constant_matrix_at(field)) == dim:
+        if rat_rank(field.matrix.constant_parts()) == dim:
             return field
     return None
 

@@ -71,6 +71,29 @@ def _canonical(terms: dict[Exponent, int | Fraction]) -> dict[Exponent, int | Fr
     return terms
 
 
+def _merge(
+    out: dict[Exponent, int | Fraction], terms: Mapping[Exponent, int | Fraction], negate: bool
+) -> dict[Exponent, int | Fraction]:
+    """Add ``terms``, or their negatives when ``negate``, into the canonical ``out`` in place."""
+    for exps, coeff in terms.items():
+        if negate:
+            coeff = -coeff
+        old = out.get(exps)
+        if old is None:
+            out[exps] = coeff
+            continue
+        agg = old + coeff
+        # Only merged entries can change form, so they are normalized as
+        # formed; a _canonical pass would also visit every copied entry.
+        if not agg:
+            del out[exps]
+        elif type(agg) is Fraction and agg.denominator == 1:
+            out[exps] = agg.numerator
+        else:
+            out[exps] = agg
+    return out
+
+
 class MultiPoly:
     """A multivariate polynomial with exact rational coefficients.
 
@@ -198,22 +221,7 @@ class MultiPoly:
             return self
         if not self.terms:
             return other
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            old = out.get(exps)
-            if old is None:
-                out[exps] = coeff
-                continue
-            agg = old + coeff
-            # Only merged entries can change form, so they are normalized as
-            # formed; a _canonical pass would also visit every copied entry.
-            if not agg:
-                del out[exps]
-            elif type(agg) is Fraction and agg.denominator == 1:
-                out[exps] = agg.numerator
-            else:
-                out[exps] = agg
-        return MultiPoly._trusted(self.variables, out)
+        return MultiPoly._trusted(self.variables, _merge(dict(self.terms), other.terms, False))
 
     __radd__ = __add__
 
@@ -223,20 +231,7 @@ class MultiPoly:
             return self
         if not self.terms:
             return -other
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            old = out.get(exps)
-            if old is None:
-                out[exps] = -coeff
-                continue
-            agg = old - coeff
-            if not agg:
-                del out[exps]
-            elif type(agg) is Fraction and agg.denominator == 1:
-                out[exps] = agg.numerator
-            else:
-                out[exps] = agg
-        return MultiPoly._trusted(self.variables, out)
+        return MultiPoly._trusted(self.variables, _merge(dict(self.terms), other.terms, True))
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other).__sub__(self)
@@ -558,21 +553,7 @@ class _Parser:
         out = dict(first.terms)
         while kind == "+" or kind == "-":
             self._advance()
-            negate = kind == "-"
-            for exps, coeff in self._term().terms.items():
-                if negate:
-                    coeff = -coeff
-                old = out.get(exps)
-                if old is None:
-                    out[exps] = coeff
-                    continue
-                agg = old + coeff
-                if not agg:
-                    del out[exps]
-                elif type(agg) is Fraction and agg.denominator == 1:
-                    out[exps] = agg.numerator
-                else:
-                    out[exps] = agg
+            _merge(out, self._term().terms, kind == "-")
             kind = self._peek()
         return MultiPoly._trusted(self.variables, out)
 

@@ -377,8 +377,7 @@ def adapted_basis(
             raise StructureError(
                 [{"name": f"input {k + 1} is not in T_F^+ (F*X != X)", "witness": None}]
             )
-    origin = [Fraction(0)] * len(s.context.variables)
-    columns = [[c.evaluate(origin) for c in x.components] for x in xs]
+    columns = [[c.constant_part() for c in x.components] for x in xs]
     if rat_rank([list(col) for col in zip(*columns)]) != n:
         raise StructureError(
             [{"name": "inputs are dependent at the evaluation point", "witness": None}]

@@ -13,6 +13,7 @@ import pytest
 from bipara import cli, diagnostics
 from bipara.cli import MAX_HALF_DIMENSION, build_structure, load_spec, main
 from bipara.connections import ConnectionLaw, DifferenceTensor
+from bipara.geometry import EndoField
 from bipara.poly import parse_poly
 
 BIN = [sys.executable, "-m", "bipara.cli"]
@@ -566,6 +567,37 @@ def test_report_evaluates_each_concomitant_pair_once(fixture_dir, monkeypatch, c
     capsys.readouterr()
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     assert calls == {(name, i, j): 1 for name in ("N_F", "N_P", "FP") for i, j in pairs}
+
+
+def _record_squares(monkeypatch, s):
+    """Wrap ``EndoField.compose``; record "F" or "P" for each e o e formed from F or P."""
+    squares = []
+    compose = EndoField.compose
+
+    def recording(a, b):
+        if a == b and a in (s.F, s.P):
+            squares.append("F" if a == s.F else "P")
+        return compose(a, b)
+
+    monkeypatch.setattr(EndoField, "compose", recording)
+    return squares
+
+
+def test_classify_never_composes_p_with_p(fixture_dir, monkeypatch, capsys):
+    spec = str(fixture_dir / "heis_n2.json")
+    squares = _record_squares(monkeypatch, build_structure(load_spec(spec)))
+    assert main(["classify", spec]) == 0
+    capsys.readouterr()
+    # N_F is nonzero at its first pair, so N_P, the one reader of P o P, is never read.
+    assert "P" not in squares
+
+
+def test_report_composes_f_with_f_and_p_with_p(fixture_dir, monkeypatch, capsys):
+    spec = str(fixture_dir / "heis_n2.json")
+    squares = _record_squares(monkeypatch, build_structure(load_spec(spec)))
+    assert main(["report", spec]) == 0
+    capsys.readouterr()
+    assert {"F", "P"} <= set(squares)
 
 
 def test_commands_leave_no_bipara_object_in_a_reference_cycle(fixture_dir, capsys):

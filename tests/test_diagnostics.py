@@ -7,7 +7,15 @@ import pytest
 
 from bipara import diagnostics
 from bipara.cli import Analysis
-from bipara.connections import PairTensor, canonical_connection, curvature, pair_cell, torsion
+from bipara.connections import (
+    DifferenceTensor,
+    PairTensor,
+    canonical_connection,
+    curvature,
+    pair_cell,
+    torsion,
+    well_adapted_connection,
+)
 from bipara.diagnostics import (
     InconsistencyError,
     Verdict,
@@ -84,11 +92,33 @@ def test_fp_torsion_identities_on_generated(generated_pool):
         assert all(v.holds for v in fp_torsion_identities(s))
 
 
-def test_involutivity_flags_match_nijenhuis(heis, flat_n2):
+def test_fp_torsion_identities_fail_against_a_connection_with_the_wrong_torsion(monkeypatch):
+    # The well-adapted torsion is not the canonical one, so the identities
+    # read against it must fail where [F, P] is nonzero: on F+ pairs only.
+    aff = affine_structure()
+    wa = well_adapted_connection(DifferenceTensor(torsion(canonical_connection(aff))))
+    monkeypatch.setattr(diagnostics, "canonical_connection", lambda s: wa)
+    plus, minus, mixed = fp_torsion_identities(aff)
+    assert plus.name == "fp_bracket_equals_2PT_on_plus"
+    assert plus.witness == {"inputs": ["E1", "E2"], "components": ["0", "0", "-2", "0"]}
+    assert minus.holds and mixed.holds
+
+
+def test_involutivity_flags_match_nijenhuis(heis, flat_n2, aff):
     flags = involutivity_flags(flat_n2)
     assert all(flags.values())
-    flags = involutivity_flags(heis)
-    assert not all(flags.values())
+    assert involutivity_flags(heis) == {
+        "T_F_plus": False,
+        "T_F_minus": True,
+        "T_P_plus": False,
+        "T_P_minus": False,
+    }
+    assert involutivity_flags(aff) == {
+        "T_F_plus": True,
+        "T_F_minus": True,
+        "T_P_plus": False,
+        "T_P_minus": False,
+    }
 
 
 def lazy_integrability(s):

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from bipara.connections import canonical_connection
+from bipara.connections import (
+    DifferenceTensor,
+    canonical_connection,
+    torsion,
+    well_adapted_connection,
+)
 from bipara.geometry import (
     BilinearField,
     EndoField,
@@ -22,7 +27,7 @@ from bipara.metrics import (
     solve_hypersymplectic_metric,
     special_metric_predicates,
 )
-from bipara.structure import flat_structure, heisenberg_structure
+from bipara.structure import affine_structure, flat_structure, heisenberg_structure
 
 
 def bilinear(ctx, rows):
@@ -204,6 +209,20 @@ def test_parallel_skew_torsion_predicate_on_chart_structure(flat2):
     verdicts = special_metric_predicates(moved, moved_g, law)
     assert verdicts["hypersymplectic"].holds
     assert verdicts["parallel_skew_torsion"].holds
+
+
+def test_metric_and_skew_torsion_checks_fail_on_the_affine_structure():
+    aff = affine_structure()
+    g = bilinear(aff.context, [[int(i == j) for j in range(4)] for i in range(4)])
+    canon = canonical_connection(aff)
+    wa = well_adapted_connection(DifferenceTensor(torsion(canon)))
+    assert not metric_covariant_derivative_is_zero(wa, g)
+    verdict = special_metric_predicates(aff, g, wa)["parallel_skew_torsion"]
+    assert verdict.witness == {
+        "failed": ["nabla g != 0", "lowered torsion is not totally skew"]
+    }
+    verdict = special_metric_predicates(aff, g, canon)["parallel_skew_torsion"]
+    assert verdict.witness == {"failed": ["lowered torsion is not totally skew"]}
 
 
 def test_hypersymplectic_dimension_guard():
