@@ -62,7 +62,7 @@ from .geometry import (
 )
 from .linalg import LinAlgError, PolyMatrix, rat_signature
 from .metrics import MetricError, bi_lagrangian_assembly, classify_metric
-from .poly import PolyParseError, parse_poly
+from .poly import MultiPoly, PolyParseError, parse_poly
 from .structure import BiparaStructure, StructureError
 
 __all__ = ["Analysis", "SchemaError", "StructureSpec", "load_spec", "main"]
@@ -107,7 +107,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_entries(data, variables, dim, where: str, shape: str | None = None) -> list:
+def _parse(memo: dict, text: str, variables: tuple[str, ...], where: str) -> MultiPoly:
+    """``text`` in the ring ``variables``, through ``memo``, the parses of one file.
+
+    A miss calls ``parse_poly``; a parse error is raised as ``where: <error>``
+    and never kept, so the first bad entry of a file is the one named.
+    """
+    key = (text, variables)
+    poly = memo.get(key)
+    if poly is None:
+        try:
+            poly = memo[key] = parse_poly(text, variables)
+        except PolyParseError as err:
+            raise SchemaError(f"{where}: {err}") from err
+    return poly
+
+
+def _parse_entries(
+    memo: dict, data, variables, dim, where: str, shape: str | None = None
+) -> list[MultiPoly]:
     """Parse a list of ``dim`` expression strings; errors name entry k ``where[k]``."""
     _schema(
         isinstance(data, list) and len(data) == dim,
@@ -116,29 +134,24 @@ def _parse_entries(data, variables, dim, where: str, shape: str | None = None) -
     parsed = []
     for k, text in enumerate(data):
         _schema(isinstance(text, str), f"{where}[{k + 1}]: entries are strings")
-        try:
-            parsed.append(parse_poly(text, variables))
-        except PolyParseError as err:
-            raise SchemaError(f"{where}[{k + 1}]: {err}") from err
+        parsed.append(_parse(memo, text, variables, f"{where}[{k + 1}]"))
     return parsed
 
 
-def _parse_matrix(data, variables, dim, where: str) -> PolyMatrix:
+def _parse_matrix(memo: dict, data, variables, dim, where: str) -> PolyMatrix:
     _schema(isinstance(data, list) and len(data) == dim, f"{where}: expected {dim} rows")
     return PolyMatrix.from_rows([
         _parse_entries(
-            row, variables, dim, f"{where}[{i + 1}]", f"{where}: row {i + 1} must have {dim} entries"
+            memo, row, variables, dim, f"{where}[{i + 1}]",
+            f"{where}: row {i + 1} must have {dim} entries",
         )
         for i, row in enumerate(data)
     ])
 
 
-def _parse_rational(text: str, where: str) -> Fraction:
-    try:
-        value = parse_poly(str(text), ())
-    except PolyParseError as err:
-        raise SchemaError(f"{where}: {err}") from err
-    return value.constant_value()
+def _parse_rational(memo: dict, value, where: str) -> Fraction:
+    """A JSON number or string read as an exact rational; ``2`` and ``"2"`` are one text."""
+    return _parse(memo, str(value), (), where).constant_value()
 
 
 def _read_json(path: str):
@@ -163,7 +176,12 @@ MAX_HALF_DIMENSION = 8
 
 
 def load_spec(path: str) -> StructureSpec:
-    """Read and schema-validate a spec file (mathematical checks come later)."""
+    """Read and schema-validate a spec file (mathematical checks come later).
+
+    Each distinct entry text is parsed once per call: one memo, keyed by text
+    and ring, serves every matrix, structure constant and seed coordinate of
+    the file, and is dropped on return, so a second call parses again.
+    """
     data = _read_json(path)
     _schema(isinstance(data, dict), f"{path}: top level must be an object")
     backend = data.get("backend")
@@ -190,8 +208,9 @@ def load_spec(path: str) -> StructureSpec:
         _schema(not data.get("variables"), f"{path}: constant-frame specs carry no variables")
         variables = ()
 
-    f_matrix = _parse_matrix(data.get("F"), variables, dim, f"{path}: F")
-    p_matrix = _parse_matrix(data.get("P"), variables, dim, f"{path}: P")
+    memo: dict = {}
+    f_matrix = _parse_matrix(memo, data.get("F"), variables, dim, f"{path}: F")
+    p_matrix = _parse_matrix(memo, data.get("P"), variables, dim, f"{path}: P")
 
     bracket_table = {}
     if backend == CONSTANT_FRAME:
@@ -213,13 +232,13 @@ def load_spec(path: str) -> StructureSpec:
             key = (i - 1, j - 1)
             _schema(key not in bracket_table, f"{where}: duplicate pair ({i},{j})")
             bracket_table[key] = tuple(
-                _parse_rational(c, f"{where}.coeffs[{m + 1}]") for m, c in enumerate(coeffs)
+                _parse_rational(memo, c, f"{where}.coeffs[{m + 1}]") for m, c in enumerate(coeffs)
             )
 
     def optional_matrix(key: str) -> PolyMatrix | None:
         if key not in data or data[key] is None:
             return None
-        return _parse_matrix(data[key], variables, dim, f"{path}: {key}")
+        return _parse_matrix(memo, data[key], variables, dim, f"{path}: {key}")
 
     adapted_frame = optional_matrix("adapted_frame")
     metric = optional_matrix("metric")
@@ -233,7 +252,9 @@ def load_spec(path: str) -> StructureSpec:
         where = f"{path}: seed_points[{t + 1}]"
         _schema(backend == POLYNOMIAL_CHART, f"{where}: seed points need the chart backend")
         _schema(isinstance(point, list) and len(point) == dim, f"{where}: need {dim} coordinates")
-        seed_points.append(tuple(_parse_rational(c, where) for c in point))
+        seed_points.append(
+            tuple(_parse_rational(memo, c, f"{where}[{m + 1}]") for m, c in enumerate(point))
+        )
 
     return StructureSpec(
         backend=backend,
@@ -552,12 +573,13 @@ def _load_map(path: str, source: FrameContext, target: FrameContext) -> PolyMap:
     data = _read_json(path)
     _schema(isinstance(data, dict), f"{path}: top level must be an object")
     dim = source.dim
+    memo: dict = {}
     try:
         if source.backend == POLYNOMIAL_CHART:
-            forward = _parse_entries(data.get("forward"), source.variables, dim, f"{path}: forward")
-            inverse = _parse_entries(data.get("inverse"), target.variables, dim, f"{path}: inverse")
+            forward = _parse_entries(memo, data.get("forward"), source.variables, dim, f"{path}: forward")
+            inverse = _parse_entries(memo, data.get("inverse"), target.variables, dim, f"{path}: inverse")
             return PolyMap(source, target, forward=forward, inverse=inverse)
-        rows = _parse_matrix(data.get("matrix"), (), dim, f"{path}: matrix").constant_rows()
+        rows = _parse_matrix(memo, data.get("matrix"), (), dim, f"{path}: matrix").constant_rows()
         return PolyMap(source, target, matrix=rows)
     except (GeometryError, LinAlgError) as err:
         raise MathValidationError(f"{path}: {err}") from err

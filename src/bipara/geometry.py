@@ -82,7 +82,9 @@ class FrameContext:
 
     ``variables`` is empty for the constant backend; ``bracket_table`` is
     empty for the chart backend (coordinate fields commute).  Kernels read
-    both, so ``backend`` is derived, not stored.
+    both, so ``backend`` is derived, not stored.  A constant-frame context
+    checks Jacobi when it is made, on the basis triples that some product of
+    two nonzero structure constants reaches (``_check_jacobi``).
     """
 
     dim: int
@@ -149,15 +151,37 @@ class FrameContext:
         return out
 
     def _check_jacobi(self):
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            total = [Fraction(0)] * self.dim
+        """Raise on the first basis triple, in ``combinations`` order, that fails Jacobi.
+
+        [[E_a, E_b], E_c] = sum_m C_ab^m [E_m, E_c] has a nonzero term only
+        where some C_ab^m and some C_mc^t are nonzero, so the cyclic sum is
+        formed only on the triples such products reach; on every other
+        triple it is zero term by term.
+        """
+        nonzero: dict[tuple[int, int], list] = {}  # (a, b) -> [(m, C_ab^m) with C_ab^m != 0]
+        for i, j, coeffs in self.bracket_table:
+            terms = [(m, c) for m, c in enumerate(coeffs) if c]
+            if terms:
+                nonzero[i, j] = terms
+                nonzero[j, i] = [(m, -c) for m, c in terms]
+        partners: dict[int, list[int]] = {}  # a -> every b with [E_a, E_b] != 0
+        for a, b in nonzero:
+            partners.setdefault(a, []).append(b)
+        reached = {
+            tuple(sorted((a, b, c)))
+            for (a, b), terms in nonzero.items()
+            if a < b
+            for m, _ in terms
+            for c in partners.get(m, ())
+            if c != a and c != b
+        }
+        for i, j, k in sorted(reached):
+            total: dict[int, Fraction] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                # [[E_a, E_b], E_c] = sum_m [E_a, E_b]^m [E_m, E_c]
-                for m, coeff in enumerate(self.basis_bracket(a, b)):
-                    if coeff:
-                        for t, outer in enumerate(self.basis_bracket(m, c)):
-                            total[t] += coeff * outer
-            if any(total):
+                for m, coeff in nonzero.get((a, b), ()):
+                    for t, outer in nonzero.get((m, c), ()):
+                        total[t] = total.get(t, 0) + coeff * outer
+            if any(total.values()):
                 raise GeometryError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     def frame_derivative(self, i: int, f: MultiPoly) -> MultiPoly:

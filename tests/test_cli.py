@@ -623,6 +623,91 @@ def test_commands_leave_no_bipara_object_in_a_reference_cycle(fixture_dir, capsy
     assert names <= {"FrameContext", "VectorField"}
 
 
+def _count_parses(monkeypatch) -> Counter:
+    """Wrap ``cli.parse_poly``; count its calls by (text, ring)."""
+    calls = Counter()
+
+    def counted(text, variables):
+        calls[text, tuple(variables)] += 1
+        return parse_poly(text, variables)
+
+    monkeypatch.setattr(cli, "parse_poly", counted)
+    return calls
+
+
+def _spec_texts(spec: dict) -> set:
+    """The (text, ring) of every matrix entry and structure constant of a spec."""
+    ring = tuple(spec.get("variables", ()))
+    texts = {
+        (text, ring)
+        for key in ("F", "P", "adapted_frame", "metric", "omega", "H")
+        for row in spec.get(key) or ()
+        for text in row
+    }
+    return texts | {(str(c), ()) for entry in spec.get("structure_constants", ()) for c in entry["coeffs"]}
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_load_spec_parses_each_distinct_text_once_per_file(fixture_dir, monkeypatch, fixture):
+    path = fixture_dir / f"{fixture}.json"
+    calls = _count_parses(monkeypatch)
+    first = load_spec(str(path))
+    expected = _spec_texts(json.loads(path.read_text(encoding="utf-8")))
+    assert calls == Counter(dict.fromkeys(expected, 1))
+    # a second read of the same file keeps nothing from the first
+    assert load_spec(str(path)) == first
+    assert calls == Counter(dict.fromkeys(expected, 2))
+
+
+def test_map_file_parses_each_distinct_text_once(fixture_dir, tmp_path, monkeypatch, capsys):
+    flat = str(fixture_dir / "flat_n2.json")
+    shear = {"forward": ["x1", "x2", "y1 + x1^2", "y2"], "inverse": ["x1", "x2", "y1 - x1^2", "y2"]}
+    chart_map = write(tmp_path, "map.json", shear)
+    calls = _count_parses(monkeypatch)
+    assert main(["equivalent", flat, flat, "--map", str(chart_map)]) == 0
+    capsys.readouterr()
+    ring = ("x1", "x2", "y1", "y2")
+    spec_texts = _spec_texts(json.loads(Path(flat).read_text(encoding="utf-8")))
+    map_texts = {(t, ring) for t in ("x1", "x2", "y1 + x1^2", "y1 - x1^2", "y2")}
+    # each spec read parses its own texts; the map's "x1", "x2", "y2" are parsed once
+    assert calls == Counter(dict.fromkeys(spec_texts, 2)) + Counter(dict.fromkeys(map_texts, 1))
+
+
+def test_a_repeated_bad_literal_is_named_at_its_first_position(tmp_path, capsys):
+    spec = _flat_n1_spec(F=[["1", "0"], ["0", "1/0"]], P=[["1/0", "1"], ["1", "0"]])
+    path = write(tmp_path, "bad.json", spec)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: F[2][2]: zero denominator (at offset 2)\n"
+
+
+def test_a_json_integer_and_its_string_read_as_one_rational(tmp_path, monkeypatch):
+    constants = [{"i": 1, "j": 2, "coeffs": [2, "2"]}]
+    path = write(tmp_path, "ints.json", _flat_n1_spec(structure_constants=constants))
+    calls = _count_parses(monkeypatch)
+    spec = load_spec(str(path))
+    assert spec.bracket_table == {(0, 1): (2, 2)}
+    assert calls[("2", ())] == 1
+
+
+def test_a_bad_seed_coordinate_is_named_with_its_index(tmp_path, capsys):
+    # "x1" is an entry of the metric's ring, but a seed coordinate is a rational
+    spec = {
+        "backend": "polynomial_chart",
+        "n": 1,
+        "variables": ["x1", "y1"],
+        "F": [["0", "1"], ["1", "0"]],
+        "P": [["1", "0"], ["0", "-1"]],
+        "metric": [["1", "0"], ["0", "x1"]],
+        "seed_points": [["0", "0"], ["1/2", "x1"]],
+    }
+    path = write(tmp_path, "seeded.json", spec)
+    assert main(["classify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: seed_points[2][2]: unknown variable 'x1' (at offset 0)\n"
+
+
 def _flat_n1_spec(**overrides):
     spec = {
         "backend": "constant_frame",

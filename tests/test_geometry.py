@@ -23,7 +23,7 @@ from bipara.geometry import (
     pushforward_endo,
     pushforward_vector,
 )
-from bipara.linalg import LinAlgError, PolyMatrix, poly_matrix_inverse
+from bipara.linalg import LinAlgError, PolyMatrix, poly_matrix_inverse, rat_inverse
 from bipara.poly import MultiPoly, PolyError, parse_poly
 from bipara.structure import (
     _random_isomorphism,
@@ -71,26 +71,93 @@ def _dense_jacobi_failure(dim, table):
     return None
 
 
-def test_jacobi_check_matches_dense_reference():
+def _two_step_nilpotent_table(rng, dim):
+    """Every pair [X_i, X_j] (i < j < n) present and landing in the central Y-span."""
+    n = dim // 2
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeffs = [Fraction(0)] * dim
+            coeffs[n + (i + j) % n] = Fraction(rng.choice((-2, -1, 1, 3)))
+            table[i, j] = tuple(coeffs)
+    return table
+
+
+def _conjugated_table(rng, dim, table):
+    """The same Lie algebra in the basis E'_i = sum_k A_ki E_k, A unipotent times unipotent.
+
+    Jacobi holds in one basis exactly when it holds in the other, and a
+    generic A leaves no pair of a nonabelian algebra commuting.
+    """
+    upper = [[Fraction(int(i == j) or rng.randint(-1, 1) * (i < j)) for j in range(dim)] for i in range(dim)]
+    lower = [[Fraction(int(i == j) or rng.randint(-1, 1) * (i > j)) for j in range(dim)] for i in range(dim)]
+    a = [[sum(upper[i][k] * lower[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+    a_inv = rat_inverse(a)
+    ctx = SimpleNamespace(dim=dim, brackets=table)
+    columns = [[a[k][i] for k in range(dim)] for i in range(dim)]
+    out = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            w = FrameContext._vector_bracket(ctx, columns[i], columns[j])
+            coeffs = tuple(sum(a_inv[m][k] * w[k] for k in range(dim)) for m in range(dim))
+            if any(coeffs):
+                out[i, j] = coeffs
+    return out
+
+
+def _last_triple_failure(dim):
+    """[E_a, E_b] = E_a and [E_a, E_c] = E_b on the last three indices: only (a, b, c) fails."""
+    a, b, c = dim - 3, dim - 2, dim - 1
+    units = [tuple(Fraction(int(t == m)) for t in range(dim)) for m in range(dim)]
+    return {(a, b): units[a], (a, c): units[b]}
+
+
+def _jacobi_tables():
+    """(dim, table) pairs: sparse random tables, then full valid and broken ones at dims 8 and 12.
+
+    The full two-step nilpotent tables have every pair [X_i, X_j] present, the
+    shape of the benchmark's n = 4 to 6 nilpotent specs.
+    """
     rng = random.Random(1729)
-    outcomes = set()
     for _ in range(150):
-        dim = rng.choice((4, 4, 6))
-        table = {
+        dim = rng.choice((4, 4, 6, 8, 12))
+        density = rng.choice((0.05, 0.15, 0.3))
+        yield dim, {
             (i, j): tuple(Fraction(rng.choice((-1, 0, 0, 1, 2))) for _ in range(dim))
             for i in range(dim)
             for j in range(i + 1, dim)
-            if rng.random() < 0.3
+            if rng.random() < density
         }
+    for dim in (4, 8, 12):
+        yield dim, _last_triple_failure(dim)
+    nilpotent = {dim: _two_step_nilpotent_table(rng, dim) for dim in (8, 12)}
+    # every pair of E_1..E_8 present; at dim 12 the dense reference takes over 1 s on it
+    conjugated = _conjugated_table(rng, 8, nilpotent[8])
+    assert len(conjugated) == 8 * 7 // 2
+    for dim, table in ((8, nilpotent[8]), (8, conjugated), (12, nilpotent[12])):
+        yield dim, table
+        # one structure constant moved: Jacobi fails on some triple
+        broken = dict(table)
+        key = max(broken)
+        broken[key] = (broken[key][0] + 1,) + broken[key][1:]
+        yield dim, broken
+
+
+def test_jacobi_check_matches_dense_reference():
+    outcomes = set()
+    for dim, table in _jacobi_tables():
         expected = _dense_jacobi_failure(dim, table)
-        outcomes.add(expected is None)
+        outcomes.add((dim, expected is None))
         if expected is None:
             algebra_context(dim, table)
         else:
             with pytest.raises(GeometryError) as err:
                 algebra_context(dim, table)
             assert str(err.value) == expected
-    assert outcomes == {True, False}  # both valid and failing tables were drawn
+    # both valid and failing tables were drawn at every dimension
+    assert outcomes == {(dim, holds) for dim in (4, 6, 8, 12) for holds in (True, False)}
+    last = {dim: _dense_jacobi_failure(dim, _last_triple_failure(dim)) for dim in (4, 8, 12)}
+    assert last == {dim: f"Jacobi identity fails on basis triple ({dim - 3},{dim - 2},{dim - 1})" for dim in last}
 
 
 def test_coordinate_fields_commute():
