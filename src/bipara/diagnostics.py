@@ -45,7 +45,7 @@ from .geometry import (
     lie_bracket,
     pushforward_endo,
 )
-from .linalg import LinAlgError, PolyMatrix, rat_blocks, rat_rank
+from .linalg import LinAlgError, PolyMatrix, rat_blocks, rat_rank, rat_system
 from .structure import (
     BiparaStructure,
     StructureError,
@@ -349,8 +349,35 @@ def commutant_check(s: BiparaStructure, endo: EndoField) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Prolongation of the block-diagonal algebra
+# Prolongation and trace pairing of the block-diagonal algebra
+#
+# Both criteria are rational systems over the same unknowns, the linear maps
+# L from R^{2n} into g = {diag(A, A)}, and both read the same alternation
+# (Alt L)(e_w, e_u) = L(e_w) e_u - L(e_u) e_w.  ``_alternation`` lists its
+# sparse terms once; each criterion keys them into rows for rat_system.
 # ---------------------------------------------------------------------------
+
+
+def _alternation(n: int) -> tuple[int, list[tuple[int, int, int, int, int]]]:
+    """The number of unknowns, and the terms (w, u, r, column, coefficient) of Alt L.
+
+    Column (k n + a) n + b is the basis map e_k -> diag(E_ab, E_ab); it sends
+    e_{h+b} to e_{h+a} for h in {0, n}, so it adds e_{h+a} at (w, u) = (k, h+b)
+    and -e_{h+a} at (w, u) = (h+b, k).  A term adds its coefficient to
+    component r of (Alt L)(e_w, e_u).
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    dim = 2 * n
+    terms = []
+    for k in range(dim):
+        for a in range(n):
+            for b in range(n):
+                col = (k * n + a) * n + b
+                for h in (0, n):
+                    terms.append((k, h + b, h + a, col, 1))
+                    terms.append((h + b, k, h + a, col, -1))
+    return dim * n * n, terms
 
 
 def _delta_algebra_basis(n: int) -> list[PolyMatrix]:
@@ -366,46 +393,21 @@ def _delta_algebra_basis(n: int) -> list[PolyMatrix]:
 def first_prolongation_dim(n: int) -> int:
     """Exact dimension of the first prolongation of {diag(A, A)}.
 
-    Unknowns are linear maps T from R^{2n} into the algebra; the symmetric
-    constraint T(u)v = T(v)u on basis pairs gives a rational linear system
-    whose nullity is computed exactly.
+    The prolongation is the kernel of the alternation: the maps L with
+    L(e_w) e_u = L(e_u) e_w.  Its rows are the components r of
+    (Alt L)(e_w, e_u) for w < u, and the nullity is computed exactly.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    dim = 2 * n
-    # unknown t[k][i][j]: T(e_k) = diag(A_k, A_k) with (A_k)_{ij} = t[k][i][j]
-    ncols = dim * n * n
-
-    def unknown(k, i, j):
-        return k * n * n + i * n + j
-
-    rows: list[list[Fraction]] = []
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            # T(e_k) e_l - T(e_l) e_k = 0, componentwise in R^{2n}
-            for out_row in range(dim):
-                row = [Fraction(0)] * ncols
-                half_l, idx_l = divmod(l, n)
-                half_k, idx_k = divmod(k, n)
-                if out_row < n:
-                    if half_l == 0:
-                        row[unknown(k, out_row, idx_l)] += 1
-                    if half_k == 0:
-                        row[unknown(l, out_row, idx_k)] -= 1
-                else:
-                    if half_l == 1:
-                        row[unknown(k, out_row - n, idx_l)] += 1
-                    if half_k == 1:
-                        row[unknown(l, out_row - n, idx_k)] -= 1
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        return ncols
+    ncols, alt = _alternation(n)
+    rows = rat_system(
+        ncols, (((w, u, r) if w < u else None, col, c) for w, u, r, col, c in alt)
+    )
     return ncols - rat_rank(rows)
 
 
 def transpose_invariance(n: int) -> bool:
     """Is the block-diagonal algebra stable under matrix transposition?"""
+    if n < 1:
+        raise ValueError("n must be positive")
     return all(
         delta_gl_algebra_membership(basis_elt.transpose())
         for basis_elt in _delta_algebra_basis(n)
@@ -416,38 +418,22 @@ def trace_pairing_condition(n: int) -> bool:
     """The orthogonality criterion for well-adaptedness.
 
     Checks that the only L in Hom(R^{2n}, g) whose alternation contracts into
-    the orthogonal complement of g (w.r.t. <A, B> = trace(A B^T), the sum of
-    the entrywise products) is L = 0.  The prolongation route is the
-    authoritative sufficiency check; this one is an independent second route.
+    the orthogonal complement of g is L = 0.  With <A, B> = trace(A B^T), the
+    matrix M_w = (u -> (Alt L)(e_w, e_u)) pairs with diag(E_ab, E_ab) to
+    M_w[a][b] + M_w[n+a][n+b], so a term keys into row (w, a, b) exactly when
+    its component r and its argument u lie in the same block.  The system
+    shares the prolongation's alternation; the sympy oracles in the tests
+    check both from their definitions.
     """
-    dim = 2 * n
-    units = [m.constant_rows() for m in _delta_algebra_basis(n)]
-    ncols = dim * n * n
-
-    # For unknown t[k][a][b] (so L(e_k) = t * diag(E_ab, E_ab)), the matrix
-    # u -> L(e_w) e_u - L(e_u) e_w picks up diag(E_ab, E_ab) when k = w and
-    # minus its w-th column placed in column k.
-    rows_out: list[list[Fraction]] = []
-    for w in range(dim):
-        for s_rows in units:
-            row = [Fraction(0)] * ncols
-            for k in range(dim):
-                for u, unit in enumerate(units):
-                    contrib = [r[:] for r in unit] if k == w else [
-                        [Fraction(0)] * dim for _ in range(dim)
-                    ]
-                    for r in range(dim):
-                        contrib[r][k] -= unit[r][w]
-                    value = sum(
-                        a * b for c_row, s_row in zip(contrib, s_rows) for a, b in zip(c_row, s_row)
-                    )
-                    if value:
-                        row[k * n * n + u] += value
-            if any(row):
-                rows_out.append(row)
-    if not rows_out:
-        return ncols == 0
-    return ncols - rat_rank(rows_out) == 0
+    ncols, alt = _alternation(n)
+    rows = rat_system(
+        ncols,
+        (
+            ((w, r % n, u % n) if r // n == u // n else None, col, c)
+            for w, u, r, col, c in alt
+        ),
+    )
+    return rat_rank(rows) == ncols
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ Two layers live here:
 * :class:`PolyMatrix` -- small dense matrices of :class:`~bipara.poly.MultiPoly`
   entries, used for endomorphism fields, bilinear fields and frames.
 * plain ``list[list[Fraction]]`` helpers (``rat_*``) for exact Gaussian
-  elimination: inverses, ranks, nullspaces and Sylvester signatures.
+  elimination: inverses, ranks, nullspaces and Sylvester signatures.  Every
+  homogeneous system the library solves is assembled by :func:`rat_system`
+  from sparse ``(row key, column, coefficient)`` terms.
 
 General polynomial matrices are never inverted.  :func:`poly_matrix_inverse`
 only succeeds when the matrix is constant, or has an invertible constant part
@@ -16,7 +18,7 @@ inverse inside the polynomial ring.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .poly import MultiPoly, PolyError
 
@@ -30,6 +32,7 @@ __all__ = [
     "rat_nullspace",
     "rat_rank",
     "rat_signature",
+    "rat_system",
 ]
 
 
@@ -256,6 +259,25 @@ def rat_matmul(a, b) -> list[list[Fraction]]:
     ]
 
 
+def rat_system(
+    ncols: int, terms: Iterable[tuple[Hashable, int, int | Fraction]]
+) -> list[list[Fraction]]:
+    """The rows of a homogeneous system in ``ncols`` unknowns, from sparse terms.
+
+    Each term ``(key, column, coefficient)`` adds its coefficient to the row
+    named ``key``; terms with a key of None are dropped.  Rows come in the
+    order their keys first appear.
+    """
+    rows: dict[Hashable, list[Fraction]] = {}
+    for key, col, coeff in terms:
+        if key is not None:
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [Fraction(0)] * ncols
+            row[col] += coeff
+    return list(rows.values())
+
+
 def _rat_rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], dict[int, int]]:
     """Reduced row echelon form, and the row of the pivot in each pivot column."""
     a = _rat_copy(m)
@@ -271,11 +293,12 @@ def _rat_rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], di
             continue
         a[row], a[pivot_row] = a[pivot_row], a[row]
         pivot = a[row][col]
-        a[row] = [v / pivot for v in a[row]]
+        # zero entries are left as they are: the systems assembled here are sparse
+        a[row] = [v / pivot if v else v for v in a[row]]
         for r in range(nrows):
             if r != row and a[r][col] != 0:
                 factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[row])]
+                a[r] = [v - factor * w if w else v for v, w in zip(a[r], a[row])]
         pivots[col] = row
         row += 1
     return a, pivots

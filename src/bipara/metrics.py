@@ -19,7 +19,7 @@ from fractions import Fraction
 from .connections import ConnectionLaw, is_parallel, torsion
 from .diagnostics import InconsistencyError, Verdict
 from .geometry import BilinearField, ContextMismatch, EndoField
-from .linalg import PolyMatrix, rat_inverse, rat_matmul, rat_nullspace, rat_rank, rat_signature
+from .linalg import PolyMatrix, rat_inverse, rat_matmul, rat_nullspace, rat_rank, rat_signature, rat_system
 from .structure import BiparaStructure, StructureError
 
 __all__ = [
@@ -239,25 +239,17 @@ def solve_hypersymplectic_metric(s: BiparaStructure) -> BilinearField | None:
     unknowns = [(i, j) for i in range(dim) for j in range(i, dim)]
     index = {pair: t for t, pair in enumerate(unknowns)}
 
-    def entry_coeffs(rows_a, rows_b, sign):
-        # constraint block: A^T g A - sign * g = 0 entrywise
-        out = []
-        for r in range(dim):
-            for c in range(r, dim):
-                row = [Fraction(0)] * len(unknowns)
+    def terms():
+        # A^T g A - sign * g = 0 entrywise, for (A, sign) = (J, 1) and (F, -1)
+        for name, a, sign in (("J", j_rows, 1), ("F", f_rows, -1)):
+            for r, c in unknowns:
+                key = (name, r, c)
+                yield key, index[r, c], -sign
                 for i in range(dim):
                     for j in range(dim):
-                        coeff = rows_a[i][r] * rows_b[j][c]
-                        if coeff:
-                            key = (i, j) if i <= j else (j, i)
-                            row[index[key]] += coeff
-                row[index[(r, c)]] -= sign
-                out.append(row)
-        return out
+                        yield key, index[min(i, j), max(i, j)], a[i][r] * a[j][c]
 
-    system = entry_coeffs(j_rows, j_rows, Fraction(1)) + entry_coeffs(
-        f_rows, f_rows, Fraction(-1)
-    )
+    system = rat_system(len(unknowns), terms())
     basis = rat_nullspace(system)
     if not basis:
         return None

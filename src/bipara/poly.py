@@ -193,12 +193,6 @@ class MultiPoly:
             raise PolyError(f"{self} is not constant")
         return next(iter(self.terms.values()))
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if self.is_zero:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def constant_part(self) -> int | Fraction:
         """Coefficient of the constant monomial (0 if absent)."""
         return self.terms.get((0,) * len(self.variables), 0)

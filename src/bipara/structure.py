@@ -378,7 +378,7 @@ def adapted_basis(
                 [{"name": f"input {k + 1} is not in T_F^+ (F*X != X)", "witness": None}]
             )
     columns = [[c.constant_part() for c in x.components] for x in xs]
-    if rat_rank([list(col) for col in zip(*columns)]) != n:
+    if rat_rank(columns) != n:
         raise StructureError(
             [{"name": "inputs are dependent at the evaluation point", "witness": None}]
         )
@@ -424,19 +424,13 @@ def structure_from_alpha(
         if rat_rank(stack(*pair)) != dim:
             raise StructureError([{"name": f"transversality failure: {name} != TM", "witness": None}])
 
-    b12_inv = rat_inverse(stack(c1, c2))
-
     # Decompose each V3 spanning vector as a_k + b_k with a_k in V1, b_k in V2;
     # P swaps the graph: P a_k = b_k, P b_k = a_k, so (a_1..a_n, b_1..b_n) is
     # an adapted frame.
-    a_cols, b_cols = [], []
-    for w in c3:
-        coeffs = rat_matmul(b12_inv, [[v] for v in w])
-        a = [sum((c1[t][i] * coeffs[t][0] for t in range(n)), Fraction(0)) for i in range(dim)]
-        b = [sum((c2[t][i] * coeffs[n + t][0] for t in range(n)), Fraction(0)) for i in range(dim)]
-        a_cols.append(a)
-        b_cols.append(b)
-    ab = stack(a_cols, b_cols)
+    coeffs = rat_matmul(rat_inverse(stack(c1, c2)), stack(c3))
+    a = rat_matmul(stack(c1), coeffs[:n])
+    b = rat_matmul(stack(c2), coeffs[n:])
+    ab = [a_row + b_row for a_row, b_row in zip(a, b)]
     if rat_rank(ab) != dim:
         raise StructureError([{"name": "transversality failure: degenerate graph map", "witness": None}])
     s = adapted_structure(ctx, PolyMatrix.from_rational_rows(ab, ctx.variables))

@@ -152,6 +152,13 @@ def test_prolongation_command():
     assert payload["transpose_invariant"] is True
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prolongation_payload_is_frozen(capsys, n):
+    assert main(["prolongation", "--n", str(n)]) == 0
+    expected = f'{{\n  "n": {n},\n  "prolongation_dimension": 0,\n  "transpose_invariant": true\n}}\n'
+    assert capsys.readouterr().out == expected
+
+
 def test_difference_command_aff(fixture_dir):
     proc = run_cli("difference", fixture_dir / "aff_n2.json")
     payload = json.loads(proc.stdout)

@@ -313,8 +313,73 @@ def test_first_prolongation_against_sympy_oracle():
 
 
 def test_trace_pairing_condition_default_form():
-    assert trace_pairing_condition(1)
-    assert trace_pairing_condition(2)
+    for n in (1, 2, 3, 4):
+        assert trace_pairing_condition(n)
+
+
+def test_trace_pairing_against_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    # dense, from the definition: each basis map L of Hom(R^{2n}, g) gives the
+    # pairings trace(M_w S^T) of M_w = (u -> L(e_w) e_u - L(e_u) e_w) with
+    # each basis element S of g; the criterion holds iff only L = 0 pairs to 0
+    for n in (1, 2):
+        dim = 2 * n
+        units = []
+        for a in range(n):
+            for b in range(n):
+                unit = sympy.zeros(n, n)
+                unit[a, b] = 1
+                units.append(sympy.diag(unit, unit))
+        columns = []
+        for k in range(dim):
+            for unit in units:
+                values = [unit if v == k else sympy.zeros(dim, dim) for v in range(dim)]
+                column = []
+                for w in range(dim):
+                    m = sympy.Matrix(dim, dim, lambda r, u: values[w][r, u] - values[u][r, w])
+                    column.extend((m * s.T).trace() for s in units)
+                columns.append(column)
+        assert sympy.Matrix(columns).rank() == len(columns)
+        assert trace_pairing_condition(n)
+
+
+def test_alternation_terms_match_definition():
+    # Both criteria return the same answer with one sign of the alternation
+    # flipped, so its terms are compared with the definition itself:
+    # (Alt L)(e_w, e_u) = L(e_w) e_u - L(e_u) e_w for each basis map
+    # L: e_k -> diag(E_ab, E_ab), written densely.
+    for n in (1, 2, 3):
+        dim = 2 * n
+        ncols, terms = diagnostics._alternation(n)
+        got = {}
+        for w, u, r, col, c in terms:
+            got[w, u, r, col] = got.get((w, u, r, col), 0) + c
+        expected = {}
+        zero = [[0] * dim for _ in range(dim)]
+        maps = [(k, a, b) for k in range(dim) for a in range(n) for b in range(n)]
+        for col, (k, a, b) in enumerate(maps):
+            unit = [
+                [int(i // n == j // n and i % n == a and j % n == b) for j in range(dim)]
+                for i in range(dim)
+            ]
+            values = [unit if v == k else zero for v in range(dim)]
+            for w in range(dim):
+                for u in range(dim):
+                    for r in range(dim):
+                        c = values[w][r][u] - values[u][r][w]
+                        if c:
+                            expected[w, u, r, col] = c
+        assert ncols == len(maps)
+        assert {key: c for key, c in got.items() if c} == expected
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "check", [first_prolongation_dim, trace_pairing_condition, transpose_invariance]
+)
+def test_structure_algebra_checks_reject_nonpositive_n(check, n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        check(n)
 
 
 def test_invariant_count_frozen_values():

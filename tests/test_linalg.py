@@ -14,6 +14,7 @@ from bipara.linalg import (
     rat_nullspace,
     rat_rank,
     rat_signature,
+    rat_system,
 )
 from bipara.poly import MultiPoly, parse_poly
 
@@ -128,6 +129,28 @@ def test_rank_and_nullspace():
         for vec in basis:
             image = rat_matmul(m, [[v] for v in vec])
             assert all(entry[0] == 0 for entry in image)
+
+
+def test_rat_system_keys_rows():
+    terms = [("b", 0, 1), (None, 1, 5), ("a", 2, Fraction(1, 2)), ("b", 0, 2), ("b", 1, -1), ("a", 2, 1)]
+    assert rat_system(3, terms) == [[3, -1, 0], [0, 0, Fraction(3, 2)]]
+    assert rat_system(3, [(None, 0, 1)]) == []
+
+
+def test_rat_system_nullspace_ignores_order_and_splitting():
+    rng = random.Random(404)
+    for _ in range(20):
+        ncols = rng.randint(1, 6)
+        terms = [
+            (rng.randint(0, 4), rng.randrange(ncols), rng.choice([1, -1, 2, Fraction(1, 3)]))
+            for _ in range(rng.randint(1, 12))
+        ]
+        # each coefficient split into two equal terms, dropped terms added, and
+        # the terms shuffled
+        split = [(key, col, Fraction(c) / 2) for key, col, c in terms for _ in range(2)]
+        split += [(None, col, 7) for col in range(ncols)]
+        rng.shuffle(split)
+        assert rat_nullspace(rat_system(ncols, split)) == rat_nullspace(rat_system(ncols, terms))
 
 
 def test_rat_inverse_round_trip():
