@@ -256,7 +256,7 @@ def _torsion_cell(law: ConnectionLaw, i: int, j: int) -> VectorField:
     """T(E_i, E_j) = nabla_{E_i} E_j - nabla_{E_j} E_i - [E_i, E_j]."""
     ctx = law.context
     ft = law.frame_table
-    return ft[i][j] - ft[j][i] - VectorField.from_rationals(ctx, ctx.basis_bracket(i, j))
+    return ft[i][j] - ft[j][i] - ctx.basis_bracket_field(i, j)
 
 
 class TorsionTensor(PairTensor):
@@ -286,11 +286,11 @@ class CurvatureTensor:
         out: dict[tuple[int, int, int], VectorField] = {}
         for i in range(dim):
             for j in range(i + 1, dim):
-                bracket_coeffs = ctx.basis_bracket(i, j)
+                bracket = ctx.basis_bracket(i, j)
                 for k in range(dim):
                     value = law.nabla_of_field(i, ft[j][k]) - law.nabla_of_field(j, ft[i][k])
-                    for m, c in enumerate(bracket_coeffs):
-                        if c and not ft[m][k].is_zero:
+                    for m, c in bracket:
+                        if not ft[m][k].is_zero:
                             value = value - ft[m][k].scale(c)
                     out[(i, j, k)] = value
         return out

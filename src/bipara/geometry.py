@@ -9,6 +9,17 @@ Two backends share one interface and every kernel; they differ only in data:
   identity); vector fields have constant components and the bracket is the
   bilinear extension of the table.
 
+Every bracket reads one table, ``FrameContext.structure_constants``:
+``[a][b]`` lists the nonzero (m, C_ab^m) of [E_a, E_b], for both orders of
+every pair with a nonzero bracket and for no other pair (a chart's table is
+empty).  The structure part of ``lie_bracket`` visits only the rows a with
+X^a != 0, in each only the b with Y^b != 0, and only their nonzero
+coefficients; its derivative part loops over the chart variables outermost,
+so a constant frame does no work for it.  The Jacobi check, the bracket
+check of a map and the torsion and curvature tables read [E_i, E_j] from the
+same table, as ``FrameContext.basis_bracket(i, j)`` (its nonzero
+(m, C_ij^m)) or ``basis_bracket_field(i, j)``.
+
 A context keeps its ring's zero once, as ``FrameContext.zero`` (the shared
 ``MultiPoly.zero(variables)`` instance), and its zero field once, as
 ``FrameContext.zero_field``; every kernel takes its zero scalars and fields
@@ -17,8 +28,8 @@ ring's zero does in ``MultiPoly``: ``+``, ``-`` and ``scale`` return an
 operand (or its negation) as it is, and ``EndoField.apply``,
 ``lie_bracket`` and ``ConnectionLaw.nabla_of_field`` return the context's
 zero field, each after its context check (and ``scale`` after its check of
-the factor).  [E_i, E_j] is ``FrameContext.basis_bracket(i, j)``,
-read off the structure constants; ``lie_bracket`` brackets arbitrary fields.
+the factor).  ``VectorField.is_zero`` is a slot, set once when a field is
+made, so these shortcuts read a flag rather than scan the components.
 
 A diffeomorphism (:class:`PolyMap`) is the same data on both backends: its
 forward and inverse coordinate lists (empty on a constant frame) and its two
@@ -36,6 +47,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .linalg import PolyMatrix, rat_inverse
@@ -117,7 +129,25 @@ class FrameContext:
 
     @cached_property
     def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+        """``bracket_table`` keyed by pair, as a spec lists it; no kernel reads it."""
         return {(i, j): coeffs for i, j, coeffs in self.bracket_table}
+
+    @cached_property
+    def structure_constants(self) -> dict[int, dict[int, tuple[tuple[int, Fraction], ...]]]:
+        """``[a][b]``: the nonzero C_ab^m of [E_a, E_b] = sum_m C_ab^m E_m, as ``(m, C_ab^m)``.
+
+        Both orders of every pair with a nonzero bracket are present
+        (C_ba^m = -C_ab^m), and nothing else: no zero coefficient, no
+        commuting pair, no empty row; a chart's table is empty.  Every bracket
+        kernel reads this table and only this one.
+        """
+        table: dict[int, dict[int, tuple[tuple[int, Fraction], ...]]] = {}
+        for i, j, coeffs in self.bracket_table:
+            terms = tuple((m, c) for m, c in enumerate(coeffs) if c)
+            if terms:
+                table.setdefault(i, {})[j] = terms
+                table.setdefault(j, {})[i] = tuple((m, -c) for m, c in terms)
+        return table
 
     @cached_property
     def zero(self) -> MultiPoly:
@@ -129,26 +159,20 @@ class FrameContext:
         """The zero vector field, one shared instance per context."""
         return VectorField._trusted(self, (self.zero,) * self.dim)
 
-    def basis_bracket(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """[E_i, E_j] as a coefficient vector (zero on a chart: coordinate fields commute)."""
-        if i == j:
-            return (Fraction(0),) * self.dim
-        if i < j:
-            return self.brackets.get((i, j), (Fraction(0),) * self.dim)
-        coeffs = self.brackets.get((j, i))
-        if coeffs is None:
-            return (Fraction(0),) * self.dim
-        return tuple(-c for c in coeffs)
+    def basis_bracket(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+        """[E_i, E_j] as its nonzero ``(m, C_ij^m)``: entry ``[i][j]`` of ``structure_constants``."""
+        row = self.structure_constants.get(i)
+        return row.get(j, ()) if row else ()
 
-    def _vector_bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * self.dim
-        for (i, j), coeffs in self.brackets.items():
-            factor = u[i] * v[j] - u[j] * v[i]
-            if factor:
-                for m, c in enumerate(coeffs):
-                    if c:
-                        out[m] += factor * c
-        return out
+    def basis_bracket_field(self, i: int, j: int) -> "VectorField":
+        """[E_i, E_j] as a field with the constant components ``basis_bracket(i, j)``."""
+        terms = self.basis_bracket(i, j)
+        if not terms:
+            return self.zero_field
+        components = [self.zero] * self.dim
+        for m, c in terms:
+            components[m] = MultiPoly.const(self.variables, c)
+        return VectorField._trusted(self, components)
 
     def _check_jacobi(self):
         """Raise on the first basis triple, in ``combinations`` order, that fails Jacobi.
@@ -158,28 +182,21 @@ class FrameContext:
         formed only on the triples such products reach; on every other
         triple it is zero term by term.
         """
-        nonzero: dict[tuple[int, int], list] = {}  # (a, b) -> [(m, C_ab^m) with C_ab^m != 0]
-        for i, j, coeffs in self.bracket_table:
-            terms = [(m, c) for m, c in enumerate(coeffs) if c]
-            if terms:
-                nonzero[i, j] = terms
-                nonzero[j, i] = [(m, -c) for m, c in terms]
-        partners: dict[int, list[int]] = {}  # a -> every b with [E_a, E_b] != 0
-        for a, b in nonzero:
-            partners.setdefault(a, []).append(b)
+        table = self.structure_constants
         reached = {
             tuple(sorted((a, b, c)))
-            for (a, b), terms in nonzero.items()
+            for a, row in table.items()
+            for b, terms in row.items()
             if a < b
             for m, _ in terms
-            for c in partners.get(m, ())
+            for c in table.get(m, ())
             if c != a and c != b
         }
         for i, j, k in sorted(reached):
             total: dict[int, Fraction] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, coeff in nonzero.get((a, b), ()):
-                    for t, outer in nonzero.get((m, c), ()):
+                for m, coeff in self.basis_bracket(a, b):
+                    for t, outer in self.basis_bracket(m, c):
                         total[t] = total.get(t, 0) + coeff * outer
             if any(total.values()):
                 raise GeometryError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
@@ -211,6 +228,16 @@ def _require_same_context(*objects):
     return ctx
 
 
+_terms = attrgetter("terms")
+
+
+def _set_field(field: "VectorField", context: FrameContext, components: tuple[MultiPoly, ...]) -> None:
+    """Fill the slots of a new field; ``is_zero`` is computed here, once."""
+    object.__setattr__(field, "context", context)
+    object.__setattr__(field, "components", components)
+    object.__setattr__(field, "is_zero", not any(map(_terms, components)))
+
+
 class VectorField:
     """A vector field given by its components in the frame.
 
@@ -218,10 +245,11 @@ class VectorField:
     component.  The kernels build their results with :meth:`_trusted`, which
     skips both checks; it is only for results of operations on validated
     fields of one context, whose components are then in that ring and
-    ``dim`` in number by construction.
+    ``dim`` in number by construction.  ``is_zero`` (every component zero)
+    is a slot set by both constructors, so reading it scans nothing.
     """
 
-    __slots__ = ("context", "components")
+    __slots__ = ("context", "components", "is_zero")
 
     def __init__(self, context: FrameContext, components: Sequence[MultiPoly]):
         components = tuple(components)
@@ -232,19 +260,19 @@ class VectorField:
         for c in components:
             if c.variables != context.variables:
                 raise PolyError("component lives in the wrong ring")
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "components", components)
+        _set_field(self, context, components)
 
     @classmethod
     def _trusted(cls, context: FrameContext, components: Sequence[MultiPoly]) -> "VectorField":
         """Wrap ``dim`` components of the ring of ``context`` without re-checking them."""
         field = object.__new__(cls)
-        object.__setattr__(field, "context", context)
-        object.__setattr__(field, "components", tuple(components))
+        _set_field(field, context, tuple(components))
         return field
 
-    def __setattr__(self, *a):  # pragma: no cover
+    def __setattr__(self, *a):
         raise AttributeError("VectorField is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def from_rationals(cls, context: FrameContext, values: Sequence) -> "VectorField":
@@ -285,13 +313,6 @@ class VectorField:
         else:
             scaled = [a.scale(factor) for a in components]
         return self if zero else VectorField._trusted(self.context, scaled)
-
-    @property
-    def is_zero(self) -> bool:
-        for c in self.components:
-            if c.terms:
-                return False
-        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
@@ -419,41 +440,48 @@ class BilinearField:
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y]^i = sum_k (X^k d_k Y^i - Y^k d_k X^i) + sum_{a<b} (X^a Y^b - X^b Y^a) c^i_ab."""
+    """[X, Y]^i = sum_k (X^k d_k Y^i - Y^k d_k X^i) + sum_{a,b} X^a Y^b C_ab^i.
+
+    The derivative part loops over the chart variables outermost, so a
+    constant frame, which has none, does no work for it.
+    """
     ctx = _require_same_context(x, y)
     if x.is_zero or y.is_zero:
         return ctx.zero_field
     xs, ys = x.components, y.components
-    out = []
-    for i in range(ctx.dim):
-        acc = ctx.zero
-        yi = ys[i]
-        xi = xs[i]
-        for k, name in enumerate(ctx.variables):
-            xk = xs[k]
-            yk = ys[k]
+    out = [ctx.zero] * ctx.dim
+    for k, name in enumerate(ctx.variables):
+        xk, yk = xs[k], ys[k]
+        for i in range(ctx.dim):
             if not xk.is_zero:
-                dyi = yi.derivative(name)
+                dyi = ys[i].derivative(name)
                 if not dyi.is_zero:
-                    acc = acc + xk * dyi
+                    out[i] = out[i] + xk * dyi
             if not yk.is_zero:
-                dxi = xi.derivative(name)
+                dxi = xs[i].derivative(name)
                 if not dxi.is_zero:
-                    acc = acc - yk * dxi
-        out.append(acc)
+                    out[i] = out[i] - yk * dxi
     return VectorField._trusted(ctx, _add_structure_part(ctx, xs, ys, out))
 
 
 def _add_structure_part(ctx: FrameContext, xs, ys, out: list[MultiPoly]) -> list[MultiPoly]:
-    """Add sum_{a<b} (X^a Y^b - X^b Y^a) c_ab, the structure-constant part of [X, Y], to ``out``."""
-    for (a, b), coeffs in ctx.brackets.items():
-        if (xs[a].is_zero or ys[b].is_zero) and (xs[b].is_zero or ys[a].is_zero):
+    """Add sum_{a,b} X^a Y^b [E_a, E_b], the structure-constant part of [X, Y], to ``out``.
+
+    Reads ``ctx.structure_constants`` only where it can contribute: the rows
+    a with X^a != 0, in each the b with Y^b != 0, and their nonzero C_ab^m.
+    The table holds both orders of a pair, so this is the sum over a < b of
+    (X^a Y^b - X^b Y^a) C_ab^m.
+    """
+    for a, row in ctx.structure_constants.items():
+        xa = xs[a]
+        if xa.is_zero:
             continue
-        factor = xs[a] * ys[b] - xs[b] * ys[a]
-        if factor.is_zero:
-            continue
-        for m, c in enumerate(coeffs):
-            if c:
+        for b, terms in row.items():
+            yb = ys[b]
+            if yb.is_zero:
+                continue
+            factor = xa * yb
+            for m, c in terms:
                 out[m] = out[m] + factor.scale(c)
     return out
 
@@ -550,7 +578,10 @@ class PolyMap:
         # Lie algebra morphism: J [E_i, E_j]_src = [J E_i, J E_j]_tgt, exactly.
         zero = target.zero
         for i, j in itertools.combinations(range(dim), 2):
-            mapped = jac.matvec([MultiPoly.const(ring, c) for c in source.basis_bracket(i, j)])
+            bracket = [zero] * dim
+            for m, c in source.basis_bracket(i, j):
+                bracket[m] = MultiPoly.const(ring, c)
+            mapped = jac.matvec(bracket)
             right = _add_structure_part(target, jac.column(i), jac.column(j), [zero] * dim)
             if mapped != right:
                 raise GeometryError(f"map does not preserve brackets on basis pair ({i},{j})")

@@ -231,7 +231,8 @@ class PolyMatrix:
 
 
 def _rat_copy(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in m]
+    """New rows of ``m`` with every entry a ``Fraction``; entries that are one are kept as they are."""
+    return [[v if type(v) is Fraction else Fraction(v) for v in row] for row in m]
 
 
 def rat_blocks(n: int, blocks) -> list[list[Fraction]]:
@@ -320,10 +321,15 @@ def rat_rank(m: Sequence[Sequence[Fraction]]) -> int:
     return len(_rat_rref(m)[1])
 
 
-def rat_nullspace(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace, via reduced row echelon form."""
+def rat_nullspace(m: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right nullspace of ``m`` in ``ncols`` unknowns, via reduced row echelon form.
+
+    The unknowns are counted by ``ncols``, not read off a row, so a system
+    with no rows has the whole space as its nullspace.
+    """
+    if any(len(row) != ncols for row in m):
+        raise LinAlgError(f"system rows must have {ncols} entries")
     a, pivots = _rat_rref(m)
-    ncols = len(a[0]) if a else 0
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols

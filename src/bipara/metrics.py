@@ -250,7 +250,7 @@ def solve_hypersymplectic_metric(s: BiparaStructure) -> BilinearField | None:
                         yield key, index[min(i, j), max(i, j)], a[i][r] * a[j][c]
 
     system = rat_system(len(unknowns), terms())
-    basis = rat_nullspace(system)
+    basis = rat_nullspace(system, len(unknowns))
     if not basis:
         return None
 

@@ -666,10 +666,10 @@ def _random_isomorphism(ctx: FrameContext, rng: random.Random) -> PolyMap:
     dim = ctx.dim
     mat, inv = _random_constant_automorphism(dim, rng)
     table: dict[tuple[int, int], tuple] = {}
-    cols_inv = [[inv[r][c] for r in range(dim)] for c in range(dim)]
+    cols_inv = [VectorField.from_rationals(ctx, [inv[r][c] for r in range(dim)]) for c in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            pre = ctx._vector_bracket(cols_inv[i], cols_inv[j])
+            pre = [v.constant_value() for v in lie_bracket(cols_inv[i], cols_inv[j]).components]
             image = [
                 sum((mat[r][t] * pre[t] for t in range(dim)), Fraction(0)) for r in range(dim)
             ]

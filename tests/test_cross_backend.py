@@ -62,6 +62,15 @@ def _frame_components(s: BiparaStructure, v: VectorField) -> list[Fraction]:
     return [c.constant_value() for c in pairings]
 
 
+def _table_bracket(table: dict, dim: int, a: int, b: int) -> list[Fraction]:
+    """[E_a, E_b] as a dense coefficient list, read off the pair-keyed ``table``."""
+    if (a, b) in table:
+        return list(table[a, b])
+    if (b, a) in table:
+        return [-c for c in table[b, a]]
+    return [Fraction(0)] * dim
+
+
 def _tensor_components(s: BiparaStructure, frame: list[VectorField]) -> dict:
     """(tensor, slots) -> frame components of that tensor on those frame fields."""
     a = Analysis(s)
@@ -89,12 +98,14 @@ def test_chart_and_constant_frame_agree_in_the_frame(family, n, table):
     chart = chart_twin(family, n, table)
     const = adapted_structure(algebra_context(2 * n, table))
     chart_frame = [VectorField(chart.context, chart.adapted_frame.column(c)) for c in range(2 * n)]
-    # the frame really has the structure constants of the table
+    # the frame really has the structure constants of the table, and so has
+    # the constant frame's basis_bracket_field
     for a in range(2 * n):
         for b in range(2 * n):
-            assert _frame_components(chart, lie_bracket(chart_frame[a], chart_frame[b])) == list(
-                const.context.basis_bracket(a, b)
-            )
+            expected = _table_bracket(table, 2 * n, a, b)
+            assert _frame_components(chart, lie_bracket(chart_frame[a], chart_frame[b])) == expected
+            field = const.context.basis_bracket_field(a, b)
+            assert [c.constant_value() for c in field.components] == expected
     on_chart = _tensor_components(chart, chart_frame)
     on_const = _tensor_components(const, list(const.basis))
     assert on_chart == on_const

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
+from bipara.connections import canonical_connection
 from bipara.geometry import (
     BilinearField,
     ContextMismatch,
@@ -30,9 +30,10 @@ from bipara.structure import (
     affine_structure,
     flat_structure,
     heisenberg_structure,
+    random_structure,
     random_unipotent_map,
 )
-from conftest import zero_shortcut_operands
+from conftest import _pool_entry, zero_shortcut_operands
 
 CHART = chart_context(("x1", "x2", "y1", "y2"))
 
@@ -54,17 +55,26 @@ def test_context_rejects_jacobi_failure():
         )
 
 
+def _dense_bracket(dim, table, u, v):
+    """sum_{a<b} (u^a v^b - u^b v^a) c_ab over every pair of the pair-keyed ``table``."""
+    out = [Fraction(0)] * dim
+    for (a, b), coeffs in table.items():
+        factor = u[a] * v[b] - u[b] * v[a]
+        for m, c in enumerate(coeffs):
+            out[m] += factor * c
+    return out
+
+
 def _dense_jacobi_failure(dim, table):
     """The first failing basis triple, from brackets of dense unit vectors."""
-    ctx = SimpleNamespace(dim=dim, brackets=table)
     units = [[Fraction(int(t == i)) for t in range(dim)] for i in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
                 total = [Fraction(0)] * dim
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = FrameContext._vector_bracket(ctx, units[a], units[b])
-                    outer = FrameContext._vector_bracket(ctx, inner, units[c])
+                    inner = _dense_bracket(dim, table, units[a], units[b])
+                    outer = _dense_bracket(dim, table, inner, units[c])
                     total = [t + o for t, o in zip(total, outer)]
                 if any(total):
                     return f"Jacobi identity fails on basis triple ({i},{j},{k})"
@@ -93,12 +103,11 @@ def _conjugated_table(rng, dim, table):
     lower = [[Fraction(int(i == j) or rng.randint(-1, 1) * (i > j)) for j in range(dim)] for i in range(dim)]
     a = [[sum(upper[i][k] * lower[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
     a_inv = rat_inverse(a)
-    ctx = SimpleNamespace(dim=dim, brackets=table)
     columns = [[a[k][i] for k in range(dim)] for i in range(dim)]
     out = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            w = FrameContext._vector_bracket(ctx, columns[i], columns[j])
+            w = _dense_bracket(dim, table, columns[i], columns[j])
             coeffs = tuple(sum(a_inv[m][k] * w[k] for k in range(dim)) for m in range(dim))
             if any(coeffs):
                 out[i, j] = coeffs
@@ -678,3 +687,131 @@ def test_scaling_a_zero_field_still_checks_the_factor(pool_entry_of_kind, kind):
     for bad in ("x", 0.5, *foreign):
         with pytest.raises(PolyError):
             ctx.zero_field.scale(bad)
+
+
+# lie_bracket against the textbook formula, written densely here from the
+# context's spec-shaped bracket_table: every component, every variable and
+# every listed pair, with no shortcut.
+
+
+def _reference_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """sum_k (X^k d_k Y - Y^k d_k X) + sum_{a<b} (X^a Y^b - X^b Y^a) c_ab."""
+    ctx = x.context
+    xs, ys = x.components, y.components
+    out = []
+    for i in range(ctx.dim):
+        acc = ctx.zero
+        for k, name in enumerate(ctx.variables):
+            acc = acc + xs[k] * ys[i].derivative(name) - ys[k] * xs[i].derivative(name)
+        for a, b, coeffs in ctx.bracket_table:
+            acc = acc + (xs[a] * ys[b] - xs[b] * ys[a]).scale(coeffs[i])
+        out.append(acc)
+    return VectorField(ctx, out)
+
+
+def _dense_rational_field(ctx: FrameContext, rng: random.Random) -> VectorField:
+    """A constant field with every component nonzero."""
+    return VectorField.from_rationals(
+        ctx, [Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 1, 2, 3))) for _ in range(ctx.dim)]
+    )
+
+
+def _bracket_samples(s, rng: random.Random) -> list[VectorField]:
+    """Zero fields, basis fields and their multiples, split parts, dense fields."""
+    ctx = s.context
+    fields = [ctx.zero_field, VectorField.from_rationals(ctx, [0] * ctx.dim)]
+    fields += list(s.basis) + [e.scale(Fraction(-3, 2)) for e in basis_fields(ctx)]
+    fields += [part for split in s.frame_split[:2] for part in split]
+    fields += [_dense_rational_field(ctx, rng) for _ in range(2)]
+    fields += [_random_tensors(ctx, rng)[0] for _ in range(2)]
+    return fields
+
+
+# Both backends: fixtures, conjugated random constant frames, pushed nilpotent
+# charts and a flat chart.
+_BRACKET_CASES = [
+    ("heisenberg", heisenberg_structure()),
+    ("affine", affine_structure()),
+    ("conjugated_n2", random_structure(2, "constant_frame", seed=3, conjugate=True)),
+    ("conjugated_n3", random_structure(3, "constant_frame", seed=5, conjugate=True)),
+    ("nilpotent_chart_n2", _pool_entry("nilpotent_chart", 2, 7)),
+    ("nilpotent_chart_n3", _pool_entry("nilpotent_chart", 3, 11)),
+    ("flat_chart", random_structure(2, "polynomial_chart", seed=13)),
+]
+BRACKET_STRUCTURES = pytest.mark.parametrize("name, s", _BRACKET_CASES, ids=[name for name, _ in _BRACKET_CASES])
+
+
+@BRACKET_STRUCTURES
+def test_lie_bracket_matches_the_dense_reference(name, s):
+    ctx = s.context
+    assert bool(ctx.variables) == ("chart" in name)
+    rng = random.Random(name)
+    fields = _bracket_samples(s, rng)
+    nonzero = 0
+    for x in fields:
+        for y in fields:
+            result = lie_bracket(x, y)
+            assert result == _reference_bracket(x, y), (x, y)
+            nonzero += not result.is_zero
+    assert nonzero > 0
+
+
+@BRACKET_STRUCTURES
+def test_structure_constant_table_is_antisymmetric_and_holds_no_zero(name, s):
+    ctx = s.context
+    table = ctx.structure_constants
+    if ctx.variables:
+        assert table == {}
+        return
+    assert table, "every sampled algebra is nonabelian"
+    for a, row in table.items():
+        assert row, "no empty row"
+        for b, terms in row.items():
+            assert a != b and terms
+            assert all(c != 0 for _, c in terms)
+            assert [m for m, _ in terms] == sorted({m for m, _ in terms})
+            assert table[b][a] == tuple((m, -c) for m, c in terms)
+            assert ctx.basis_bracket(a, b) is terms
+    # The table holds exactly the nonzero coefficients of bracket_table.
+    for i, j, coeffs in ctx.bracket_table:
+        assert dict(ctx.basis_bracket(i, j)) == {m: c for m, c in enumerate(coeffs) if c}
+    listed = {(i, j) for i, j, _ in ctx.bracket_table}
+    assert all((min(a, b), max(a, b)) in listed for a, row in table.items() for b in row)
+
+
+# VectorField.is_zero is a slot set by the constructors; it must agree with
+# the components on the result of every kernel.
+
+
+def _zero_flag_samples(s, rng: random.Random) -> list[VectorField]:
+    ctx = s.context
+    fields = _bracket_samples(s, rng)
+    x, y = fields[-2], fields[-1]
+    split = s.frame_split[0]
+    out = [ctx.zero_field, x + y, x - x, x - y, -x, -ctx.zero_field, x.scale(0), x.scale(Fraction(2, 3))]
+    out += [x.scale(ctx.zero), x.scale(_random_entry(ctx, rng))]
+    # F+ applied to the F- part of E_1 is zero with no zero operand
+    out += [s.projectors.f_plus.apply(split[1]), s.projectors.f_minus.apply(split[1]), s.F.apply(x)]
+    out += [lie_bracket(x, x), lie_bracket(x, y), lie_bracket(s.basis[0], s.basis[-1])]
+    law = canonical_connection(s)
+    out += [law.nabla_of_field(i, w) for i in (0, ctx.dim - 1) for w in (x, ctx.zero_field, s.basis[1])]
+    if ctx.variables:
+        push = random_unipotent_map(ctx, 2, rng)
+    else:
+        push = _random_isomorphism(ctx, rng)
+    out += [pushforward_vector(push, w) for w in (x, ctx.zero_field, s.basis[0])]
+    out += [push.target.zero_field]
+    return out
+
+
+@BRACKET_STRUCTURES
+def test_zero_flag_agrees_with_the_components_on_every_kernel_result(name, s):
+    rng = random.Random(name)
+    results = _zero_flag_samples(s, rng)
+    assert any(r.is_zero for r in results) and not all(r.is_zero for r in results)
+    for r in results:
+        assert r.is_zero is all(c.is_zero for c in r.components), r
+    with pytest.raises(AttributeError):
+        results[0].is_zero = not results[0].is_zero
+    with pytest.raises(AttributeError):
+        del results[1].is_zero

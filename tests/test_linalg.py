@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bipara.linalg import (
     LinAlgError,
     PolyMatrix,
+    _rat_copy,
     poly_matrix_inverse,
     rat_inverse,
     rat_matmul,
@@ -113,7 +114,7 @@ def test_signature_zero_diagonal_needs_fixup_path():
 def test_rank_and_nullspace():
     m = rational_matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     assert rat_rank(m) == 2
-    basis = rat_nullspace(m)
+    basis = rat_nullspace(m, 3)
     assert len(basis) == 1
     rng = random.Random(2718)
     matrices = [m] + [
@@ -123,7 +124,7 @@ def test_rank_and_nullspace():
         for rows, cols in ((rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60))
     ]
     for m in matrices:
-        basis = rat_nullspace(m)
+        basis = rat_nullspace(m, len(m[0]))
         assert rat_rank(m) + len(basis) == len(m[0])
         assert rat_rank(m) == rat_rank([list(col) for col in zip(*m)])
         for vec in basis:
@@ -150,7 +151,26 @@ def test_rat_system_nullspace_ignores_order_and_splitting():
         split = [(key, col, Fraction(c) / 2) for key, col, c in terms for _ in range(2)]
         split += [(None, col, 7) for col in range(ncols)]
         rng.shuffle(split)
-        assert rat_nullspace(rat_system(ncols, split)) == rat_nullspace(rat_system(ncols, terms))
+        assert rat_nullspace(rat_system(ncols, split), ncols) == rat_nullspace(rat_system(ncols, terms), ncols)
+
+
+def test_nullspace_of_a_system_without_rows_is_the_whole_space():
+    # every term dropped: no rows, and every unknown is free
+    units = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert rat_nullspace(rat_system(3, [(None, 0, 1)]), 3) == units
+    assert rat_nullspace([], 2) == [[1, 0], [0, 1]]
+    with pytest.raises(LinAlgError):
+        rat_nullspace([[Fraction(1), Fraction(2)]], 3)
+
+
+def test_rat_copy_keeps_fractions_and_converts_ints():
+    third = Fraction(1, 3)
+    rows = [[third, 2], [0, Fraction(4)]]
+    copy = _rat_copy(rows)
+    assert copy == [[third, Fraction(2)], [Fraction(0), Fraction(4)]]
+    assert all(type(v) is Fraction for row in copy for v in row)
+    assert copy[0][0] is third
+    assert copy is not rows and all(new is not old for new, old in zip(copy, rows))
 
 
 def test_rat_inverse_round_trip():
