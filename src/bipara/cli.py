@@ -169,7 +169,7 @@ def _read_json(path: str):
 
 # Bound on a spec's half-dimension n, checked before any matrix is parsed, so
 # an oversized spec exits 2 instead of running for minutes.  On a 2-vCPU VM,
-# `report` at n = 8 takes about 10 s on the slowest spec measured (a 2-step
+# `report` at n = 8 takes 6-7 s on the slowest spec measured (a 2-step
 # nilpotent chart pushed by a degree-3 map) and 0.75 s on the flat
 # constant-frame spec; the flat spec took 36.5 s at n = 30.
 MAX_HALF_DIMENSION = 8

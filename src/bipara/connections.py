@@ -30,9 +30,9 @@ basis pairwise, so no per-argument work is repeated per pair:
 * a pushed law prepares X as the inner law does after pulling X back
   through the inverse map, and pushes each combined value forward.
 
-Torsion, difference tensor, covariant derivatives of endomorphism fields and
-the N_F, N_P, [F, P] concomitants are each a ``PairTensor``: values on frame
-pairs, each computed on first read and kept.  Curvature and covariant
+Torsion, curvature, difference tensor, covariant derivatives of endomorphism
+fields and the N_F, N_P, [F, P] concomitants are each a ``PairTensor``: cells on
+frame indices, each computed on first read and kept.  Curvature and covariant
 derivatives use Leibniz expansion over a law's cached frame table.  Cells and
 tables are pure values, so lazy caching is safe under concurrent use.
 """
@@ -202,31 +202,30 @@ def _contract(ctx: FrameContext, table, xs, ys) -> VectorField:
 class PairTensor:
     """A (1,2)-tensor field S known by its values S(E_i, E_j) on frame pairs.
 
-    ``value(i, j)`` computes one cell, on its first read; the cell is kept.
-    An antisymmetric tensor computes the pairs i < j only.  ``value`` must not
-    hold the tensor (bind a module-level function with ``functools.partial``),
-    so a tensor forms no reference cycle and is freed once unreachable.
+    ``value(*key)`` computes the cell of a key of ``keys()`` on its first read;
+    the cell is kept.  An antisymmetric tensor's keys are the pairs i < j.
+    ``value`` must not hold the tensor (bind a module-level function with
+    ``functools.partial``), so a tensor forms no reference cycle and is freed once unreachable.
     """
 
     def __init__(self, context: FrameContext, value: Callable, antisymmetric: bool):
         self.context = context
         self.value = value
         self.antisymmetric = antisymmetric
-        self._known: dict[tuple[int, int], VectorField] = {}
+        self._known: dict[tuple[int, ...], VectorField] = {}
+
+    def keys(self):
+        """The independent pairs (i, j) in index order: i < j if antisymmetric, else all."""
+        dim = self.context.dim
+        return ((i, j) for i in range(dim) for j in range(i + 1 if self.antisymmetric else 0, dim))
 
     def cells(self):
-        """((i, j), S(E_i, E_j)) over the independent pairs, in index order.
-
-        The independent pairs are i < j for an antisymmetric tensor and all
-        pairs otherwise.  A cell is computed when the generator reaches it.
-        """
+        """(key, value(*key)) over ``keys()``; a cell is computed when the generator reaches it."""
         known, value = self._known, self.value
-        dim = self.context.dim
-        for i in range(dim):
-            for j in range(i + 1 if self.antisymmetric else 0, dim):
-                if (i, j) not in known:
-                    known[i, j] = value(i, j)
-                yield (i, j), known[i, j]
+        for key in self.keys():
+            if key not in known:
+                known[key] = value(*key)
+            yield key, known[key]
 
     @cached_property
     def table(self) -> tuple[tuple[VectorField, ...], ...]:
@@ -271,38 +270,38 @@ class TorsionTensor(PairTensor):
     table = PairTensor.table
 
 
-class CurvatureTensor:
-    """R(X, Y)Z from the frame table by Leibniz expansion."""
+def _curvature_cell(law: ConnectionLaw, i: int, j: int, k: int) -> VectorField:
+    """R(E_i, E_j)E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k - nabla_{[E_i, E_j]} E_k."""
+    ft = law.frame_table
+    value = law.nabla_of_field(i, ft[j][k]) - law.nabla_of_field(j, ft[i][k])
+    for m, c in law.context.basis_bracket(i, j):
+        value = value - ft[m][k].scale(c)
+    return value
+
+
+class CurvatureTensor(PairTensor):
+    """R(X, Y)Z from the frame table by Leibniz expansion; cells keyed (i, j, k), i < j."""
 
     def __init__(self, law: ConnectionLaw):
+        super().__init__(law.context, partial(_curvature_cell, law), antisymmetric=True)
         self.law = law
+
+    def keys(self):
+        """(i, j, k) over the pairs i < j and every k, in index order."""
+        return ((i, j, k) for i, j in super().keys() for k in range(self.context.dim))
 
     @cached_property
     def table(self) -> dict[tuple[int, int, int], VectorField]:
-        ctx = self.law.context
-        law = self.law
-        ft = law.frame_table
-        dim = ctx.dim
-        out: dict[tuple[int, int, int], VectorField] = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                bracket = ctx.basis_bracket(i, j)
-                for k in range(dim):
-                    value = law.nabla_of_field(i, ft[j][k]) - law.nabla_of_field(j, ft[i][k])
-                    for m, c in bracket:
-                        if not ft[m][k].is_zero:
-                            value = value - ft[m][k].scale(c)
-                    out[(i, j, k)] = value
-        return out
+        return dict(super().cells())
 
     def cells(self):
-        """((i, j, k), R(E_i, E_j)E_k) over i < j and all k, in index order."""
+        # Every cell is built under ``table``, which perfbench/layers.py times
+        # from outside, until tracing moves into the library.
         return iter(self.table.items())
 
     def evaluate(self, x: VectorField, y: VectorField, z: VectorField) -> VectorField:
-        ctx = self.law.context
         xs, ys, zs = x.components, y.components, z.components
-        acc = ctx.zero_field
+        acc = self.context.zero_field
         for (i, j, k), cell in self.cells():
             if cell.is_zero or zs[k].is_zero:
                 continue
@@ -311,10 +310,6 @@ class CurvatureTensor:
             if not coeff.is_zero:
                 acc = acc + cell.scale(coeff * zs[k])
         return acc
-
-    @property
-    def is_zero(self) -> bool:
-        return first_nonzero(self.cells()) is None
 
 
 def torsion(law: ConnectionLaw) -> TorsionTensor:

@@ -347,8 +347,10 @@ class EndoField:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "matrix", matrix)
 
-    def __setattr__(self, *a):  # pragma: no cover
+    def __setattr__(self, *a):
         raise AttributeError("EndoField is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def identity(cls, context: FrameContext) -> "EndoField":
@@ -408,8 +410,10 @@ class BilinearField:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "matrix", matrix)
 
-    def __setattr__(self, *a):  # pragma: no cover
+    def __setattr__(self, *a):
         raise AttributeError("BilinearField is immutable")
+
+    __delattr__ = __setattr__
 
     def value(self, x: VectorField, y: VectorField) -> MultiPoly:
         _require_same_context(self, x, y)

@@ -72,8 +72,10 @@ class PolyMatrix:
             ),
         )
 
-    def __setattr__(self, *a):  # pragma: no cover
+    def __setattr__(self, *a):
         raise AttributeError("PolyMatrix is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors --------------------------------------------------------
 

@@ -126,6 +126,8 @@ class MultiPoly:
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
 
+    __delattr__ = __setattr__
+
     @classmethod
     def _trusted(
         cls, variables: tuple[str, ...], terms: dict[Exponent, int | Fraction]

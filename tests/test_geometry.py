@@ -815,3 +815,32 @@ def test_zero_flag_agrees_with_the_components_on_every_kernel_result(name, s):
         results[0].is_zero = not results[0].is_zero
     with pytest.raises(AttributeError):
         del results[1].is_zero
+
+
+IMMUTABLE_SLOTS = {
+    MultiPoly: "terms",
+    VectorField: "components",
+    PolyMatrix: "entries",
+    EndoField: "matrix",
+    BilinearField: "matrix",
+}
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE_SLOTS, ids=lambda cls: cls.__name__)
+def test_immutable_types_refuse_assignment_and_deletion(cls):
+    # shared instances: the ring's zero, the context's zero field, the cached F
+    s = flat_structure(1)
+    obj = {
+        MultiPoly: MultiPoly.zero(s.context.variables),
+        VectorField: s.context.zero_field,
+        PolyMatrix: s.F.matrix,
+        EndoField: s.F,
+        BilinearField: BilinearField(s.context, s.F.matrix),
+    }[cls]
+    slot = IMMUTABLE_SLOTS[cls]
+    value = getattr(obj, slot)
+    with pytest.raises(AttributeError):
+        setattr(obj, slot, value)
+    with pytest.raises(AttributeError):
+        delattr(obj, slot)
+    assert getattr(obj, slot) is value
