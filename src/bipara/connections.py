@@ -397,14 +397,16 @@ def canonical_christoffels(s: BiparaStructure) -> ChristoffelTable:
     exactly (the uniqueness cross-check).
     """
     n = s.n
-    br = s.frame_brackets
-    xx = tuple(
-        tuple(tuple(br[h][n + a][n + i] for i in range(n)) for a in range(n)) for h in range(n)
-    )
-    yx = tuple(
-        tuple(tuple(br[n + h][a][i] for i in range(n)) for a in range(n)) for h in range(n)
-    )
+    br = s.frame_bracket
+    xx = tuple(tuple(br(h, n + a)[n:] for a in range(n)) for h in range(n))
+    yx = tuple(tuple(br(n + h, a)[:n] for a in range(n)) for h in range(n))
     return ChristoffelTable(n=n, xx=xx, yx=yx)
+
+
+def _thirds(u, v, w) -> tuple:
+    """(u_b + 2 v_b + w_b) / 3 for each b."""
+    third = Fraction(1, 3)
+    return tuple((x + y.scale(2) + z).scale(third) for x, y, z in zip(u, v, w))
 
 
 def well_adapted_christoffels(s: BiparaStructure) -> ChristoffelTable:
@@ -417,26 +419,13 @@ def well_adapted_christoffels(s: BiparaStructure) -> ChristoffelTable:
     other blocks follow from P-parallelism.
     """
     n = s.n
-    br = s.frame_brackets
-    third = Fraction(1, 3)
+    br = s.frame_bracket
     xx = tuple(
-        tuple(
-            tuple(
-                (br[a][h][b] + br[a][n + h][n + b].scale(2) + br[h][n + a][n + b]).scale(third)
-                for b in range(n)
-            )
-            for h in range(n)
-        )
+        tuple(_thirds(br(a, h)[:n], br(a, n + h)[n:], br(h, n + a)[n:]) for h in range(n))
         for a in range(n)
     )
     yx = tuple(
-        tuple(
-            tuple(
-                (br[n + h][a][b] + br[n + a][h][b].scale(2) + br[n + a][n + h][n + b]).scale(third)
-                for b in range(n)
-            )
-            for h in range(n)
-        )
+        tuple(_thirds(br(n + h, a)[:n], br(n + a, h)[:n], br(n + a, n + h)[n:]) for h in range(n))
         for a in range(n)
     )
     return ChristoffelTable(n=n, xx=xx, yx=yx)

@@ -279,7 +279,8 @@ class VectorField:
         return cls(context, [MultiPoly.const(context.variables, v) for v in values])
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        _require_same_context(self, other)
+        if other.context is not self.context:
+            _require_same_context(self, other)
         if other.is_zero:
             return self
         if self.is_zero:
@@ -287,7 +288,8 @@ class VectorField:
         return VectorField._trusted(self.context, [a + b for a, b in zip(self.components, other.components)])
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        _require_same_context(self, other)
+        if other.context is not self.context:
+            _require_same_context(self, other)
         if other.is_zero:
             return self
         if self.is_zero:
@@ -357,7 +359,9 @@ class EndoField:
         return cls(context, PolyMatrix.identity(context.dim, context.variables))
 
     def apply(self, x: VectorField) -> VectorField:
-        ctx = _require_same_context(self, x)
+        ctx = self.context
+        if x.context is not ctx:
+            _require_same_context(self, x)
         if x.is_zero:
             return ctx.zero_field
         return VectorField._trusted(ctx, self.matrix.matvec(list(x.components)))
@@ -449,7 +453,9 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     The derivative part loops over the chart variables outermost, so a
     constant frame, which has none, does no work for it.
     """
-    ctx = _require_same_context(x, y)
+    ctx = x.context
+    if y.context is not ctx:
+        _require_same_context(x, y)
     if x.is_zero or y.is_zero:
         return ctx.zero_field
     xs, ys = x.components, y.components

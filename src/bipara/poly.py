@@ -71,6 +71,14 @@ def _canonical(terms: dict[Exponent, int | Fraction]) -> dict[Exponent, int | Fr
     return terms
 
 
+def _is_one(terms: dict[Exponent, int | Fraction]) -> bool:
+    """Whether the canonical ``terms`` are the constant 1."""
+    if len(terms) != 1:
+        return False
+    ((exps, coeff),) = terms.items()
+    return coeff == 1 and not any(exps)
+
+
 def _merge(
     out: dict[Exponent, int | Fraction], terms: Mapping[Exponent, int | Fraction], negate: bool
 ) -> dict[Exponent, int | Fraction]:
@@ -239,6 +247,12 @@ class MultiPoly:
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.variables)
+        # A unit operand (the one term 1; an integral coefficient is an int)
+        # returns the other one as is, as a zero operand of + does.
+        if _is_one(other.terms):
+            return self
+        if _is_one(self.terms):
+            return other
         out: dict[Exponent, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -337,14 +351,25 @@ class MultiPoly:
         for img in images.values():
             if img.variables != target_vars:
                 raise PolyError("substitution images live in different rings")
-        acc = MultiPoly.zero(target_vars)
+        # Each power images[name] ** e is expanded once per call.  A term is the
+        # product of its powers, then scaled by its coefficient, and is added
+        # into one dict, not into a copy of the sum per term.
+        powers: dict[tuple[int, int], MultiPoly] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for exps, coeff in self.terms.items():
-            term = MultiPoly.const(target_vars, coeff)
-            for name, e in zip(self.variables, exps):
+            term = None
+            for k, e in enumerate(exps):
                 if e:
-                    term = term * images[name] ** e
-            acc = acc + term
-        return acc
+                    power = powers.get((k, e))
+                    if power is None:
+                        power = powers[k, e] = images[self.variables[k]] ** e
+                    term = power if term is None else term * power
+            if term is None:
+                term = MultiPoly.const(target_vars, coeff)
+            elif coeff != 1:
+                term = term.scale(coeff)
+            _merge(out, term.terms, False)
+        return MultiPoly._trusted(target_vars, out)
 
     # -- printing ------------------------------------------------------------
 

@@ -4,9 +4,10 @@ A structure is a pair (F, P) of anticommuting involutive (1,1)-tensor fields.
 Validation establishes every defining identity exactly, optionally against
 an adapted frame {X_1..X_n, Y_1..Y_n} with F X_i = X_i, F Y_i = -Y_i,
 P X_i = Y_i, P Y_i = X_i.  The almost complex structure J = F o P, the
-four eigenprojectors and the split frame (F+-E_i and P F+-E_i for each basis
-field E_i, see ``BiparaStructure.split``) are derived values, each built on
-first read.
+four eigenprojectors, the split frame (F+-E_i and P F+-E_i for each basis
+field E_i, see ``BiparaStructure.split``) and the coframe pairing of each
+frame bracket (``BiparaStructure.frame_bracket``) are derived values, each
+built on first read.
 
 An adapted frame E is a certificate when it passes those 4n column checks and
 E(0) (its constant parts) has full rank: then det E is a nonzero polynomial,
@@ -122,6 +123,8 @@ class BiparaStructure:
         self.F = F
         self.P = P
         self.adapted_frame = adapted_frame
+        # frame_bracket's pairings by (a, b); plain values, never the structure.
+        self._frame_pairings: dict[tuple[int, int], tuple[MultiPoly, ...]] = {}
 
     @property
     def dim(self) -> int:
@@ -176,24 +179,26 @@ class BiparaStructure:
             raise StructureError([{"name": "missing adapted frame", "witness": None}])
         return _frame_inverse(self.adapted_frame)
 
-    @cached_property
-    def frame_brackets(self) -> tuple[tuple[tuple[MultiPoly, ...], ...], ...]:
-        """``frame_brackets[a][b][c]``: the F_c-component of [F_a, F_b].
+    def frame_bracket(self, a: int, b: int) -> tuple[MultiPoly, ...]:
+        """The coframe pairing of [F_a, F_b]: entry c is its F_c-component.
 
-        F = (X_1..X_n, Y_1..Y_n) is the adapted frame; the components are the
-        coframe pairings of the bracket.  Each unordered pair is bracketed
-        once: [F_b, F_a] = -[F_a, F_b], the pairing is linear, and the
-        diagonal is zero.
+        F = (X_1..X_n, Y_1..Y_n) is the adapted frame.  A pair is bracketed on
+        its first read and kept, so a caller that reads only some pairs
+        brackets only those.  Each unordered pair is bracketed once, as
+        [F_a, F_b] with a < b: [F_b, F_a] = -[F_a, F_b], the pairing is linear,
+        and the diagonal is zero.
         """
-        dim = self.dim
-        frame = [self.frame_field(a) for a in range(dim)]
-        table = [[(self.context.zero,) * dim] * dim for _ in range(dim)]
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                pairing = tuple(self.coframe.matvec(list(lie_bracket(frame[a], frame[b]).components)))
-                table[a][b] = pairing
-                table[b][a] = tuple(-c for c in pairing)
-        return tuple(map(tuple, table))
+        pairing = self._frame_pairings.get((a, b))
+        if pairing is None:
+            if a == b:
+                pairing = (self.context.zero,) * self.dim
+            elif a > b:
+                pairing = tuple(-c for c in self.frame_bracket(b, a))
+            else:
+                bracket = lie_bracket(self.frame_field(a), self.frame_field(b))
+                pairing = tuple(self.coframe.matvec(list(bracket.components)))
+            self._frame_pairings[a, b] = pairing
+        return pairing
 
     @classmethod
     def validate(

@@ -136,3 +136,19 @@ def zero_shortcut_operands(s) -> list:
         *s.frame_split[0],
         *s.frame_split[-1],
     ]
+
+
+def chart_spec(s) -> dict:
+    """The spec file of a chart structure ``s`` with its adapted frame, every entry written by ``str``."""
+
+    def rows(m):
+        return [[str(m.get(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+
+    return {
+        "backend": "polynomial_chart",
+        "n": s.n,
+        "variables": list(s.context.variables),
+        "F": rows(s.F.matrix),
+        "P": rows(s.P.matrix),
+        "adapted_frame": rows(s.adapted_frame),
+    }

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from bipara.cli import Analysis
+from bipara import structure
+from bipara.cli import Analysis, main
 from bipara.connections import (
     ChristoffelTable,
     ConnectionLaw,
@@ -43,7 +45,7 @@ from bipara.structure import (
     random_structure,
     random_unipotent_map,
 )
-from conftest import nilpotent_table, zero_shortcut_operands
+from conftest import _pool_entry, chart_spec, nilpotent_table, zero_shortcut_operands
 
 
 def fields(s):
@@ -116,6 +118,33 @@ def test_christoffels_require_adapted_frame():
         well_adapted_christoffels(bare)
     with pytest.raises(StructureError, match="adapted frame"):
         trace_condition_holds(torsion(canonical_connection(bare)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_christoffel_tables_bracket_only_the_frame_pairs_they_read(n, monkeypatch, tmp_path, capsys):
+    s = _pool_entry("nilpotent_chart", n, 5)
+    spec = tmp_path / "pushed.json"
+    spec.write_text(json.dumps(chart_spec(s)), encoding="utf-8")
+    calls = []
+    bracket = structure.lie_bracket
+
+    def counting(x, y):
+        calls.append((x, y))
+        return bracket(x, y)
+
+    monkeypatch.setattr(structure, "lie_bracket", counting)
+    # the canonical table reads [X_h, Y_a] and [Y_h, X_a] = -[X_a, Y_h]: n^2 pairs
+    canonical_christoffels(s)
+    assert len(calls) == n * n
+    canonical_christoffels(s)
+    assert len(calls) == n * n
+    # the well-adapted table reads every unordered pair, each bracketed once
+    well_adapted_christoffels(s)
+    assert len(calls) == 2 * n * n - n
+    calls.clear()
+    assert main(["report", str(spec)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 * n * n - n
 
 
 def test_christoffel_reconstruction_matches_law(generated_pool):

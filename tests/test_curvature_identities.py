@@ -33,7 +33,7 @@ from bipara import (
 )
 from bipara.cli import Analysis, build_structure, load_spec, main
 from bipara.structure import _random_isomorphism
-from conftest import FIXTURE_DIR, SUITE_SEED, _pool_entry
+from conftest import FIXTURE_DIR, SUITE_SEED, _pool_entry, chart_spec
 
 KINDS = ("canonical", "well-adapted")
 
@@ -183,18 +183,8 @@ def test_both_identities_have_nonzero_sides_on_the_pushed_curved_chart(kind):
 def test_curved_chart_is_the_flat_verdict_witness_of_a_three_index_key(tmp_path, capsys):
     # integrable (T = 0), so the flat verdict's witness is the first nonzero
     # curvature cell, keyed (i, j, k)
-    s = curved_chart(1)
-    matrix = lambda m: [[str(m.get(r, c)) for c in range(m.cols)] for r in range(m.rows)]
-    spec = {
-        "backend": "polynomial_chart",
-        "n": 1,
-        "variables": list(s.context.variables),
-        "F": matrix(s.F.matrix),
-        "P": matrix(s.P.matrix),
-        "adapted_frame": matrix(s.adapted_frame),
-    }
     path = tmp_path / "curved.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
+    path.write_text(json.dumps(chart_spec(curved_chart(1))), encoding="utf-8")
     assert main(["classify", str(path)]) == 0
     verdicts = {v["name"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
     assert verdicts["integrable"]["holds"] is True

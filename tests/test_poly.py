@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipara.cli import Analysis
@@ -133,6 +133,72 @@ def test_ring_results_stay_canonical(a, b, scalar):
         assert MultiPoly(p.variables, p.terms) == p
         assert all(is_canonical(c) for c in p.terms.values())
         assert all(len(e) == len(p.variables) and min(e) >= 0 for e in p.terms)
+
+
+@pytest.mark.parametrize("variables", [("x1", "x2"), ()], ids=["chart", "constant"])
+@pytest.mark.parametrize("coeff", [3, Fraction(-2, 3)], ids=["int", "Fraction"])
+def test_unit_operand_returns_the_other_operand(variables, coeff):
+    terms = {(0,) * len(variables): coeff}
+    if variables:
+        terms[(1, 2)] = 5
+    p = MultiPoly(variables, terms)
+    for one in (MultiPoly.const(variables, 1), MultiPoly.const(variables, Fraction(2, 2))):
+        assert p * one is p
+        assert one * p is p
+    assert p * 1 is p and 1 * p is p and p * Fraction(1) is p
+    other_ring = MultiPoly.const(("u",) + variables, 1)
+    with pytest.raises(PolyError):
+        p * other_ring
+    with pytest.raises(PolyError):
+        other_ring * p
+
+
+def _substitute_by_terms(p: MultiPoly, images) -> MultiPoly:
+    """``substitute`` written term by term, each power expanded per term: the reference."""
+    target = next(iter(images.values())).variables if p.variables else ()
+    acc = MultiPoly.zero(target)
+    for exps, coeff in p.terms.items():
+        term = MultiPoly.const(target, coeff)
+        for name, e in zip(p.variables, exps):
+            if e:
+                term = term * images[name] ** e
+        acc = acc + term
+    return acc
+
+
+image_polys = st.one_of(
+    st.dictionaries(exponents, coeffs, max_size=4),
+    coeffs.map(lambda c: {(0, 0): c}),
+).map(lambda terms: MultiPoly(("u", "v"), terms))
+
+
+# x1 appears to the powers 1, 2 and 3 and x2 to 2 and 3, so a power memo that
+# does not tell the exponents apart gives a wrong sum.
+@example(
+    MultiPoly(("x1", "x2"), {(2, 0): 1, (3, 2): Fraction(1, 2), (1, 3): -4, (0, 0): 7}),
+    MultiPoly(("u", "v"), {(1, 0): 1, (0, 1): 2}),
+    MultiPoly(("u", "v"), {(1, 1): -1, (0, 0): 3}),
+)
+@given(polys, image_polys, image_polys)
+@settings(max_examples=120, deadline=None)
+def test_substitute_matches_the_term_by_term_reference(p, x1, x2):
+    images = {"x1": x1, "x2": x2}
+    result = p.substitute(images)
+    assert result == _substitute_by_terms(p, images)
+    assert result.variables == ("u", "v")
+    assert all(is_canonical(c) for c in result.terms.values())
+
+
+def test_substitute_still_checks_its_images():
+    p = parse_poly("x1^2*x2 + x2", ("x1", "x2"))
+    u = MultiPoly.var(("u", "v"), "u")
+    with pytest.raises(PolyError, match="missing"):
+        p.substitute({"x1": u})
+    with pytest.raises(PolyError, match="different rings"):
+        p.substitute({"x1": u, "x2": MultiPoly.var(("u",), "u")})
+    # the ring check covers every image, also those of absent variables
+    with pytest.raises(PolyError, match="different rings"):
+        parse_poly("x1", ("x1", "x2")).substitute({"x1": u, "x2": MultiPoly.const(("w",), 1)})
 
 
 def test_integral_coefficients_are_stored_as_int():
@@ -521,7 +587,8 @@ def test_every_kernel_stores_canonical_coefficients(generated_pool):
     # feed the derived tensors of an analysis
     for s in generated_pool:
         a = Analysis(s)
-        objects = [s.F, s.P, s.adapted_frame, s.coframe, s.frame_brackets]
+        brackets = [s.frame_bracket(i, j) for i in range(s.dim) for j in range(s.dim)]
+        objects = [s.F, s.P, s.adapted_frame, s.coframe, brackets]
         for kind in ("canonical", "well-adapted"):
             objects += [a.law(kind).cells(), a.torsion(kind).cells(), a.curvature(kind).cells()]
         objects += [a.difference.cells(), a.christoffels("canonical")]
