@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 from .connections import (
@@ -169,7 +169,7 @@ def _read_json(path: str):
 
 # Bound on a spec's half-dimension n, checked before any matrix is parsed, so
 # an oversized spec exits 2 instead of running for minutes.  On a 2-vCPU VM,
-# `report` at n = 8 takes 5.4-6.3 s on the slowest spec measured (a 2-step
+# `report` at n = 8 takes 4.5-5.1 s on the slowest spec measured (a 2-step
 # nilpotent chart pushed by a degree-3 map) and 0.75 s on the flat
 # constant-frame spec; the flat spec took 36.5 s at n = 30.
 MAX_HALF_DIMENSION = 8
@@ -353,7 +353,11 @@ class Analysis:
 
         def build() -> PairTensor:
             s = self.s
-            evaluate = fn_bracket(s) if tensor == "FP" else nijenhuis(s.F if tensor == "F" else s.P)
+            if tensor == "FP":
+                evaluate = fn_bracket(s)
+            else:
+                # Validation established F^2 = P^2 = Id.
+                evaluate = nijenhuis(s.F if tensor == "F" else s.P, involution=True)
             return PairTensor(s.context, partial(pair_cell, evaluate, s.basis), antisymmetric=True)
 
         return self._once(("concomitant", tensor), build)
@@ -687,7 +691,12 @@ def cmd_report(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Each subcommand ``name`` runs ``cmd_<name>``, looked up when ``main`` runs.
+    """
     parser = argparse.ArgumentParser(
         prog="bipara",
         description="Exact connections and diagnostics for almost complex product structures.",
@@ -695,53 +704,48 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--text", action="store_true", help="plain text output instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=fn)
-        return p
-
-    p = add("validate", cmd_validate, help="validate a structure spec")
+    p = sub.add_parser("validate", help="validate a structure spec")
     p.add_argument("spec")
 
-    p = add("connection", cmd_connection, help="frame derivatives of a connection")
+    p = sub.add_parser("connection", help="frame derivatives of a connection")
     p.add_argument("--kind", choices=["canonical", "well-adapted"], default="canonical")
     p.add_argument("--christoffels", action="store_true", help="include adapted-frame coefficients")
     p.add_argument("spec")
 
-    p = add("torsion", cmd_torsion, help="torsion table of a connection")
+    p = sub.add_parser("torsion", help="torsion table of a connection")
     p.add_argument("--kind", choices=["canonical", "well-adapted"], default="canonical")
     p.add_argument("spec")
 
-    p = add("curvature", cmd_curvature, help="curvature table of a connection")
+    p = sub.add_parser("curvature", help="curvature table of a connection")
     p.add_argument("--kind", choices=["canonical", "well-adapted"], default="canonical")
     p.add_argument("spec")
 
-    p = add("difference", cmd_difference, help="difference tensor between the two connections")
+    p = sub.add_parser("difference", help="difference tensor between the two connections")
     p.add_argument("spec")
 
-    p = add("nijenhuis", cmd_nijenhuis, help="Nijenhuis or [F,P] concomitant table")
+    p = sub.add_parser("nijenhuis", help="Nijenhuis or [F,P] concomitant table")
     p.add_argument("--tensor", choices=["F", "P", "FP"], default="F")
     p.add_argument("spec")
 
-    p = add("classify", cmd_classify, help="triple kind, integrability, flatness, metric class")
+    p = sub.add_parser("classify", help="triple kind, integrability, flatness, metric class")
     p.add_argument("spec")
 
-    p = add("equivalent", cmd_equivalent, help="check equivalence along a given map")
+    p = sub.add_parser("equivalent", help="check equivalence along a given map")
     p.add_argument("spec_a")
     p.add_argument("spec_b")
     p.add_argument("--map", required=True, help="JSON file with the diffeomorphism data")
 
-    p = add("prolongation", cmd_prolongation, help="first prolongation of the structure algebra")
+    p = sub.add_parser("prolongation", help="first prolongation of the structure algebra")
     p.add_argument("--n", type=int, required=True)
 
-    p = add("invariants", cmd_invariants, help="differential invariant counts")
+    p = sub.add_parser("invariants", help="differential invariant counts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
 
-    p = add("bilagrangian", cmd_bilagrangian, help="bi-Lagrangian assembly and its verdicts")
+    p = sub.add_parser("bilagrangian", help="bi-Lagrangian assembly and its verdicts")
     p.add_argument("spec")
 
-    p = add("report", cmd_report, help="run every applicable check and emit a report")
+    p = sub.add_parser("report", help="run every applicable check and emit a report")
     p.add_argument("spec")
     p.add_argument("-o", "--output", default=None, help="write the report to a file")
 
@@ -749,10 +753,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        emit(args.func(args), getattr(args, "output", None), args.text)
+        emit(globals()[f"cmd_{args.command}"](args), getattr(args, "output", None), args.text)
     except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SCHEMA

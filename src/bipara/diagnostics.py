@@ -12,8 +12,8 @@ The Nijenhuis convention used throughout is
 
 whose vanishing, for an involution e, is equivalent to both eigendistributions
 being involutive; the direct involutivity check is kept as a guard on the
-convention.  The evaluator forms e^2 = e o e on its first evaluation, so a
-verdict that never reads N_P never composes P with P.
+convention.  For F and P, validation has already established e^2 = Id, so
+their evaluators read the e^2 term as [X, Y] and never compose e with e.
 """
 
 from __future__ import annotations
@@ -107,31 +107,61 @@ def _field_witness(pair, value: VectorField) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def nijenhuis(e: EndoField) -> Callable[[VectorField, VectorField], VectorField]:
-    """The Nijenhuis evaluator of a (1,1)-tensor field; e^2 is formed on its first call."""
+def _per_field(image: Callable[[VectorField], object]) -> Callable[[VectorField], object]:
+    """``image`` formed once per field object.
+
+    The memo is keyed by ``id`` and each entry holds its field, so no key is
+    reused by another field while the memo lives.  Equal but distinct fields
+    are computed separately.
+    """
+    memo: dict[int, tuple] = {}
+
+    def cached(x: VectorField):
+        hit = memo.get(id(x))
+        if hit is None:
+            hit = memo[id(x)] = (x, image(x))
+        return hit[1]
+
+    return cached
+
+
+def nijenhuis(
+    e: EndoField, involution: bool = False
+) -> Callable[[VectorField, VectorField], VectorField]:
+    """The Nijenhuis evaluator of a (1,1)-tensor field.
+
+    e X is formed once per argument field object.  With ``involution`` the
+    caller vouches for e o e = Id, so the e^2 term is [X, Y] itself;
+    otherwise e^2 = e o e is formed on the first call.
+    """
+    apply_e = _per_field(e.apply)
 
     @cache
     def square() -> EndoField:
         return e.compose(e)
 
     def evaluate(x: VectorField, y: VectorField) -> VectorField:
-        ex, ey = e.apply(x), e.apply(y)
+        ex, ey = apply_e(x), apply_e(y)
+        xy = lie_bracket(x, y)
         return (
             lie_bracket(ex, ey)
             - e.apply(lie_bracket(ex, y) + lie_bracket(x, ey))
-            + square().apply(lie_bracket(x, y))
+            + (xy if involution else square().apply(xy))
         )
 
     return evaluate
 
 
 def fn_bracket(s: BiparaStructure) -> Callable[[VectorField, VectorField], VectorField]:
-    """The [F, P] concomitant, in its anticommutation-reduced form."""
+    """The [F, P] concomitant, in its anticommutation-reduced form.
+
+    F X and P X are formed once per argument field object.
+    """
     f, p = s.F, s.P
+    images = _per_field(lambda x: (f.apply(x), p.apply(x)))
 
     def evaluate(x: VectorField, y: VectorField) -> VectorField:
-        fx, px = f.apply(x), p.apply(x)
-        fy, py = f.apply(y), p.apply(y)
+        (fx, px), (fy, py) = images(x), images(y)
         return (
             lie_bracket(fx, py)
             + lie_bracket(px, fy)

@@ -241,6 +241,8 @@ class MultiPoly:
         return self._coerce(other).__sub__(self)
 
     def __neg__(self) -> "MultiPoly":
+        if not self.terms:  # polynomials are immutable, so zero is its own negative
+            return self
         return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "MultiPoly":

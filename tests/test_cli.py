@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import subprocess
@@ -540,8 +541,8 @@ def _count_concomitant_calls(monkeypatch, s):
     calls = Counter()
 
     def counting(factory, name_of):
-        def make(arg):
-            evaluate = factory(arg)
+        def make(arg, *args, **kwargs):
+            evaluate = factory(arg, *args, **kwargs)
 
             def counted(x, y):
                 calls[name_of(arg), s.basis.index(x), s.basis.index(y)] += 1
@@ -599,12 +600,95 @@ def test_classify_never_composes_p_with_p(fixture_dir, monkeypatch, capsys):
     assert "P" not in squares
 
 
-def test_report_composes_f_with_f_and_p_with_p(fixture_dir, monkeypatch, capsys):
+def test_report_never_composes_f_with_f_or_p_with_p(fixture_dir, monkeypatch, capsys):
     spec = str(fixture_dir / "heis_n2.json")
     squares = _record_squares(monkeypatch, build_structure(load_spec(spec)))
     assert main(["report", spec]) == 0
     capsys.readouterr()
-    assert {"F", "P"} <= set(squares)
+    # Validation established F^2 = P^2 = Id, so N_F and N_P read e^2 [X, Y] as [X, Y].
+    assert squares == []
+
+
+def test_report_applies_f_and_p_to_each_basis_field_once_per_evaluator(fixture_dir, monkeypatch, capsys):
+    spec = str(fixture_dir / "heis_n2.json")
+    s = build_structure(load_spec(spec))
+    applies = Counter()
+    active = []  # (tensor, (x, y)) of the evaluator call in progress
+
+    def tagging(factory, name_of):
+        def make(arg, *args, **kwargs):
+            evaluate = factory(arg, *args, **kwargs)
+
+            def tagged(x, y):
+                active.append((name_of(arg), (x, y)))
+                try:
+                    return evaluate(x, y)
+                finally:
+                    active.pop()
+
+            return tagged
+
+        return make
+
+    apply = EndoField.apply
+
+    def recording(e, x):
+        if active and any(f is x for f in active[-1][1]):
+            applies[active[-1][0], "F" if e == s.F else "P", s.basis.index(x)] += 1
+        return apply(e, x)
+
+    monkeypatch.setattr(cli, "nijenhuis", tagging(cli.nijenhuis, lambda e: "N_F" if e == s.F else "N_P"))
+    monkeypatch.setattr(cli, "fn_bracket", tagging(cli.fn_bracket, lambda _: "FP"))
+    monkeypatch.setattr(EndoField, "apply", recording)
+    assert main(["report", spec]) == 0
+    capsys.readouterr()
+    expected = [("N_F", "F"), ("N_P", "P"), ("FP", "F"), ("FP", "P")]
+    assert applies == {(tensor, e, k): 1 for tensor, e in expected for k in range(4)}
+
+
+def test_main_builds_one_parser_per_process(fixture_dir, monkeypatch, capsys):
+    spec = str(fixture_dir / "heis_n2.json")
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(parser, *args, **kwargs):
+        parsers.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    outputs = []
+    for _ in range(2):
+        assert main(["report", spec]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert outputs[0] == outputs[1]
+
+
+def test_an_output_path_does_not_leak_into_the_next_call(fixture_dir, tmp_path, capsys):
+    spec = str(fixture_dir / "aff_n2.json")
+    out = tmp_path / "report.json"
+    assert main(["report", spec, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["report", spec]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+def test_a_bad_argument_after_a_good_call_exits_2(fixture_dir, capsys):
+    spec = str(fixture_dir / "aff_n2.json")
+    assert main(["classify", spec]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--no-such-flag", spec])
+    assert exc.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+
+
+def test_a_command_patched_after_the_first_call_runs(fixture_dir, monkeypatch, capsys):
+    spec = str(fixture_dir / "aff_n2.json")
+    assert main(["validate", spec]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: {"patched": args.spec})
+    assert main(["validate", spec]) == 0
+    assert json.loads(capsys.readouterr().out) == {"patched": spec}
 
 
 def test_commands_leave_no_bipara_object_in_a_reference_cycle(fixture_dir, capsys):

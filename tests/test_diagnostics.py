@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from bipara import diagnostics
-from bipara.cli import Analysis
+from bipara.cli import Analysis, build_structure, load_spec
 from bipara.connections import (
     DifferenceTensor,
     PairTensor,
@@ -32,8 +32,9 @@ from bipara.diagnostics import (
     trace_pairing_condition,
     transpose_invariance,
 )
-from bipara.geometry import EndoField, PolyMap, identity_map
+from bipara.geometry import EndoField, PolyMap, VectorField, identity_map, lie_bracket
 from bipara.linalg import PolyMatrix
+from bipara.poly import MultiPoly
 from bipara.structure import (
     _random_isomorphism,
     affine_structure,
@@ -43,7 +44,7 @@ from bipara.structure import (
     random_structure,
     random_unipotent_map,
 )
-from conftest import nilpotent_table
+from conftest import FIXTURE_DIR, nilpotent_table
 
 
 def test_verdict_witness_discipline():
@@ -119,6 +120,124 @@ def test_involutivity_flags_match_nijenhuis(heis, flat_n2, aff):
         "T_P_plus": False,
         "T_P_minus": False,
     }
+
+
+# ---------------------------------------------------------------------------
+# The concomitant evaluators against their general, unmemoized forms
+# ---------------------------------------------------------------------------
+
+
+def unmemoized_nijenhuis(e):
+    """N_e with every image formed on each call and the e^2 term through e o e."""
+    square = e.compose(e)
+
+    def evaluate(x, y):
+        ex, ey = e.apply(x), e.apply(y)
+        return (
+            lie_bracket(ex, ey)
+            - e.apply(lie_bracket(ex, y) + lie_bracket(x, ey))
+            + square.apply(lie_bracket(x, y))
+        )
+
+    return evaluate
+
+
+def unmemoized_fn_bracket(s):
+    """[F, P] with every image formed on each call."""
+    f, p = s.F, s.P
+
+    def evaluate(x, y):
+        fx, px, fy, py = f.apply(x), p.apply(x), f.apply(y), p.apply(y)
+        return (
+            lie_bracket(fx, py)
+            + lie_bracket(px, fy)
+            - f.apply(lie_bracket(px, y) + lie_bracket(x, py))
+            - p.apply(lie_bracket(fx, y) + lie_bracket(x, fy))
+        )
+
+    return evaluate
+
+
+def _fixture(name: str):
+    return build_structure(load_spec(str(FIXTURE_DIR / f"{name}.json")))
+
+
+def _pushed_chart(n: int, seed: int):
+    rng = random.Random(seed)
+    base = nilpotent_chart(n, nilpotent_table(n, rng))
+    return pushforward_structure(random_unipotent_map(base.context, 2, rng), base)
+
+
+# The 4 fixtures, conjugated random constant frames and pushed nilpotent charts.
+CONCOMITANT_STRUCTURES = {
+    **{name: partial(_fixture, name) for name in ("flat_n1", "flat_n2", "heis_n2", "aff_n2")},
+    **{
+        f"conjugated_frame_n{n}_{k}": partial(
+            random_structure, n, "constant_frame", seed=100 * n + k, conjugate=True
+        )
+        for n in (2, 3)
+        for k in range(2)
+    },
+    "pushed_chart_n2": partial(_pushed_chart, 2, 7),
+    "pushed_chart_n3": partial(_pushed_chart, 3, 8),
+}
+
+
+def _field(s, k: int) -> VectorField:
+    """A non-basis field: a rational combination of the frame, times a variable on a chart."""
+    ctx = s.context
+    combo = VectorField.from_rationals(ctx, [Fraction(k + i + 1, 1 + (i * k) % 3) for i in range(s.dim)])
+    if not ctx.variables:
+        return combo
+    v = ctx.variables[k % s.dim]
+    return VectorField(ctx, [c * MultiPoly.var(ctx.variables, v) for c in combo.components])
+
+
+def _check_against(evaluate, reference, s):
+    """``evaluate`` equals ``reference`` on non-basis fields, equal copies and temporaries.
+
+    One evaluator serves every call, so each field is reused across calls.
+    The copies are equal to a field but distinct objects; each temporary is
+    dropped after its call, so a memo keyed by ``id`` alone would see ids
+    come back with other fields.
+    """
+    basis = s.basis
+    u, w = _field(s, 1), _field(s, 2)
+    u_copy, e0_copy = VectorField(s.context, u.components), VectorField(s.context, basis[0].components)
+    args = [*basis, u, w, u_copy, e0_copy]
+    for i, x in enumerate(args):
+        for j, y in enumerate(args):
+            if max(i, j) >= s.dim:  # the frame pairs are the tables' to check
+                assert evaluate(x, y) == reference(x, y)
+    for k in range(6):
+        x = _field(s, k + 3)
+        assert evaluate(x, basis[k % s.dim]) == reference(x, basis[k % s.dim])
+        del x
+
+
+@pytest.mark.parametrize("name", sorted(CONCOMITANT_STRUCTURES))
+def test_analysis_concomitants_equal_their_unmemoized_forms(name):
+    s = CONCOMITANT_STRUCTURES[name]()
+    a = Analysis(s)
+    for tensor, e in (("F", s.F), ("P", s.P)):
+        reference = unmemoized_nijenhuis(e)
+        table = a.concomitant(tensor).table
+        assert all(table[i][j] == reference(x, y) for i, x in enumerate(s.basis) for j, y in enumerate(s.basis))
+        # The evaluator ``Analysis`` builds, off the frame.
+        _check_against(nijenhuis(e, involution=True), reference, s)
+        _check_against(nijenhuis(e), reference, s)
+    reference = unmemoized_fn_bracket(s)
+    table = a.concomitant("FP").table
+    assert all(table[i][j] == reference(x, y) for i, x in enumerate(s.basis) for j, y in enumerate(s.basis))
+    _check_against(fn_bracket(s), reference, s)
+
+
+def test_nijenhuis_of_a_non_involution_keeps_its_square_term(heis):
+    # e = 2F has e o e = 4 Id: the involution shortcut must not apply by default.
+    e = heis.F.scale(2)
+    _check_against(nijenhuis(e), unmemoized_nijenhuis(e), heis)
+    x1, x2 = heis.basis[0], heis.basis[1]
+    assert nijenhuis(e)(x1, x2) != nijenhuis(e, involution=True)(x1, x2)
 
 
 def lazy_integrability(s):

@@ -236,6 +236,24 @@ def test_zero_is_shared_and_immutable():
         zero.variables = ("x1",)
 
 
+def test_zero_negates_to_itself():
+    zero = MultiPoly.zero(VARS)
+    assert -zero is zero
+    built = MultiPoly(VARS, {})
+    assert -built is built
+
+
+@pytest.mark.parametrize("text", ["x1", "-3/2*x1^2*y2 + 7*y1 - 1/5", "2", "-x2*y1 + x1*y2"])
+def test_negation_of_a_nonzero_polynomial(text):
+    p = parse_poly(text, VARS)
+    negated = -p
+    # The negated terms, term by term, in a new polynomial.
+    assert negated is not p
+    assert negated == MultiPoly(VARS, {e: -c for e, c in p.terms.items()})
+    assert str(negated) == str(parse_poly(f"-({text})", VARS))
+    assert (p + negated).is_zero and -negated == p
+
+
 def test_scale_of_zero_still_checks_the_scalar():
     zero = MultiPoly.zero(("x1", "x2"))
     with pytest.raises(PolyError):
