@@ -273,27 +273,17 @@ def load_spec(path: str) -> StructureSpec:
 
 def build_structure(spec: StructureSpec) -> BiparaStructure:
     """Mathematical validation: context (Jacobi) plus the structure identities."""
-    if spec.backend == POLYNOMIAL_CHART:
-        ctx = chart_context(spec.variables)
-    else:
-        try:
-            ctx = algebra_context(2 * spec.n, spec.bracket_table)
-        except GeometryError as err:
-            raise MathValidationError(str(err)) from err
     try:
+        if spec.backend == POLYNOMIAL_CHART:
+            ctx = chart_context(spec.variables)
+        else:
+            ctx = algebra_context(2 * spec.n, spec.bracket_table)
         return BiparaStructure.validate(
             EndoField(ctx, spec.f_matrix),
             EndoField(ctx, spec.p_matrix),
             adapted_frame=spec.adapted_frame,
         )
     except (StructureError, GeometryError) as err:
-        if isinstance(err, StructureError):
-            detail = "; ".join(
-                f"{f['name']}"
-                + (f" (witness {f['witness']})" if f.get("witness") else "")
-                for f in err.failures
-            )
-            raise MathValidationError(detail) from err
         raise MathValidationError(str(err)) from err
 
 
@@ -488,10 +478,6 @@ def _integrability_and_flatness(a: Analysis) -> list[Verdict]:
     ]
 
 
-def _verdict(name: str, holds: bool, reason: str) -> Verdict:
-    return Verdict(name, holds, None if holds else {"reason": reason})
-
-
 def _metric_class_json(spec: StructureSpec, s: BiparaStructure) -> dict:
     """Classify at the origin; add signatures at any user-supplied seed points."""
     metric = BilinearField(s.context, spec.metric)
@@ -663,8 +649,8 @@ def cmd_report(args) -> dict:
         routes_ok = well_adapted_routes_agree(a.well_adapted, a.christoffels("well-adapted"))
         trace_ok = trace_condition_holds(a.torsion("well-adapted"))
         verdicts += [
-            _verdict("well_adapted_routes_agree", routes_ok, "table and frame-free routes differ"),
-            _verdict("trace_condition_well_adapted", trace_ok, "a trace identity fails"),
+            Verdict.of("well_adapted_routes_agree", routes_ok, {"reason": "table and frame-free routes differ"}),
+            Verdict.of("trace_condition_well_adapted", trace_ok, {"reason": "a trace identity fails"}),
         ]
     if spec.metric is not None:
         try:

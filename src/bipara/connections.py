@@ -284,7 +284,6 @@ class CurvatureTensor(PairTensor):
 
     def __init__(self, law: ConnectionLaw):
         super().__init__(law.context, partial(_curvature_cell, law), antisymmetric=True)
-        self.law = law
 
     def keys(self):
         """(i, j, k) over the pairs i < j and every k, in index order."""
@@ -517,6 +516,10 @@ class DifferenceTensor(PairTensor):
         self.canonical = t.law
         self.structure = s = t.law.structure
         fp, fm = s.projectors.f_plus, s.projectors.f_minus
+        # P∘F± is composed once here, so each sum takes one apply.  Applying
+        # F± and then P to every sum instead slowed `bipara report` on a 94 KB
+        # n = 8 degree-3 chart spec from 4.3-4.4 s to 5.9-6.0 s (three
+        # alternating runs each, 2-vCPU Xeon VM).
         self._outer = outer = (fp, fm, s.P.compose(fp), s.P.compose(fm))
         split = s.frame_split
         torsion_route = partial(pair_cell, partial(_torsion_route, t, outer), split)
@@ -524,13 +527,9 @@ class DifferenceTensor(PairTensor):
         bracket_route = partial(pair_cell, partial(_bracket_route, outer), split)
         pair = _first_pair_mismatch(self.table, bracket_route)
         if pair is not None:
-            raise StructureError(
-                [{"name": "difference-tensor routes disagree", "witness": {"pair": pair}}]
-            )
+            raise StructureError.of("difference-tensor routes disagree", {"pair": pair})
         if t.law.kind != "canonical":
-            raise StructureError(
-                [{"name": "difference tensor needs the canonical torsion", "witness": t.law.kind}]
-            )
+            raise StructureError.of("difference tensor needs the canonical torsion", t.law.kind)
 
     def bracket_route(self, x: VectorField, y: VectorField) -> VectorField:
         """Bracket-only expansion, assembled from the four block identities."""

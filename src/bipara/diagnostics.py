@@ -91,6 +91,11 @@ class Verdict:
         if not self.holds and self.witness is None:
             raise ValueError("a failing verdict must carry a witness")
 
+    @classmethod
+    def of(cls, name: str, holds: bool, witness: dict | None) -> "Verdict":
+        """The check ``name``; ``witness`` is kept only when it fails."""
+        return cls(name, holds, None if holds else witness)
+
     def to_json(self) -> dict:
         return {"name": self.name, "holds": self.holds, "witness": self.witness}
 
@@ -353,7 +358,7 @@ def commutant_check(s: BiparaStructure, endo: EndoField) -> Verdict:
     is diag(A, A); the two tests are run independently and must agree.
     """
     if s.adapted_frame is None:
-        raise StructureError([{"name": "missing adapted frame", "witness": None}])
+        raise StructureError.of("missing adapted frame")
     if endo.context != s.context:
         raise ContextMismatch("endomorphism lives in a different frame context")
     commutes_f = (endo.matrix @ s.F.matrix - s.F.matrix @ endo.matrix).is_zero
@@ -362,19 +367,14 @@ def commutant_check(s: BiparaStructure, endo: EndoField) -> Verdict:
 
     in_frame = s.coframe @ endo.matrix @ s.adapted_frame
     if not in_frame.is_constant:
-        raise StructureError(
-            [{"name": "endomorphism is not constant in the adapted frame", "witness": None}]
-        )
+        raise StructureError.of("endomorphism is not constant in the adapted frame")
     block_form = delta_gl_algebra_membership(in_frame)
     if commutes != block_form:
         raise InconsistencyError(
             f"commutation ({commutes}) and adapted block form ({block_form}) disagree"
         )
-    if commutes:
-        return Verdict("adjoint_algebra_member", True)
-    reason = "F" if not commutes_f else "P"
-    return Verdict(
-        "adjoint_algebra_member", False, {"fails_to_commute_with": reason}
+    return Verdict.of(
+        "adjoint_algebra_member", commutes, {"fails_to_commute_with": "P" if commutes_f else "F"}
     )
 
 

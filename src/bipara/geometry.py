@@ -533,10 +533,9 @@ class PolyMap:
     variables and ``inverse`` the other way round; both are empty on a
     constant frame, which has no coordinates.  The frame Jacobians, both in
     the target ring, are ``jacobian_at_inverse`` J = D(forward) composed with
-    the inverse map and ``jacobian_of_inverse`` K = D(inverse).  They are
-    ``matrix`` and ``matrix_inverse`` when given (the latter defaults to the
-    exact inverse of the former), and are derived from ``forward`` and
-    ``inverse`` otherwise.
+    the inverse map and ``jacobian_of_inverse`` K = D(inverse).  On a
+    constant frame J is ``matrix`` and K its exact inverse; otherwise both
+    are derived from ``forward`` and ``inverse``.
 
     One validation runs on both backends: component counts and rings, the
     round trips forward o inverse = id and inverse o forward = id, J K = Id,
@@ -552,7 +551,6 @@ class PolyMap:
         forward: Sequence[MultiPoly] | None = None,
         inverse: Sequence[MultiPoly] | None = None,
         matrix: Sequence[Sequence[Fraction]] | None = None,
-        matrix_inverse: Sequence[Sequence[Fraction]] | None = None,
         *,
         _jacobians: tuple[PolyMatrix, PolyMatrix] | None = None,
     ):
@@ -580,11 +578,11 @@ class PolyMap:
             if g.substitute(self._sub_forward) != MultiPoly.var(source.variables, name):
                 raise GeometryError("inverse o forward is not the identity")
         if _jacobians is None:
-            _jacobians = self._public_jacobians(matrix, matrix_inverse)
+            _jacobians = self._public_jacobians(matrix)
         self.jacobian_at_inverse, self.jacobian_of_inverse = _jacobians
         jac, dim, ring = self.jacobian_at_inverse, source.dim, target.variables
         if jac @ self.jacobian_of_inverse != PolyMatrix.identity(dim, ring):
-            raise GeometryError("matrix and matrix_inverse are not inverse")
+            raise GeometryError("the frame Jacobians J and K are not inverse")
         # Lie algebra morphism: J [E_i, E_j]_src = [J E_i, J E_j]_tgt, exactly.
         zero = target.zero
         for i, j in itertools.combinations(range(dim), 2):
@@ -596,19 +594,19 @@ class PolyMap:
             if mapped != right:
                 raise GeometryError(f"map does not preserve brackets on basis pair ({i},{j})")
 
-    def _public_jacobians(self, matrix, matrix_inverse) -> tuple[PolyMatrix, PolyMatrix]:
-        """J and K from ``matrix`` and ``matrix_inverse``, or from the coordinate lists."""
+    def _public_jacobians(self, matrix) -> tuple[PolyMatrix, PolyMatrix]:
+        """J and K from ``matrix`` and its exact inverse, or from the coordinate lists."""
         ring = self.target.variables
         if matrix is not None:
             if self.forward:
                 raise GeometryError("a map takes a matrix or forward and inverse lists, not both")
-            matrix = _square_rows("matrix", matrix, self.source.dim)
-            if matrix_inverse is None:
-                matrix_inverse = rat_inverse(matrix)
-            matrix_inverse = _square_rows("matrix_inverse", matrix_inverse, self.source.dim)
+            dim = self.source.dim
+            if len(matrix) != dim or any(len(row) != dim for row in matrix):
+                raise GeometryError(f"matrix must be {dim} × {dim}")
+            matrix = [[Fraction(v) for v in row] for row in matrix]
             return (
                 PolyMatrix.from_rational_rows(matrix, ring),
-                PolyMatrix.from_rational_rows(matrix_inverse, ring),
+                PolyMatrix.from_rational_rows(rat_inverse(matrix), ring),
             )
         if not self.forward:
             raise GeometryError("constant-frame map needs a matrix")
@@ -660,13 +658,6 @@ class PolyMap:
     def jacobian_of_inverse(self) -> PolyMatrix:
         """K = D(inverse): set by ``__init__``; an ``inverted()`` map builds it here."""
         return self._inverted_from.jacobian_at_inverse.substitute(self._sub_inverse)
-
-
-def _square_rows(name: str, rows, dim: int) -> list[list[Fraction]]:
-    """``rows`` as exact rationals, checked to be ``dim`` × ``dim``."""
-    if len(rows) != dim or any(len(row) != dim for row in rows):
-        raise GeometryError(f"{name} must be {dim} × {dim}")
-    return [[Fraction(v) for v in row] for row in rows]
 
 
 def identity_map(context: FrameContext) -> PolyMap:

@@ -20,7 +20,7 @@ from .connections import ConnectionLaw, is_parallel, torsion
 from .diagnostics import InconsistencyError, Verdict
 from .geometry import BilinearField, ContextMismatch, EndoField
 from .linalg import PolyMatrix, rat_inverse, rat_matmul, rat_nullspace, rat_rank, rat_signature, rat_system
-from .structure import BiparaStructure, StructureError
+from .structure import BiparaStructure
 
 __all__ = [
     "MetricClass",
@@ -164,63 +164,46 @@ def special_metric_predicates(
     """
     if not g.is_symmetric:
         raise MetricError("metric is not symmetric")
-    eps1 = _pullback_sign(g, s.F)
-    eps_j = _pullback_sign(g, s.J)
-    eps2 = _pullback_sign(g, s.P)
-    verdicts: dict[str, Verdict] = {}
+    eps1, eps2, eps_j = (_pullback_sign(g, e) for e in (s.F, s.P, s.J))
 
     # hypersymplectic / neutral-hyperkaehler: dim = 4m, g(J.,J.) = g,
     # g(F.,F.) = -g, neutral signature
     if s.dim % 4 != 0:
-        verdicts["hypersymplectic"] = Verdict(
-            "hypersymplectic", False, {"reason": f"dimension {s.dim} is not divisible by 4"}
-        )
+        hypersymplectic = False
+        hyper_reason = f"dimension {s.dim} is not divisible by 4"
     else:
-        ok = eps_j == 1 and eps1 == -1
-        witness = None
-        if ok:
-            signature = rat_signature(g.matrix.constant_parts())
-            if signature != (s.dim // 2, s.dim // 2, 0):  # pragma: no cover
-                raise InconsistencyError("hypersymplectic identities with non-neutral signature")
-        else:
-            witness = {"reason": f"g(J.,J.)=g: {eps_j == 1}, g(F.,F.)=-g: {eps1 == -1}"}
-        verdicts["hypersymplectic"] = Verdict("hypersymplectic", ok, witness)
-
-    ok = eps1 == -1 and eps2 == -1
-    verdicts["paraquaternionic_hermitian"] = Verdict(
-        "paraquaternionic_hermitian",
-        ok,
-        None if ok else {"reason": f"(eps1, eps2) = ({eps1}, {eps2}), need (-, -)"},
+        hypersymplectic = eps_j == 1 and eps1 == -1
+        hyper_reason = f"g(J.,J.)=g: {eps_j == 1}, g(F.,F.)=-g: {eps1 == -1}"
+        neutral = (s.dim // 2, s.dim // 2, 0)
+        if hypersymplectic and rat_signature(g.matrix.constant_parts()) != neutral:  # pragma: no cover
+            raise InconsistencyError("hypersymplectic identities with non-neutral signature")
+    failed = [
+        name
+        for name, holds in (
+            ("nabla g != 0", metric_covariant_derivative_is_zero(law, g)),
+            ("nabla F != 0", is_parallel(law, s.F)),
+            ("nabla P != 0", is_parallel(law, s.P)),
+            ("nabla J != 0", is_parallel(law, s.J)),
+            ("lowered torsion is not totally skew", _lowered_torsion_totally_skew(law, g)),
+        )
+        if not holds
+    ]
+    checks = (
+        ("hypersymplectic", hypersymplectic, {"reason": hyper_reason}),
+        (
+            "paraquaternionic_hermitian",
+            eps1 == -1 and eps2 == -1,
+            {"reason": f"(eps1, eps2) = ({eps1}, {eps2}), need (-, -)"},
+        ),
+        ("norden", eps_j == -1, {"reason": "g(J., J.) != -g"}),
+        (
+            "riemannian_product",
+            eps1 == 1 and is_positive_definite_at(g),
+            {"reason": "needs eps1 = + and positive definiteness"},
+        ),
+        ("parallel_skew_torsion", not failed, {"failed": failed}),
     )
-
-    ok = eps_j == -1
-    verdicts["norden"] = Verdict(
-        "norden", ok, None if ok else {"reason": "g(J., J.) != -g"}
-    )
-
-    ok = eps1 == 1 and is_positive_definite_at(g)
-    verdicts["riemannian_product"] = Verdict(
-        "riemannian_product",
-        ok,
-        None if ok else {"reason": "needs eps1 = + and positive definiteness"},
-    )
-
-    failures = []
-    if not metric_covariant_derivative_is_zero(law, g):
-        failures.append("nabla g != 0")
-    if not is_parallel(law, s.F):
-        failures.append("nabla F != 0")
-    if not is_parallel(law, s.P):
-        failures.append("nabla P != 0")
-    if not is_parallel(law, s.J):
-        failures.append("nabla J != 0")
-    if not _lowered_torsion_totally_skew(law, g):
-        failures.append("lowered torsion is not totally skew")
-    ok = not failures
-    verdicts["parallel_skew_torsion"] = Verdict(
-        "parallel_skew_torsion", ok, None if ok else {"failed": failures}
-    )
-    return verdicts
+    return {name: Verdict.of(name, holds, witness) for name, holds, witness in checks}
 
 
 def solve_hypersymplectic_metric(s: BiparaStructure) -> BilinearField | None:
@@ -342,49 +325,31 @@ def bi_lagrangian_assembly(
     j_endo = EndoField(ctx, PolyMatrix.from_rational_rows(j_rows, ctx.variables))
     p_endo = EndoField(ctx, j_endo.matrix @ f.matrix)
 
-    verdicts: dict[str, Verdict] = {}
-    try:
-        structure = BiparaStructure.validate(f, p_endo)
-        verdicts["structure_valid"] = Verdict("structure_valid", True)
-    except StructureError as err:
-        structure = None
-        verdicts["structure_valid"] = Verdict(
-            "structure_valid", False, {"failures": [f["name"] for f in err.failures]}
-        )
-
+    # Given omega(F., F.) = -omega, F^T omega is symmetric exactly when
+    # F^2 = Id.  Then F preserves G and anticommutes with J, so (F, J o F) is
+    # a valid structure and ``validate`` cannot fail here.
     g_para = BilinearField(ctx, f.matrix.transpose() @ omega.matrix)
-    if not g_para.is_symmetric:  # pragma: no cover - follows from Lagrangian check
+    if not g_para.is_symmetric:
         raise InconsistencyError("associated para-Kaehler metric is not symmetric")
-    ok = _pullback_sign(g_para, j_endo) == -1
-    verdicts["norden_pair"] = Verdict(
-        "norden_pair", ok, None if ok else {"reason": "g(J., J.) != -g"}
-    )
-
+    structure = BiparaStructure.validate(f, p_endo)
+    para = classify_metric(structure, g_para)
+    riem = classify_metric(structure, big_g)
     g_positive = is_positive_definite_at(big_g)
-    ok = _pullback_sign(big_g, f) == 1 and g_positive
-    verdicts["riemannian_product_pair"] = Verdict(
-        "riemannian_product_pair",
-        ok,
-        None if ok else {"reason": "G is not an F-invariant Riemannian metric"},
-    )
-
-    if structure is not None:
-        klass = classify_metric(structure, g_para)
-        ok = (klass.eps1, klass.eps2) == (-1, 1)
-        verdicts["para_metric_minus_plus"] = Verdict(
-            "para_metric_minus_plus",
-            ok,
-            None if ok else {"classified": klass.to_json()},
-        )
-        klass_g = classify_metric(structure, big_g)
-        ok = (klass_g.eps1, klass_g.eps2) == (1, 1) and g_positive
-        verdicts["riemannian_metric_plus_plus"] = Verdict(
+    checks = (
+        ("structure_valid", True, None),
+        # structure.J = F o P = -J, with the same pullback sign
+        ("norden_pair", para.eps_j == -1, {"reason": "g(J., J.) != -g"}),
+        (
+            "riemannian_product_pair",
+            riem.eps1 == 1 and g_positive,
+            {"reason": "G is not an F-invariant Riemannian metric"},
+        ),
+        ("para_metric_minus_plus", (para.eps1, para.eps2) == (-1, 1), {"classified": para.to_json()}),
+        (
             "riemannian_metric_plus_plus",
-            ok,
-            None if ok else {"classified": klass_g.to_json()},
-        )
-    else:  # pragma: no cover - only reachable on invalid structures
-        for name in ("para_metric_minus_plus", "riemannian_metric_plus_plus"):
-            verdicts[name] = Verdict(name, False, {"reason": "structure invalid"})
-
+            (riem.eps1, riem.eps2) == (1, 1) and g_positive,
+            {"classified": riem.to_json()},
+        ),
+    )
+    verdicts = {name: Verdict.of(name, holds, witness) for name, holds, witness in checks}
     return big_g, j_endo, p_endo, verdicts

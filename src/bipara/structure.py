@@ -80,12 +80,31 @@ __all__ = [
 ]
 
 
+def failure(name: str, witness=None) -> dict:
+    """One broken identity as ``StructureError.failures`` lists it."""
+    return {"name": name, "witness": witness}
+
+
 class StructureError(ValueError):
-    """Validation failure; ``failures`` lists each broken identity separately."""
+    """Validation failure; ``failures`` lists each broken identity separately.
+
+    The message renders each failure as ``name (witness ...)``, or as its
+    name alone when it has no witness, joined by ``"; "``.
+    """
 
     def __init__(self, failures: list[dict]):
         self.failures = failures
-        super().__init__("; ".join(f["name"] for f in failures))
+        super().__init__(
+            "; ".join(
+                f["name"] if f["witness"] is None else f"{f['name']} (witness {f['witness']})"
+                for f in failures
+            )
+        )
+
+    @classmethod
+    def of(cls, name: str, witness=None) -> "StructureError":
+        """The error for a single broken identity."""
+        return cls([failure(name, witness)])
 
 
 @dataclass(frozen=True)
@@ -176,7 +195,7 @@ class BiparaStructure:
     def coframe(self) -> PolyMatrix:
         """Inverse of the adapted frame; its rows pair with X_1..X_n, Y_1..Y_n."""
         if self.adapted_frame is None:
-            raise StructureError([{"name": "missing adapted frame", "witness": None}])
+            raise StructureError.of("missing adapted frame")
         return _frame_inverse(self.adapted_frame)
 
     def frame_bracket(self, a: int, b: int) -> tuple[MultiPoly, ...]:
@@ -224,14 +243,13 @@ class BiparaStructure:
             xs = [frame_endo.column_field(i) for i in range(n)]
             ys = [frame_endo.column_field(n + i) for i in range(n)]
             for i, (x_i, y_i) in enumerate(zip(xs, ys), 1):
-                if F.apply(x_i) != x_i:
-                    frame_failures.append({"name": f"F*X_{i} != X_{i}", "witness": None})
-                if F.apply(y_i) != -y_i:
-                    frame_failures.append({"name": f"F*Y_{i} != -Y_{i}", "witness": None})
-                if P.apply(x_i) != y_i:
-                    frame_failures.append({"name": f"P*X_{i} != Y_{i}", "witness": None})
-                if P.apply(y_i) != x_i:
-                    frame_failures.append({"name": f"P*Y_{i} != X_{i}", "witness": None})
+                columns = (
+                    (F, x_i, x_i, f"F*X_{i} != X_{i}"),
+                    (F, y_i, -y_i, f"F*Y_{i} != -Y_{i}"),
+                    (P, x_i, y_i, f"P*X_{i} != Y_{i}"),
+                    (P, y_i, x_i, f"P*Y_{i} != X_{i}"),
+                )
+                frame_failures += [failure(name) for e, v, image, name in columns if e.apply(v) != image]
         certified = (
             adapted_frame is not None
             and not frame_failures
@@ -244,16 +262,16 @@ class BiparaStructure:
             def check(name: str, matrix: PolyMatrix):
                 witness = matrix_witness(matrix)
                 if witness is not None:
-                    failures.append({"name": name, "witness": witness})
+                    failures.append(failure(name, witness))
 
             check("F^2 != Id", (F.matrix @ F.matrix) - identity)
             check("P^2 != Id", (P.matrix @ P.matrix) - identity)
             fp = F.matrix @ P.matrix
             check("F∘P + P∘F != 0", fp + (P.matrix @ F.matrix))
-            if not F.matrix.trace().is_zero:
-                failures.append({"name": "trace(F) != 0", "witness": {"value": str(F.matrix.trace())}})
-            if not P.matrix.trace().is_zero:
-                failures.append({"name": "trace(P) != 0", "witness": {"value": str(P.matrix.trace())}})
+            for name, e in (("F", F), ("P", P)):
+                trace = e.matrix.trace()
+                if not trace.is_zero:
+                    failures.append(failure(f"trace({name}) != 0", {"value": str(trace)}))
             if not failures:
                 # J^2 = -Id follows from the identities above; a failure here
                 # would mean the checks themselves are broken.
@@ -268,7 +286,7 @@ class BiparaStructure:
 
     def frame_field(self, index: int) -> VectorField:
         if self.adapted_frame is None:
-            raise StructureError([{"name": "missing adapted frame", "witness": None}])
+            raise StructureError.of("missing adapted frame")
         return VectorField(self.context, self.adapted_frame.column(index))
 
 
@@ -349,9 +367,7 @@ def nilpotent_chart(n: int, table: dict[tuple[int, int], Sequence]) -> BiparaStr
     rows = [[MultiPoly.const(variables, int(a == b)) for b in range(dim)] for a in range(dim)]
     for (i, j), coeffs in table.items():
         if not (0 <= i < j < n and len(coeffs) == dim and not any(coeffs[:n])):
-            raise StructureError(
-                [{"name": f"bracket ({i}, {j}) is not 2-step nilpotent for n = {n}", "witness": None}]
-            )
+            raise StructureError.of(f"bracket ({i}, {j}) is not 2-step nilpotent for n = {n}")
         x_i = MultiPoly.var(variables, variables[i])
         for k in range(n):
             rows[n + k][j] = rows[n + k][j] + x_i.scale(coeffs[n + k])
@@ -374,19 +390,15 @@ def adapted_basis(
     """
     n = s.n
     if len(xs) != n:
-        raise StructureError([{"name": f"expected {n} fields, got {len(xs)}", "witness": None}])
+        raise StructureError.of(f"expected {n} fields, got {len(xs)}")
     for k, x in enumerate(xs):
         if x.context != s.context:
             raise ContextMismatch("input field lives in a different frame context")
         if s.F.apply(x) != x:
-            raise StructureError(
-                [{"name": f"input {k + 1} is not in T_F^+ (F*X != X)", "witness": None}]
-            )
+            raise StructureError.of(f"input {k + 1} is not in T_F^+ (F*X != X)")
     columns = [[c.constant_part() for c in x.components] for x in xs]
     if rat_rank(columns) != n:
-        raise StructureError(
-            [{"name": "inputs are dependent at the evaluation point", "witness": None}]
-        )
+        raise StructureError.of("inputs are dependent at the evaluation point")
     p_images = [s.P.apply(x) for x in xs]
     sums = [x + px for x, px in zip(xs, p_images)]
     diffs = [x - px for x, px in zip(xs, p_images)]
@@ -408,13 +420,11 @@ def structure_from_alpha(
             raise ContextMismatch("alpha-structure inputs live in different contexts")
         for c in field.components:
             if not c.is_constant:
-                raise StructureError(
-                    [{"name": "alpha-structure inputs must be constant fields", "witness": None}]
-                )
+                raise StructureError.of("alpha-structure inputs must be constant fields")
     dim = ctx.dim
     n = dim // 2
     if not (len(v1) == len(v2) == len(v3) == n):
-        raise StructureError([{"name": "each distribution needs n spanning fields", "witness": None}])
+        raise StructureError.of("each distribution needs n spanning fields")
 
     def columns(fields):
         return [[c.constant_value() for c in f.components] for f in fields]
@@ -427,7 +437,7 @@ def structure_from_alpha(
 
     for name, pair in (("V1+V2", (c1, c2)), ("V1+V3", (c1, c3)), ("V2+V3", (c2, c3))):
         if rat_rank(stack(*pair)) != dim:
-            raise StructureError([{"name": f"transversality failure: {name} != TM", "witness": None}])
+            raise StructureError.of(f"transversality failure: {name} != TM")
 
     # Decompose each V3 spanning vector as a_k + b_k with a_k in V1, b_k in V2;
     # P swaps the graph: P a_k = b_k, P b_k = a_k, so (a_1..a_n, b_1..b_n) is
@@ -437,15 +447,13 @@ def structure_from_alpha(
     b = rat_matmul(stack(c2), coeffs[n:])
     ab = [a_row + b_row for a_row, b_row in zip(a, b)]
     if rat_rank(ab) != dim:
-        raise StructureError([{"name": "transversality failure: degenerate graph map", "witness": None}])
+        raise StructureError.of("transversality failure: degenerate graph map")
     s = adapted_structure(ctx, PolyMatrix.from_rational_rows(ab, ctx.variables))
     # T_P^- = F(V3): every F w with w in V3 must be a (-1)-eigenvector of P.
     for w in v3:
         fw = s.F.apply(w)
         if s.P.apply(fw) != -fw:
-            raise StructureError(
-                [{"name": "derived identity T_P^- = F(V3) failed", "witness": None}]
-            )
+            raise StructureError.of("derived identity T_P^- = F(V3) failed")
     return s
 
 
@@ -496,7 +504,7 @@ def _delta_blocks(m: PolyMatrix):
     if m.rows != m.cols or m.rows % 2 != 0:
         return None
     if not m.is_constant:
-        raise StructureError([{"name": "membership test needs constant entries", "witness": None}])
+        raise StructureError.of("membership test needs constant entries")
     n = m.rows // 2
     rows = m.constant_rows()
     for i in range(n):
@@ -680,4 +688,4 @@ def _random_isomorphism(ctx: FrameContext, rng: random.Random) -> PolyMap:
             ]
             if any(image):
                 table[(i, j)] = tuple(image)
-    return PolyMap(ctx, algebra_context(dim, table), matrix=mat, matrix_inverse=inv)
+    return PolyMap(ctx, algebra_context(dim, table), matrix=mat)

@@ -52,8 +52,11 @@ def test_exit_code_mathematical_failure(tmp_path):
     }
     proc = run_cli("validate", write(tmp_path, "bad.json", spec))
     assert proc.returncode == 1
-    assert "F^2 != Id" in proc.stderr
-    assert "witness" in proc.stderr
+    assert proc.stderr == (
+        "error: F^2 != Id (witness {'row': 0, 'col': 1, 'value': '2'}); "
+        "F∘P + P∘F != 0 (witness {'row': 0, 'col': 0, 'value': '1'}); "
+        "trace(F) != 0 (witness {'value': '2'})\n"
+    )
 
 
 def test_exit_code_schema_failure_unknown_variable(tmp_path):

@@ -54,6 +54,13 @@ def test_verdict_witness_discipline():
         Verdict("x", False, None)
 
 
+def test_verdict_of_keeps_only_a_failing_witness():
+    witness = {"reason": "r"}
+    assert Verdict.of("x", False, witness) == Verdict("x", False, witness)
+    assert Verdict.of("x", True, witness) == Verdict("x", True)
+    assert Verdict.of("x", True, witness).to_json() == {"name": "x", "holds": True, "witness": None}
+
+
 def test_nijenhuis_flat_vanishes(flat_n2):
     nf = nijenhuis(flat_n2.F)
     basis = flat_n2.basis
@@ -335,12 +342,12 @@ def test_heis_not_equivalent_to_flat_for_sampled_maps(heis):
     from bipara.structure import _random_constant_automorphism
 
     for _ in range(8):
-        mat, inv = _random_constant_automorphism(4, rng)
+        mat, _ = _random_constant_automorphism(4, rng)
         # pointwise correspondence would need L F L^-1 = F' and L P L^-1 = P',
         # but no invertible matrix is a bracket morphism onto the abelian
         # algebra anyway, so our map constructor must reject every candidate
         with pytest.raises(Exception):
-            PolyMap(heis.context, flat_const.context, matrix=mat, matrix_inverse=inv)
+            PolyMap(heis.context, flat_const.context, matrix=mat)
     # the invariance argument behind it: torsion transports along equivalences
     assert not torsion(canonical_connection(heis)).is_zero
     assert torsion(canonical_connection(flat_const)).is_zero

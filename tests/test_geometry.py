@@ -320,18 +320,25 @@ def test_constant_map_must_preserve_brackets():
 
 
 @pytest.mark.parametrize(
-    "matrix, matrix_inverse, message",
-    [
-        ([[1]], None, "matrix must be 4 × 4"),
-        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], None, "matrix must be 4 × 4"),
-        ([[int(i == j) for j in range(4)] for i in range(4)], [[1]], "matrix_inverse must be 4 × 4"),
-    ],
-    ids=["1x1", "4x3", "1x1_inverse"],
+    "matrix",
+    [[[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]],
+    ids=["1x1", "4x3"],
 )
-def test_constant_map_rejects_badly_shaped_matrix(matrix, matrix_inverse, message):
+def test_constant_map_rejects_badly_shaped_matrix(matrix):
     ctx = heisenberg_structure().context
-    with pytest.raises(GeometryError, match=message):
-        PolyMap(ctx, ctx, matrix=matrix, matrix_inverse=matrix_inverse)
+    with pytest.raises(GeometryError, match="matrix must be 4 × 4"):
+        PolyMap(ctx, ctx, matrix=matrix)
+
+
+def test_constant_map_derives_k_as_the_exact_inverse_of_its_matrix():
+    from bipara.structure import _random_constant_automorphism
+
+    ctx = algebra_context(4, {})
+    mat, inv = _random_constant_automorphism(4, random.Random(7))
+    assert mat != inv
+    m = PolyMap(ctx, ctx, matrix=mat)
+    assert m.jacobian_at_inverse.constant_rows() == mat
+    assert m.jacobian_of_inverse.constant_rows() == inv == rat_inverse(mat)
 
 
 def test_map_needs_exactly_one_source_of_jacobians():

@@ -233,6 +233,74 @@ def test_hypersymplectic_dimension_guard():
     assert "divisible by 4" in verdicts["hypersymplectic"].witness["reason"]
 
 
+def _verdict_json(name, witness=None):
+    """``Verdict.to_json()`` of a check that holds exactly when it has no witness."""
+    return {"name": name, "holds": witness is None, "witness": witness}
+
+
+NORDEN_FAILS = _verdict_json("norden", {"reason": "g(J., J.) != -g"})
+PQH_FAILS = _verdict_json(
+    "paraquaternionic_hermitian", {"reason": "(eps1, eps2) = (1, 1), need (-, -)"}
+)
+HYPER_FAILS = _verdict_json(
+    "hypersymplectic", {"reason": "g(J.,J.)=g: True, g(F.,F.)=-g: False"}
+)
+HYPERSYMPLECTIC_VERDICTS = [
+    _verdict_json("hypersymplectic"),
+    _verdict_json("paraquaternionic_hermitian"),
+    NORDEN_FAILS,
+    _verdict_json("riemannian_product", {"reason": "needs eps1 = + and positive definiteness"}),
+    _verdict_json("parallel_skew_torsion"),
+]
+
+
+def test_special_metric_predicates_verdicts_are_pinned(flat2):
+    from bipara.structure import pushforward_structure
+
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    hyper = solve_hypersymplectic_metric(flat2)
+    m = _quadratic_shear(flat2.context)
+    moved = pushforward_structure(m, flat2)
+    aff = affine_structure()
+    canon = canonical_connection(aff)
+    wa = well_adapted_connection(DifferenceTensor(torsion(canon)))
+    flat1 = flat_structure(1, "constant_frame")
+    cases = {
+        "flat, hypersymplectic g": (flat2, hyper, canonical_connection(flat2)),
+        "flat, euclidean g": (flat2, bilinear(flat2.context, eye), canonical_connection(flat2)),
+        "sheared flat, pushed g": (moved, pushforward_bilinear(m, hyper), canonical_connection(moved)),
+        "affine, well-adapted": (aff, bilinear(aff.context, eye), wa),
+        "affine, canonical": (aff, bilinear(aff.context, eye), canon),
+        "flat n = 1": (flat1, bilinear(flat1.context, [[1, 0], [0, 1]]), canonical_connection(flat1)),
+    }
+    got = {
+        label: [v.to_json() for v in special_metric_predicates(*args).values()]
+        for label, args in cases.items()
+    }
+    skew = "lowered torsion is not totally skew"
+    assert got == {
+        "flat, hypersymplectic g": HYPERSYMPLECTIC_VERDICTS,
+        "flat, euclidean g": [
+            HYPER_FAILS, PQH_FAILS, NORDEN_FAILS,
+            _verdict_json("riemannian_product"), _verdict_json("parallel_skew_torsion"),
+        ],
+        "sheared flat, pushed g": HYPERSYMPLECTIC_VERDICTS,
+        "affine, well-adapted": [
+            HYPER_FAILS, PQH_FAILS, NORDEN_FAILS, _verdict_json("riemannian_product"),
+            _verdict_json("parallel_skew_torsion", {"failed": ["nabla g != 0", skew]}),
+        ],
+        "affine, canonical": [
+            HYPER_FAILS, PQH_FAILS, NORDEN_FAILS, _verdict_json("riemannian_product"),
+            _verdict_json("parallel_skew_torsion", {"failed": [skew]}),
+        ],
+        "flat n = 1": [
+            _verdict_json("hypersymplectic", {"reason": "dimension 2 is not divisible by 4"}),
+            PQH_FAILS, NORDEN_FAILS,
+            _verdict_json("riemannian_product"), _verdict_json("parallel_skew_torsion"),
+        ],
+    }
+
+
 # -- bi-Lagrangian assembly ----------------------------------------------------
 
 
@@ -281,6 +349,21 @@ def test_bilagrangian_h_with_cross_terms():
     # the cross term cancels in G, so the output is unchanged
     assert big_g.matrix == PolyMatrix.identity(2, ()).scale(2)
     assert all(v.holds for v in verdicts.values())
+
+
+def test_bilagrangian_verdicts_are_pinned():
+    # the five properties follow from the inputs the assembly accepts, so
+    # every verdict holds
+    ctx, omega, f, h = r2_model()
+    cross_h = bilinear(ctx, [[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
+    _, omega4, f4, h4 = r4_model()
+    names = (
+        "structure_valid", "norden_pair", "riemannian_product_pair",
+        "para_metric_minus_plus", "riemannian_metric_plus_plus",
+    )
+    for args in ((omega, f, h), (omega, f, cross_h), (omega4, f4, h4)):
+        verdicts = bi_lagrangian_assembly(*args)[3]
+        assert [v.to_json() for v in verdicts.values()] == [_verdict_json(n) for n in names]
 
 
 def test_bilagrangian_conjugated_random_models():

@@ -63,6 +63,23 @@ def test_odd_trace_rejected_separately():
     assert "F∘P + P∘F != 0" in names
 
 
+def test_structure_error_renders_each_failure_with_its_witness():
+    from bipara.structure import failure
+
+    assert str(StructureError.of("missing adapted frame")) == "missing adapted frame"
+    err = StructureError(
+        [failure("F^2 != Id", {"row": 0, "col": 1, "value": "2"}), failure("P*X_1 != Y_1")]
+    )
+    assert str(err) == "F^2 != Id (witness {'row': 0, 'col': 1, 'value': '2'}); P*X_1 != Y_1"
+    assert err.failures == [
+        {"name": "F^2 != Id", "witness": {"row": 0, "col": 1, "value": "2"}},
+        {"name": "P*X_1 != Y_1", "witness": None},
+    ]
+    assert str(StructureError.of("routes disagree", {"pair": (0, 1)})) == (
+        "routes disagree (witness {'pair': (0, 1)})"
+    )
+
+
 def test_heisenberg_fixture_validates():
     s = heisenberg_structure()
     assert s.adapted_frame is not None
