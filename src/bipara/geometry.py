@@ -37,8 +37,11 @@ frame Jacobians J = D(forward) o inverse and K = D(inverse), which are the
 given matrix and its inverse on a constant frame.  One validation checks both
 round trips, J K = Id and that J carries the source brackets to the target's;
 the inverse of a validated map inherits all four and is not checked again.
-Chart maps are generated as unipotent coordinate changes, so inverses stay
-polynomial and every pushforward exact.
+A map prepares its substitution once for each direction (``_sub_inverse``,
+``_sub_forward``, shared with its inverse): the images are checked once, and
+each power of an image of several terms is expanded once per map, not once per
+pushforward.  Chart maps are generated as unipotent coordinate changes, so
+inverses stay polynomial and every pushforward exact.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .linalg import PolyMatrix, rat_inverse
-from .poly import MultiPoly, PolyError
+from .poly import MultiPoly, PolyError, _Substitution
 
 __all__ = [
     "BilinearField",
@@ -463,13 +466,13 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     for k, name in enumerate(ctx.variables):
         xk, yk = xs[k], ys[k]
         for i in range(ctx.dim):
-            if not xk.is_zero:
+            if xk.terms and ys[i].terms:
                 dyi = ys[i].derivative(name)
-                if not dyi.is_zero:
+                if dyi.terms:
                     out[i] = out[i] + xk * dyi
-            if not yk.is_zero:
+            if yk.terms and xs[i].terms:
                 dxi = xs[i].derivative(name)
-                if not dxi.is_zero:
+                if dxi.terms:
                     out[i] = out[i] - yk * dxi
     return VectorField._trusted(ctx, _add_structure_part(ctx, xs, ys, out))
 
@@ -502,6 +505,8 @@ def directional_derivative(x: VectorField, f: MultiPoly) -> MultiPoly:
     if f.variables != ctx.variables:
         raise PolyError("scalar lives in the wrong ring")
     acc = ctx.zero
+    if not f.terms:
+        return acc
     for k, name in enumerate(ctx.variables):
         xk = x.components[k]
         if xk.is_zero:
@@ -568,9 +573,10 @@ class PolyMap:
         for g in self.inverse:
             if g.variables != target.variables:
                 raise PolyError("inverse components must use target variables")
-        # source variable -> inverse expression (in target variables), and back
-        self._sub_inverse = dict(zip(source.variables, self.inverse))
-        self._sub_forward = dict(zip(target.variables, self.forward))
+        # source variable -> inverse expression (in target variables), and
+        # back, each prepared once for every substitution along this map
+        self._sub_inverse = _Substitution(source.variables, dict(zip(source.variables, self.inverse)))
+        self._sub_forward = _Substitution(target.variables, dict(zip(target.variables, self.forward)))
         for name, f in zip(target.variables, self.forward):
             if f.substitute(self._sub_inverse) != MultiPoly.var(target.variables, name):
                 raise GeometryError("forward o inverse is not the identity")

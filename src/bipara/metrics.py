@@ -274,9 +274,10 @@ def _rational_sqrt(value: Fraction) -> Fraction | None:
 def bi_lagrangian_assembly(
     omega: BilinearField, f: EndoField, h: BilinearField
 ) -> tuple[BilinearField, EndoField, EndoField, dict[str, Verdict]]:
-    """From a symplectic form with Lagrangian F-eigendistributions, build the
-    orthogonal metric G, the compatible complex structure J and P = J o F,
-    then check the five advertised properties exactly.
+    """From a symplectic form with Lagrangian eigendistributions of an
+    involution F, build the orthogonal metric G, the compatible complex
+    structure J and P = J o F, then check the five advertised properties
+    exactly.
 
     J is solved from omega(X, Y) = G(JX, Y) by an exact linear solve and then
     rescaled by the rational square root that makes J^2 = -Id; inputs whose
@@ -286,11 +287,11 @@ def bi_lagrangian_assembly(
     ctx = omega.context
     if f.context != ctx or h.context != ctx:
         raise ContextMismatch("assembly inputs live in different frame contexts")
-    for field_obj in (omega, h):
+    for field_obj in (omega, h, f):
         if not field_obj.matrix.is_constant:
             raise MetricError("bi-Lagrangian assembly needs constant inputs")
-    if not f.matrix.is_constant:
-        raise MetricError("bi-Lagrangian assembly needs constant inputs")
+    if f.matrix @ f.matrix != PolyMatrix.identity(ctx.dim, ctx.variables):
+        raise MetricError("F is not an involution: F^2 != Id")
     if not omega.is_antisymmetric:
         raise MetricError("omega is not antisymmetric")
     omega_rows = omega.matrix.constant_rows()
@@ -326,8 +327,9 @@ def bi_lagrangian_assembly(
     p_endo = EndoField(ctx, j_endo.matrix @ f.matrix)
 
     # Given omega(F., F.) = -omega, F^T omega is symmetric exactly when
-    # F^2 = Id.  Then F preserves G and anticommutes with J, so (F, J o F) is
-    # a valid structure and ``validate`` cannot fail here.
+    # F^2 = Id, which is checked above.  Then F preserves G and anticommutes
+    # with J, so (F, J o F) is a valid structure and ``validate`` cannot fail
+    # here.
     g_para = BilinearField(ctx, f.matrix.transpose() @ omega.matrix)
     if not g_para.is_symmetric:
         raise InconsistencyError("associated para-Kaehler metric is not symmetric")

@@ -311,6 +311,8 @@ class MultiPoly:
             idx = self.variables.index(name)
         except ValueError:
             raise PolyError(f"unknown variable {name!r}") from None
+        if not self.terms:  # immutable, so zero is its own derivative
+            return self
         out: dict[Exponent, int | Fraction] = {}
         for exps, coeff in self.terms.items():
             k = exps[idx]
@@ -337,41 +339,18 @@ class MultiPoly:
             total += value
         return total
 
-    def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
+    def substitute(self, images: "Mapping[str, MultiPoly] | _Substitution") -> "MultiPoly":
         """Compose: replace every variable by its image polynomial.
 
         All images must share one variable tuple, which becomes the variable
         tuple of the result.  Every variable of ``self`` must be mapped.
+        ``images`` is a mapping from names to images, checked on this call,
+        or a :class:`_Substitution` prepared for this ring, checked once when
+        it was made; both go through the same algorithm.
         """
-        missing = [v for v in self.variables if v not in images]
-        if missing:
-            raise PolyError(f"substitution images missing for {missing}")
-        if not self.variables:
-            target_vars: tuple[str, ...] = ()
-        else:
-            target_vars = next(iter(images.values())).variables
-        for img in images.values():
-            if img.variables != target_vars:
-                raise PolyError("substitution images live in different rings")
-        # Each power images[name] ** e is expanded once per call.  A term is the
-        # product of its powers, then scaled by its coefficient, and is added
-        # into one dict, not into a copy of the sum per term.
-        powers: dict[tuple[int, int], MultiPoly] = {}
-        out: dict[Exponent, int | Fraction] = {}
-        for exps, coeff in self.terms.items():
-            term = None
-            for k, e in enumerate(exps):
-                if e:
-                    power = powers.get((k, e))
-                    if power is None:
-                        power = powers[k, e] = images[self.variables[k]] ** e
-                    term = power if term is None else term * power
-            if term is None:
-                term = MultiPoly.const(target_vars, coeff)
-            elif coeff != 1:
-                term = term.scale(coeff)
-            _merge(out, term.terms, False)
-        return MultiPoly._trusted(target_vars, out)
+        if not isinstance(images, _Substitution):
+            images = _Substitution(self.variables, images)
+        return images.apply(self)
 
     # -- printing ------------------------------------------------------------
 
@@ -421,6 +400,118 @@ def _power(base: MultiPoly, exponent: int, multiply: Callable) -> MultiPoly:
         if exponent:
             base = multiply(base, base)
     return result
+
+
+class _Substitution:
+    """The images of a ring's variables, checked and prepared once for many substitutions.
+
+    ``MultiPoly.substitute`` runs every substitution through one of these; a
+    ``PolyMap`` keeps one per direction, so the checks of its images, the
+    powers of its images and the images of its monomials are made once per
+    map, not once per call.
+
+    An image of one term (a coordinate, a scaled power, a constant) only
+    moves exponents and scales coefficients, and a zero image removes every
+    term it meets.  The remaining, "moving", variables have images of several
+    terms: the terms of a polynomial are grouped by their exponents in the
+    moving variables, and each group is multiplied once by the image of that
+    monomial, a product of expanded powers.
+    """
+
+    __slots__ = ("source", "target", "_steps", "_moving", "_images", "_monomials")
+
+    def __init__(self, source: Sequence[str], images: Mapping[str, MultiPoly]):
+        source = tuple(source)
+        missing = [v for v in source if v not in images]
+        if missing:
+            raise PolyError(f"substitution images missing for {missing}")
+        target = next(iter(images.values())).variables if source else ()
+        for img in images.values():
+            if img.variables != target:
+                raise PolyError("substitution images live in different rings")
+        self.source, self.target = source, target
+        self._images = tuple(images[v] for v in source)
+        # Per source variable: None for a moving variable, else the image's
+        # nonzero (target index, exponent) pairs and its coefficient (0 for
+        # a zero image).
+        steps: list = []
+        for img in self._images:
+            if len(img.terms) > 1:
+                steps.append(None)
+            elif not img.terms:
+                steps.append(((), 0))
+            else:
+                ((exps, coeff),) = img.terms.items()
+                steps.append((tuple((j, a) for j, a in enumerate(exps) if a), coeff))
+        self._steps = tuple(steps)
+        self._moving = tuple(k for k, step in enumerate(steps) if step is None)
+        # exponents in the moving variables -> the image of that monomial
+        self._monomials: dict[Exponent, MultiPoly] = {}
+
+    def _monomial(self, key: Exponent) -> MultiPoly:
+        """The image of the monomial with exponents ``key`` in the moving variables.
+
+        Made on first use and kept, as is each power of a moving image.
+        """
+        image = self._monomials.get(key)
+        if image is not None:
+            return image
+        moving, monomials = self._moving, self._monomials
+        for i, e in enumerate(key):
+            if not e:
+                continue
+            single = (0,) * i + (e,) + (0,) * (len(key) - i - 1)
+            power = monomials.get(single)
+            if power is None:
+                base = self._images[moving[i]]
+                power = monomials[single] = base if e == 1 else _power(base, e, mul)
+            image = power if image is None else image * power
+        monomials[key] = image
+        return image
+
+    def apply(self, poly: MultiPoly) -> MultiPoly:
+        """``poly`` with every variable replaced by its image."""
+        if poly.variables != self.source:
+            raise PolyError(
+                f"substitution prepared for {self.source}, applied to a polynomial of {poly.variables}"
+            )
+        target = self.target
+        if not poly.terms:
+            return MultiPoly.zero(target)
+        steps, moving, width = self._steps, self._moving, len(target)
+        groups: dict[Exponent, dict[Exponent, int | Fraction]] = {}
+        for exps, coeff in poly.terms.items():
+            moved = [0] * width
+            for e, step in zip(exps, steps):
+                if not e or step is None:
+                    continue
+                shifts, scalar = step
+                if not scalar:
+                    break
+                for j, a in shifts:
+                    moved[j] += a * e
+                if scalar != 1:
+                    coeff *= scalar**e
+            else:
+                key = tuple([exps[k] for k in moving])
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = {}
+                moved = tuple(moved)
+                old = group.get(moved)
+                group[moved] = coeff if old is None else old + coeff
+        parts = []
+        for key, group in groups.items():
+            terms = _canonical({e: c for e, c in group.items() if c})
+            if terms:
+                part = MultiPoly._trusted(target, terms)
+                parts.append(part * self._monomial(key) if any(key) else part)
+        if len(parts) < 2:
+            return parts[0] if parts else MultiPoly.zero(target)
+        out = dict(parts[0].terms)
+        for part in parts[1:]:
+            _merge(out, part.terms, False)
+        return MultiPoly._trusted(target, out)
 
 
 # The slot setters, called directly: on the hot path of every ring operation

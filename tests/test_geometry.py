@@ -24,6 +24,7 @@ from bipara.geometry import (
     pushforward_vector,
 )
 from bipara.linalg import LinAlgError, PolyMatrix, poly_matrix_inverse, rat_inverse
+from bipara import poly
 from bipara.poly import MultiPoly, PolyError, parse_poly
 from bipara.structure import (
     _random_isomorphism,
@@ -258,6 +259,35 @@ def shear_map():
     forward = [parse_poly(t, v) for t in ("x1", "x2", "y1 + x1^2", "y2")]
     inverse = [parse_poly(t, v) for t in ("x1", "x2", "y1 - x1^2", "y2")]
     return PolyMap(CHART, CHART, forward=forward, inverse=inverse)
+
+
+def test_polymap_expands_each_power_of_a_moving_image_once(monkeypatch):
+    # Of the inverse images only y1 -> y1 - x1^2 - x2 has several terms, so
+    # only its powers are expanded, each once for the map, however many
+    # fields and endomorphisms are pushed.
+    v = CHART.variables
+    forward = [parse_poly(t, v) for t in ("x1", "x2", "y1 + x1^2 + x2", "y2")]
+    inverse = [parse_poly(t, v) for t in ("x1", "x2", "y1 - x1^2 - x2", "y2")]
+    m = PolyMap(CHART, CHART, forward=forward, inverse=inverse)
+    fields = [
+        chart_field("y1^3", "x1*y1^2", "y1^2*y2", "1"),
+        chart_field("y1^2 + x2*y1^3", "0", "y1", "y2^2"),
+    ]
+    rows = [[parse_poly(f"y1^{(i + j) % 4}", v) for j in range(4)] for i in range(4)]
+    endo = EndoField(CHART, PolyMatrix.from_rows(rows))
+    expanded = []
+    power = poly._power
+
+    def counted(base, exponent, multiply):
+        expanded.append((base, exponent))
+        return power(base, exponent, multiply)
+
+    monkeypatch.setattr(poly, "_power", counted)
+    first = [pushforward_vector(m, x) for x in fields], pushforward_endo(m, endo)
+    for _ in range(2):
+        assert ([pushforward_vector(m, x) for x in fields], pushforward_endo(m, endo)) == first
+    assert sorted(e for _, e in expanded) == [2, 3]
+    assert all(base is inverse[2] for base, _ in expanded)
 
 
 def test_pushforward_identity_map():

@@ -417,3 +417,8 @@ def test_bilagrangian_rejects_bad_inputs():
     indefinite_h = bilinear(ctx, [[1, 0], [0, -1]])
     with pytest.raises(MetricError, match="positive definite"):
         bi_lagrangian_assembly(omega, f, indefinite_h)
+    # omega(F., F.) = -omega, and J0^2 is scalar with a rational root, but
+    # F^2 != Id: a bad input, not two routes that disagree
+    stretch = EndoField(ctx, PolyMatrix.from_rational_rows([[2, 0], [0, Fraction(-1, 2)]], ()))
+    with pytest.raises(MetricError, match=r"F is not an involution: F\^2 != Id"):
+        bi_lagrangian_assembly(omega, stretch, h)

@@ -16,6 +16,7 @@ from bipara.poly import (
     PolyError,
     PolyParseError,
     _Parser,
+    _Substitution,
     parse_poly,
 )
 
@@ -199,6 +200,73 @@ def test_substitute_still_checks_its_images():
     # the ring check covers every image, also those of absent variables
     with pytest.raises(PolyError, match="different rings"):
         parse_poly("x1", ("x1", "x2")).substitute({"x1": u, "x2": MultiPoly.const(("w",), 1)})
+    # a prepared substitution makes the same checks once, when it is made
+    with pytest.raises(PolyError, match="missing"):
+        _Substitution(("x1", "x2"), {"x1": u})
+    with pytest.raises(PolyError, match="different rings"):
+        _Substitution(("x1", "x2"), {"x1": u, "x2": MultiPoly.var(("u",), "u")})
+
+
+# Images of one term only move exponents and scale coefficients: a scaled
+# power (x -> 2*u^2), a constant (x -> 1/2) or zero; images of several terms
+# are multiplied out.
+single_term_images = st.tuples(exponents, coeffs).map(lambda term: {term[0]: term[1]})
+mixed_images = st.one_of(st.just({}), single_term_images, st.dictionaries(exponents, coeffs, max_size=4))
+
+
+@example(
+    [MultiPoly(("x1", "x2"), {(3, 1): 3, (2, 0): Fraction(1, 2), (0, 2): -1, (0, 0): 5})],
+    {(2, 0): 2},
+    {(0, 0): Fraction(1, 2)},
+    ("u", "v"),
+)
+@example(
+    [MultiPoly(("x1", "x2"), {(2, 3): 1, (1, 1): -2}), MultiPoly(("x1", "x2"), {(0, 3): 4, (1, 0): 1})],
+    {},
+    {(1, 0): 1, (0, 1): Fraction(-1, 3)},
+    ("x2", "x1"),
+)
+@example(
+    [MultiPoly(("x1", "x2"), {(3, 2): Fraction(1, 2), (2, 3): 1, (1, 0): 2})],
+    {(1, 0): 1, (0, 1): 2},
+    {(1, 1): -1, (0, 0): 3},
+    ("v", "u"),
+)
+@given(
+    st.lists(polys, min_size=1, max_size=3),
+    mixed_images,
+    mixed_images,
+    st.sampled_from([("u", "v"), ("v", "u"), ("x2", "x1")]),
+)
+@settings(max_examples=150, deadline=None)
+def test_prepared_substitution_matches_the_term_by_term_reference(ps, x1_terms, x2_terms, target):
+    images = {"x1": MultiPoly(target, x1_terms), "x2": MultiPoly(target, x2_terms)}
+    prepared = _Substitution(("x1", "x2"), images)
+    # one prepared substitution serves several polynomials, as a map's does
+    for p in ps:
+        expected = _substitute_by_terms(p, images)
+        for result in (p.substitute(prepared), p.substitute(images)):
+            assert result == expected
+            assert result.variables == target
+            assert all(is_canonical(c) for c in result.terms.values())
+        if p.is_zero:
+            assert p.substitute(prepared) is MultiPoly.zero(target)
+
+
+def test_prepared_substitution_checks_the_ring_of_its_argument():
+    u = MultiPoly.var(("u", "v"), "u")
+    prepared = _Substitution(("x1", "x2"), {"x1": u, "x2": u + 1})
+    for other in (parse_poly("x1 + x2", ("x2", "x1")), MultiPoly.zero(("x1",)), MultiPoly.const((), 3)):
+        with pytest.raises(PolyError, match="prepared for"):
+            other.substitute(prepared)
+
+
+def test_derivative_of_zero_is_zero_and_still_checks_the_name():
+    zero = MultiPoly.zero(VARS)
+    assert zero.derivative("x1") is zero
+    assert MultiPoly(VARS, {}).derivative("y2").is_zero
+    with pytest.raises(PolyError, match="unknown variable"):
+        zero.derivative("nope")
 
 
 def test_integral_coefficients_are_stored_as_int():
