@@ -80,7 +80,7 @@ class MathValidationError(ValueError):
     """Structurally well-formed input that fails a mathematical identity."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructureSpec:
     """Parsed and schema-validated contents of a structure spec file."""
 
@@ -292,6 +292,10 @@ def build_structure(spec: StructureSpec) -> BiparaStructure:
 # ---------------------------------------------------------------------------
 
 
+def _unknown_kind(kind: str) -> MathValidationError:
+    return MathValidationError(f"unknown connection kind {kind!r}")
+
+
 class Analysis:
     """The derived tensors of one structure, each built on first use and kept.
 
@@ -325,7 +329,7 @@ class Analysis:
             return self.canonical
         if kind == "well-adapted":
             return self.well_adapted
-        raise MathValidationError(f"unknown connection kind {kind!r}")
+        raise _unknown_kind(kind)
 
     def torsion(self, kind: str) -> TorsionTensor:
         return self._once(("torsion", kind), lambda: torsion(self.law(kind)))
@@ -336,6 +340,8 @@ class Analysis:
     def christoffels(self, kind: str) -> ChristoffelTable:
         """The adapted-frame table of the ``kind`` law, built from the frame alone."""
         builders = {"canonical": canonical_christoffels, "well-adapted": well_adapted_christoffels}
+        if kind not in builders:
+            raise _unknown_kind(kind)
         return self._once(("christoffels", kind), lambda: builders[kind](self.s))
 
     def concomitant(self, tensor: str) -> PairTensor:

@@ -32,9 +32,13 @@ basis pairwise, so no per-argument work is repeated per pair:
 
 Torsion, curvature, difference tensor, covariant derivatives of endomorphism
 fields and the N_F, N_P, [F, P] concomitants are each a ``PairTensor``: cells on
-frame indices, each computed on first read and kept.  Curvature and covariant
-derivatives use Leibniz expansion over a law's cached frame table.  Cells and
-tables are pure values, so lazy caching is safe under concurrent use.
+frame indices, each computed once and kept.  The torsion, the concomitants and
+the covariant derivatives compute a cell when ``cells()`` reaches it; the
+difference tensor computes every cell in its constructor, to check its two
+routes, and the curvature builds its whole ``table`` first, which
+perfbench/layers.py times.  Curvature and covariant derivatives use Leibniz
+expansion over a law's cached frame table.  Cells and tables are pure values,
+so caching them is safe under concurrent use.
 """
 
 from __future__ import annotations
@@ -381,7 +385,6 @@ class ChristoffelTable:
     blocks follow from nabla_. Y_a = P nabla_. X_a.
     """
 
-    n: int
     xx: tuple
     yx: tuple
 
@@ -399,7 +402,7 @@ def canonical_christoffels(s: BiparaStructure) -> ChristoffelTable:
     br = s.frame_bracket
     xx = tuple(tuple(br(h, n + a)[n:] for a in range(n)) for h in range(n))
     yx = tuple(tuple(br(n + h, a)[:n] for a in range(n)) for h in range(n))
-    return ChristoffelTable(n=n, xx=xx, yx=yx)
+    return ChristoffelTable(xx=xx, yx=yx)
 
 
 def _thirds(u, v, w) -> tuple:
@@ -427,7 +430,7 @@ def well_adapted_christoffels(s: BiparaStructure) -> ChristoffelTable:
         tuple(_thirds(br(n + h, a)[:n], br(n + a, h)[:n], br(n + a, n + h)[n:]) for h in range(n))
         for a in range(n)
     )
-    return ChristoffelTable(n=n, xx=xx, yx=yx)
+    return ChristoffelTable(xx=xx, yx=yx)
 
 
 def connection_from_table(

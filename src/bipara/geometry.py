@@ -31,6 +31,10 @@ zero field, each after its context check (and ``scale`` after its check of
 the factor).  ``VectorField.is_zero`` is a slot, set once when a field is
 made, so these shortcuts read a flag rather than scan the components.
 
+:class:`VectorField`, :class:`EndoField` and :class:`BilinearField` are frozen
+dataclasses, as :class:`FrameContext` is, compared and hashed by context and
+components or matrix; the two matrix fields share one checking constructor.
+
 A diffeomorphism (:class:`PolyMap`) is the same data on both backends: its
 forward and inverse coordinate lists (empty on a constant frame) and its two
 frame Jacobians J = D(forward) o inverse and K = D(inverse), which are the
@@ -132,7 +136,10 @@ class FrameContext:
 
     @cached_property
     def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
-        """``bracket_table`` keyed by pair, as a spec lists it; no kernel reads it."""
+        """``bracket_table`` keyed by pair, as a spec lists it.
+
+        No kernel reads it; perfbench/inputs.write_spec does, to write a spec.
+        """
         return {(i, j): coeffs for i, j, coeffs in self.bracket_table}
 
     @cached_property
@@ -241,9 +248,11 @@ def _set_field(field: "VectorField", context: FrameContext, components: tuple[Mu
     object.__setattr__(field, "is_zero", not any(map(_terms, components)))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class VectorField:
     """A vector field given by its components in the frame.
 
+    A frozen value: equality and hash read ``context`` and ``components``.
     The public constructor checks the component count and the ring of every
     component.  The kernels build their results with :meth:`_trusted`, which
     skips both checks; it is only for results of operations on validated
@@ -253,6 +262,8 @@ class VectorField:
     """
 
     __slots__ = ("context", "components", "is_zero")
+    context: FrameContext
+    components: tuple[MultiPoly, ...]
 
     def __init__(self, context: FrameContext, components: Sequence[MultiPoly]):
         components = tuple(components)
@@ -271,11 +282,6 @@ class VectorField:
         field = object.__new__(cls)
         _set_field(field, context, tuple(components))
         return field
-
-    def __setattr__(self, *a):
-        raise AttributeError("VectorField is immutable")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def from_rationals(cls, context: FrameContext, values: Sequence) -> "VectorField":
@@ -319,14 +325,6 @@ class VectorField:
             scaled = [a.scale(factor) for a in components]
         return self if zero else VectorField._trusted(self.context, scaled)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.context == other.context and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.context, self.components))
-
     def __repr__(self) -> str:
         return "VectorField(" + ", ".join(str(c) for c in self.components) + ")"
 
@@ -338,24 +336,33 @@ def basis_fields(context: FrameContext) -> tuple[VectorField, ...]:
     )
 
 
-class EndoField:
-    """A (1,1)-tensor field: column j holds the components of the image of E_j."""
+@dataclass(frozen=True, init=False, repr=False)
+class _MatrixField:
+    """A tensor field given by a dim x dim matrix: the base of the two below.
+
+    The constructor checks the shape, raising the subclass's ``_shape_error``,
+    and the ring.  Only fields of one class compare equal.
+    """
 
     __slots__ = ("context", "matrix")
+    context: FrameContext
+    matrix: PolyMatrix
 
     def __init__(self, context: FrameContext, matrix: PolyMatrix):
         if matrix.rows != context.dim or matrix.cols != context.dim:
-            raise GeometryError("endomorphism matrix must be square of size dim")
+            raise GeometryError(self._shape_error)
         # Constant-frame entries are constant by this ring check (no variables).
         if matrix.variables != context.variables:
             raise PolyError("matrix lives in the wrong ring")
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "matrix", matrix)
 
-    def __setattr__(self, *a):
-        raise AttributeError("EndoField is immutable")
 
-    __delattr__ = __setattr__
+class EndoField(_MatrixField):
+    """A (1,1)-tensor field: column j holds the components of the image of E_j."""
+
+    __slots__ = ()
+    _shape_error = "endomorphism matrix must be square of size dim"
 
     @classmethod
     def identity(cls, context: FrameContext) -> "EndoField":
@@ -395,32 +402,12 @@ class EndoField:
     def column_field(self, j: int) -> VectorField:
         return VectorField(self.context, self.matrix.column(j))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EndoField):
-            return NotImplemented
-        return self.context == other.context and self.matrix == other.matrix
 
-    def __hash__(self):
-        return hash((self.context, self.matrix))
-
-
-class BilinearField:
+class BilinearField(_MatrixField):
     """A (0,2)-tensor field; value(x, y) = x^T M y in frame components."""
 
-    __slots__ = ("context", "matrix")
-
-    def __init__(self, context: FrameContext, matrix: PolyMatrix):
-        if matrix.rows != context.dim or matrix.cols != context.dim:
-            raise GeometryError("bilinear field matrix must be square of size dim")
-        if matrix.variables != context.variables:
-            raise PolyError("matrix lives in the wrong ring")
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BilinearField is immutable")
-
-    __delattr__ = __setattr__
+    __slots__ = ()
+    _shape_error = "bilinear field matrix must be square of size dim"
 
     def value(self, x: VectorField, y: VectorField) -> MultiPoly:
         _require_same_context(self, x, y)
@@ -438,11 +425,6 @@ class BilinearField:
     @property
     def is_antisymmetric(self) -> bool:
         return self.matrix == -self.matrix.transpose()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BilinearField):
-            return NotImplemented
-        return self.context == other.context and self.matrix == other.matrix
 
 
 # ---------------------------------------------------------------------------

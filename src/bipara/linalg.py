@@ -3,7 +3,8 @@
 Two layers live here:
 
 * :class:`PolyMatrix` -- small dense matrices of :class:`~bipara.poly.MultiPoly`
-  entries, used for endomorphism fields, bilinear fields and frames.
+  entries, used for endomorphism fields, bilinear fields and frames; frozen
+  values, compared and hashed by shape and entries.
 * plain ``list[list[Fraction]]`` helpers (``rat_*``) for exact Gaussian
   elimination: inverses, ranks, nullspaces and Sylvester signatures.  Every
   homogeneous system the library solves is assembled by :func:`rat_system`
@@ -17,6 +18,7 @@ inverse inside the polynomial ring.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -40,14 +42,21 @@ class LinAlgError(ValueError):
     """Raised on singular solves, shape mismatches or unsupported inverses."""
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PolyMatrix:
     """A rows x cols matrix of polynomials sharing one variable tuple.
 
-    ``_sparse_rows[i]`` holds the ``(column, entry)`` pairs of the nonzero
-    entries of row ``i``, in column order; the products visit only those.
+    A frozen value: equality and hash read ``rows``, ``cols`` and ``entries``.
+    ``variables`` and ``_sparse_rows`` are derived from them when the matrix
+    is made: ``_sparse_rows[i]`` holds the ``(column, entry)`` pairs of the
+    nonzero entries of row ``i``, in column order; the products visit only
+    those.
     """
 
     __slots__ = ("rows", "cols", "entries", "variables", "_sparse_rows")
+    rows: int
+    cols: int
+    entries: tuple[MultiPoly, ...]
 
     def __init__(self, rows: int, cols: int, entries: Sequence[MultiPoly]):
         entries = tuple(entries)
@@ -71,11 +80,6 @@ class PolyMatrix:
                 for i in range(rows)
             ),
         )
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix is immutable")
-
-    __delattr__ = __setattr__
 
     # -- constructors --------------------------------------------------------
 
@@ -185,18 +189,6 @@ class PolyMatrix:
     @property
     def is_constant(self) -> bool:
         return all(e.is_constant for e in self.entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def map_entries(self, fn: Callable[[MultiPoly], MultiPoly]) -> "PolyMatrix":
         return PolyMatrix(self.rows, self.cols, [fn(e) for e in self.entries])

@@ -1,10 +1,10 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-Every tensor component in this package is a :class:`MultiPoly`: a map from
-exponent vectors to nonzero exact rational coefficients, over a fixed ordered
-tuple of variable names.  The zero polynomial is the empty map.  Arithmetic is
-exact, so every identity checked by the library is a decidable equality of
-canonical forms; no tolerances appear anywhere.
+Every tensor component in this package is a :class:`MultiPoly`: a frozen value
+mapping exponent vectors to nonzero exact rational coefficients, over a fixed
+ordered tuple of variable names.  The zero polynomial is the empty map.
+Arithmetic is exact, so every identity checked by the library is a decidable
+equality of canonical forms; no tolerances appear anywhere.
 
 A coefficient has one canonical form: a Python ``int`` when it is integral,
 otherwise a ``fractions.Fraction`` with denominator > 1.  Integral
@@ -24,6 +24,7 @@ constant-frame backend of :mod:`bipara.geometry` uses that degenerate ring.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Callable, Mapping, Sequence
@@ -102,15 +103,21 @@ def _merge(
     return out
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class MultiPoly:
     """A multivariate polynomial with exact rational coefficients.
 
-    Immutable after construction.  ``terms`` maps exponent tuples (one entry
-    per variable) to nonzero coefficients, each an ``int`` when integral and a
-    ``Fraction`` otherwise; zero is the empty map.
+    A frozen value: ``variables`` and ``terms`` are set once, by the checking
+    constructor or by :meth:`_trusted`.  ``terms`` maps exponent tuples (one
+    entry per variable) to nonzero coefficients, each an ``int`` when integral
+    and a ``Fraction`` otherwise; zero is the empty map.  Equality and hash are
+    its own: a constant equals the ``int`` or ``Fraction`` it holds, and the
+    hash reads the terms in sorted order.
     """
 
     __slots__ = ("variables", "terms")
+    variables: tuple[str, ...]
+    terms: dict[Exponent, int | Fraction]
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, int | Fraction]):
         variables = tuple(variables)
@@ -128,13 +135,8 @@ class MultiPoly:
             if any(e < 0 for e in exps):
                 raise PolyError(f"negative exponent in {exps}")
             clean[exps] = coeff
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultiPoly is immutable")
-
-    __delattr__ = __setattr__
+        _set_variables(self, variables)
+        _set_terms(self, clean)
 
     @classmethod
     def _trusted(

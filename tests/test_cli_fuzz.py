@@ -3,8 +3,9 @@
 Each example takes a shipped fixture (or the identity map on it), replaces
 one value with random JSON, removes one key or item, or sets a top-level key
 of the file format that the fixture leaves out, and runs ``validate`` and
-``equivalent``.  Whatever the input, the CLI must end with exit code 0, 1 or
-2, never raise, and print nothing on stdout unless it succeeds.
+``equivalent``; a mutated spec also goes through ``report`` and ``classify``,
+the paths that print tensors.  Whatever the input, the CLI must end with exit
+code 0, 1 or 2, never raise, and print nothing on stdout unless it succeeds.
 """
 
 import contextlib
@@ -90,7 +91,8 @@ def run(argv):
     return code
 
 
-def check(spec, map_data) -> tuple[int, int]:
+def check(spec, map_data, *commands: str) -> tuple[int, ...]:
+    """Exit codes of ``validate``, ``equivalent`` with the map, then each of ``commands`` on the spec."""
     with tempfile.TemporaryDirectory() as tmp:
         spec_path = Path(tmp) / "spec.json"
         map_path = Path(tmp) / "map.json"
@@ -99,13 +101,14 @@ def check(spec, map_data) -> tuple[int, int]:
         return (
             run(["validate", str(spec_path)]),
             run(["equivalent", str(spec_path), str(spec_path), "--map", str(map_path)]),
+            *[run([command, str(spec_path)]) for command in commands],
         )
 
 
 @FUZZ
 @given(st.sampled_from(sorted(FIXTURES)), st.data())
 def test_mutated_spec_never_raises(name, data):
-    check(data.draw(mutated(FIXTURES[name])), identity_map(FIXTURES[name]))
+    check(data.draw(mutated(FIXTURES[name])), identity_map(FIXTURES[name]), "report", "classify")
 
 
 @FUZZ

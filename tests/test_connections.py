@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bipara import structure
-from bipara.cli import Analysis, main
+from bipara.cli import Analysis, MathValidationError, main
 from bipara.connections import (
     ChristoffelTable,
     ConnectionLaw,
@@ -329,7 +329,7 @@ def test_zero_table_law_on_flat_preserves_everything(flat_n2):
     zeros = tuple(
         tuple(tuple(zero for _ in range(n)) for _ in range(n)) for _ in range(n)
     )
-    law = connection_from_table(flat_n2, ChristoffelTable(n=n, xx=zeros, yx=zeros))
+    law = connection_from_table(flat_n2, ChristoffelTable(xx=zeros, yx=zeros))
     assert preserves_distributions(law, flat_n2)
     assert is_parallel(law, flat_n2.F) and is_parallel(law, flat_n2.P)
 
@@ -356,7 +356,7 @@ def test_preservation_lemma_on_mutated_table_law(heis):
     n = heis.n
     zero = heis.context.zero
     zeros = tuple(tuple(tuple(zero for _ in range(n)) for _ in range(n)) for _ in range(n))
-    base = connection_from_table(heis, ChristoffelTable(n=n, xx=zeros, yx=zeros))
+    base = connection_from_table(heis, ChristoffelTable(xx=zeros, yx=zeros))
     x1 = heis.frame_field(0)
 
     def mutated(x, y):
@@ -421,6 +421,12 @@ def test_law_kinds_name_their_analysis_entries(aff):
     assert a.well_adapted.kind == "well-adapted"
     assert a.torsion(a.well_adapted.kind) is a.torsion("well-adapted")
     assert a.curvature(a.canonical.kind) is a.curvature("canonical")
+
+
+@pytest.mark.parametrize("method", ["law", "torsion", "curvature", "christoffels"])
+def test_unknown_connection_kind_is_a_validation_error(aff, method):
+    with pytest.raises(MathValidationError, match="^unknown connection kind 'bogus'$"):
+        getattr(Analysis(aff), method)("bogus")
 
 
 def test_cells_cover_the_independent_entries_in_index_order(aff):

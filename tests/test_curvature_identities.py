@@ -11,7 +11,8 @@ Differential Geometry* I, 1963, ch. III), with 𝔖 the cyclic sum over X, Y, Z:
 Both sides alternate in X, Y, Z, so the frame triples a < b < c decide them;
 at n = 1 there is no such triple, and only the g-valuedness check applies.
 The structures are the four fixtures, pushed non-integrable nilpotent charts,
-conjugated random constant frames, a conjugated affine frame, a torsion-free
+conjugated random constant frames, a conjugated affine frame, gl(2) as a
+constant frame with nonzero curvature (plain and conjugated), a torsion-free
 chart with nonzero curvature and a pushed non-integrable chart with nonzero
 curvature.  BIPARA_SEED draws the random ones.
 """
@@ -25,6 +26,7 @@ from bipara import (
     PolyMatrix,
     adapted_structure,
     affine_structure,
+    algebra_context,
     chart_context,
     parse_poly,
     pushforward_structure,
@@ -63,6 +65,23 @@ def pushed_curved_chart():
     return pushforward_structure(random_unipotent_map(base.context, 2, random.Random(SUITE_SEED)), base)
 
 
+def gl2():
+    """gl(2) in the adapted order (e, h | f, z): [e, h] = -2e, [e, f] = h, [h, f] = -2f.
+
+    A constant frame on which both laws are curved (4 nonzero canonical and 8
+    nonzero well-adapted cells) and not torsion-free; the random constant
+    frames of this suite are flat.
+    """
+    return adapted_structure(
+        algebra_context(4, {(0, 1): (-2, 0, 0, 0), (0, 2): (0, 1, 0, 0), (1, 2): (0, 0, -2, 0)})
+    )
+
+
+def conjugated_gl2():
+    base = gl2()
+    return pushforward_structure(_random_isomorphism(base.context, random.Random(1)), base)
+
+
 STRUCTURES = {
     **{
         name: lambda name=name: build_structure(load_spec(str(FIXTURE_DIR / f"{name}.json")))
@@ -81,6 +100,8 @@ STRUCTURES = {
     "conjugated_aff": lambda: pushforward_structure(
         _random_isomorphism(affine_structure().context, random.Random(SUITE_SEED)), affine_structure()
     ),
+    "gl2": gl2,
+    "conjugated_gl2": conjugated_gl2,
     "curved_n1": lambda: curved_chart(1),
     "pushed_curved_n2": pushed_curved_chart,
 }
@@ -178,6 +199,14 @@ def test_both_identities_have_nonzero_sides_on_the_pushed_curved_chart(kind):
         for m in range(dim)
     ]
     assert not all(v.is_zero for v in sums)
+
+
+@pytest.mark.parametrize("build", [gl2, conjugated_gl2], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", KINDS)
+def test_gl2_is_a_curved_constant_frame(build, kind):
+    a = Analysis(build())
+    assert any(not cell.is_zero for _, cell in a.curvature(kind).cells())
+    assert any(not cell.is_zero for _, cell in a.torsion(kind).cells())
 
 
 def test_curved_chart_is_the_flat_verdict_witness_of_a_three_index_key(tmp_path, capsys):

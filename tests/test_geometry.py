@@ -863,6 +863,17 @@ IMMUTABLE_SLOTS = {
 }
 
 
+def _rebuilt(obj):
+    """An equal value made afresh, through the checking constructors only."""
+    if isinstance(obj, MultiPoly):
+        return MultiPoly(obj.variables, dict(obj.terms))
+    if isinstance(obj, PolyMatrix):
+        return PolyMatrix(obj.rows, obj.cols, [_rebuilt(e) for e in obj.entries])
+    if isinstance(obj, VectorField):
+        return VectorField(obj.context, [_rebuilt(c) for c in obj.components])
+    return type(obj)(obj.context, _rebuilt(obj.matrix))
+
+
 @pytest.mark.parametrize("cls", IMMUTABLE_SLOTS, ids=lambda cls: cls.__name__)
 def test_immutable_types_refuse_assignment_and_deletion(cls):
     # shared instances: the ring's zero, the context's zero field, the cached F
@@ -876,8 +887,27 @@ def test_immutable_types_refuse_assignment_and_deletion(cls):
     }[cls]
     slot = IMMUTABLE_SLOTS[cls]
     value = getattr(obj, slot)
-    with pytest.raises(AttributeError):
-        setattr(obj, slot, value)
-    with pytest.raises(AttributeError):
-        delattr(obj, slot)
+    for name in (slot, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
     assert getattr(obj, slot) is value
+    assert not hasattr(obj, "__dict__")
+    twin = _rebuilt(obj)
+    assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+
+
+def test_matrix_fields_share_one_constructor():
+    s = flat_structure(1)
+    ctx, m = s.context, s.F.matrix
+    assert EndoField(ctx, m) != BilinearField(ctx, m)
+    wide = PolyMatrix.identity(4, ctx.variables)
+    with pytest.raises(GeometryError, match="^endomorphism matrix must be square of size dim$"):
+        EndoField(ctx, wide)
+    with pytest.raises(GeometryError, match="^bilinear field matrix must be square of size dim$"):
+        BilinearField(ctx, wide)
+    other_ring = PolyMatrix.identity(2, ("u", "v"))
+    for cls in (EndoField, BilinearField):
+        with pytest.raises(PolyError, match="^matrix lives in the wrong ring$"):
+            cls(ctx, other_ring)
