@@ -82,19 +82,21 @@ class MathValidationError(ValueError):
 
 @dataclass(frozen=True)
 class StructureSpec:
-    """Parsed and schema-validated contents of a structure spec file."""
+    """Parsed and schema-validated contents of a structure spec file, on its frame context."""
 
-    backend: str
-    n: int
-    variables: tuple[str, ...]
+    context: FrameContext
     f_matrix: PolyMatrix
     p_matrix: PolyMatrix
-    bracket_table: dict
     adapted_frame: PolyMatrix | None
     metric: PolyMatrix | None
     omega: PolyMatrix | None
     h_matrix: PolyMatrix | None
     seed_points: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def bracket_table(self) -> dict:
+        """The structure constants keyed by pair, as the spec lists them."""
+        return self.context.brackets
 
 
 def _schema(cond: bool, message: str):
@@ -176,11 +178,13 @@ MAX_HALF_DIMENSION = 8
 
 
 def load_spec(path: str) -> StructureSpec:
-    """Read and schema-validate a spec file (mathematical checks come later).
+    """Read and schema-validate a spec file, then build its frame context.
 
-    Each distinct entry text is parsed once per call: one memo, keyed by text
-    and ring, serves every matrix, structure constant and seed coordinate of
-    the file, and is dropped on return, so a second call parses again.
+    Building the context, after every schema check, checks the Jacobi
+    identity.  Each distinct entry text is parsed once per call: one memo,
+    keyed by text and ring, serves every matrix, structure constant and seed
+    coordinate of the file, and is dropped on return, so a second call
+    parses again.
     """
     data = _read_json(path)
     _schema(isinstance(data, dict), f"{path}: top level must be an object")
@@ -256,13 +260,14 @@ def load_spec(path: str) -> StructureSpec:
             tuple(_parse_rational(memo, c, f"{where}[{m + 1}]") for m, c in enumerate(point))
         )
 
+    try:
+        context = chart_context(variables) if variables else algebra_context(dim, bracket_table)
+    except GeometryError as err:
+        raise MathValidationError(str(err)) from err
     return StructureSpec(
-        backend=backend,
-        n=n,
-        variables=variables,
+        context=context,
         f_matrix=f_matrix,
         p_matrix=p_matrix,
-        bracket_table=bracket_table,
         adapted_frame=adapted_frame,
         metric=metric,
         omega=omega,
@@ -272,19 +277,11 @@ def load_spec(path: str) -> StructureSpec:
 
 
 def build_structure(spec: StructureSpec) -> BiparaStructure:
-    """Mathematical validation: context (Jacobi) plus the structure identities."""
-    try:
-        if spec.backend == POLYNOMIAL_CHART:
-            ctx = chart_context(spec.variables)
-        else:
-            ctx = algebra_context(2 * spec.n, spec.bracket_table)
-        return BiparaStructure.validate(
-            EndoField(ctx, spec.f_matrix),
-            EndoField(ctx, spec.p_matrix),
-            adapted_frame=spec.adapted_frame,
-        )
-    except (StructureError, GeometryError) as err:
-        raise MathValidationError(str(err)) from err
+    """Mathematical validation of the structure identities on the spec's context."""
+    ctx = spec.context
+    return BiparaStructure.validate(
+        EndoField(ctx, spec.f_matrix), EndoField(ctx, spec.p_matrix), adapted_frame=spec.adapted_frame
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,18 +380,19 @@ def _cells_json(cells) -> dict:
 
 
 def _spec_echo(spec: StructureSpec) -> dict:
+    ctx = spec.context
     echo = {
-        "backend": spec.backend,
-        "n": spec.n,
+        "backend": ctx.backend,
+        "n": ctx.dim // 2,
         "F": _matrix_json(spec.f_matrix),
         "P": _matrix_json(spec.p_matrix),
     }
-    if spec.backend == POLYNOMIAL_CHART:
-        echo["variables"] = list(spec.variables)
+    if ctx.variables:
+        echo["variables"] = list(ctx.variables)
     else:
         echo["structure_constants"] = [
             {"i": i + 1, "j": j + 1, "coeffs": [str(c) for c in coeffs]}
-            for (i, j), coeffs in sorted(spec.bracket_table.items())
+            for i, j, coeffs in ctx.bracket_table
         ]
     for key, matrix in (
         ("adapted_frame", spec.adapted_frame),
@@ -639,8 +637,10 @@ def cmd_report(args) -> dict:
         "torsion_canonical": _cells_json(a.torsion("canonical").cells()),
         "torsion_well_adapted": _cells_json(a.torsion("well-adapted").cells()),
         "difference": _cells_json(a.difference.cells()),
-        "curvature_canonical": _cells_json(a.curvature("canonical").cells()),
-        "curvature_well_adapted": _cells_json(a.curvature("well-adapted").cells()),
+        # A report prints every curvature cell, so it reads the whole table,
+        # which perfbench/layers.py times as connections.curvature.
+        "curvature_canonical": _cells_json(a.curvature("canonical").table.items()),
+        "curvature_well_adapted": _cells_json(a.curvature("well-adapted").table.items()),
         "nijenhuis_F": _cells_json(a.concomitant("F").cells()),
         "nijenhuis_P": _cells_json(a.concomitant("P").cells()),
         "fn_bracket_FP": _cells_json(a.concomitant("FP").cells()),

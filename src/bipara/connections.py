@@ -32,13 +32,11 @@ basis pairwise, so no per-argument work is repeated per pair:
 
 Torsion, curvature, difference tensor, covariant derivatives of endomorphism
 fields and the N_F, N_P, [F, P] concomitants are each a ``PairTensor``: cells on
-frame indices, each computed once and kept.  The torsion, the concomitants and
-the covariant derivatives compute a cell when ``cells()`` reaches it; the
-difference tensor computes every cell in its constructor, to check its two
-routes, and the curvature builds its whole ``table`` first, which
-perfbench/layers.py times.  Curvature and covariant derivatives use Leibniz
-expansion over a law's cached frame table.  Cells and tables are pure values,
-so caching them is safe under concurrent use.
+frame indices, each computed once and kept, when ``cells()`` reaches it.  The
+difference tensor reaches every cell in its constructor, to check its two
+routes; a law's ``cells()`` walks its whole cached frame table.  Curvature and
+covariant derivatives use Leibniz expansion over a law's cached frame table.
+Cells and tables are pure values, so caching them is safe under concurrent use.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ from .geometry import (
     FrameContext,
     PolyMap,
     VectorField,
+    _require_same_context,
     directional_derivative,
     first_nonzero,
     lie_bracket,
@@ -179,15 +178,6 @@ def canonical_connection(s: BiparaStructure) -> ConnectionLaw:
 # ---------------------------------------------------------------------------
 
 
-def _first_pair_mismatch(table, value):
-    """The first (i, j), in index order, with ``table[i][j] != value(i, j)``, or None.
-
-    ``value`` is called only up to the pair returned.
-    """
-    pairs = ((i, j) for i, row in enumerate(table) for j, c in enumerate(row) if c != value(i, j))
-    return next(pairs, None)
-
-
 def _contract(ctx: FrameContext, table, xs, ys) -> VectorField:
     """sum_ij xs[i] ys[j] table[i][j]: a (1,2)-tensor on frame components xs, ys."""
     acc = ctx.zero_field
@@ -243,7 +233,10 @@ class PairTensor:
 
     def evaluate(self, x: VectorField, y: VectorField) -> VectorField:
         """S(X, Y): the frame table contracted against the components of X and Y."""
-        return _contract(self.context, self.table, x.components, y.components)
+        ctx = self.context
+        if not (x.context is ctx is y.context):
+            _require_same_context(self, x, y)
+        return _contract(ctx, self.table, x.components, y.components)
 
     @property
     def is_zero(self) -> bool:
@@ -293,18 +286,19 @@ class CurvatureTensor(PairTensor):
         """(i, j, k) over the pairs i < j and every k, in index order."""
         return ((i, j, k) for i, j in super().keys() for k in range(self.context.dim))
 
+    # In this class's own namespace, so perfbench/layers.py can time the
+    # curvature table apart from the other pair tensors' tables.
     @cached_property
     def table(self) -> dict[tuple[int, int, int], VectorField]:
-        return dict(super().cells())
-
-    def cells(self):
-        # Every cell is built under ``table``, which perfbench/layers.py times
-        # from outside, until tracing moves into the library.
-        return iter(self.table.items())
+        """R(E_i, E_j)E_k keyed (i, j, k), i < j, in ``keys()`` order."""
+        return dict(self.cells())
 
     def evaluate(self, x: VectorField, y: VectorField, z: VectorField) -> VectorField:
+        ctx = self.context
+        if not (x.context is ctx is y.context is z.context):
+            _require_same_context(self, x, y, z)
         xs, ys, zs = x.components, y.components, z.components
-        acc = self.context.zero_field
+        acc = ctx.zero_field
         for (i, j, k), cell in self.cells():
             if cell.is_zero or zs[k].is_zero:
                 continue
@@ -527,10 +521,9 @@ class DifferenceTensor(PairTensor):
         split = s.frame_split
         torsion_route = partial(pair_cell, partial(_torsion_route, t, outer), split)
         super().__init__(s.context, torsion_route, antisymmetric=False)
-        bracket_route = partial(pair_cell, partial(_bracket_route, outer), split)
-        pair = _first_pair_mismatch(self.table, bracket_route)
-        if pair is not None:
-            raise StructureError.of("difference-tensor routes disagree", {"pair": pair})
+        for (i, j), cell in self.cells():
+            if cell != _bracket_route(outer, split[i], split[j]):
+                raise StructureError.of("difference-tensor routes disagree", {"pair": (i, j)})
         if t.law.kind != "canonical":
             raise StructureError.of("difference tensor needs the canonical torsion", t.law.kind)
 
@@ -563,10 +556,9 @@ def well_adapted_routes_agree(frame_free: ConnectionLaw, christoffels: Christoff
     s = frame_free.structure
     via_table = connection_from_table(s, christoffels, kind="well-adapted")
     prepared = via_table.prepared_basis
-    mismatch = _first_pair_mismatch(
-        frame_free.frame_table, lambda i, j: via_table.combine(prepared[i], prepared[j])
+    return all(
+        cell == via_table.combine(prepared[i], prepared[j]) for (i, j), cell in frame_free.cells()
     )
-    return mismatch is None
 
 
 def trace_condition_holds(t: TorsionTensor) -> bool:

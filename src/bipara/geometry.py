@@ -138,7 +138,7 @@ class FrameContext:
     def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
         """``bracket_table`` keyed by pair, as a spec lists it.
 
-        No kernel reads it; perfbench/inputs.write_spec does, to write a spec.
+        No kernel reads it; ``StructureSpec.bracket_table`` is this table.
         """
         return {(i, j): coeffs for i, j, coeffs in self.bracket_table}
 

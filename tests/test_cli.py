@@ -59,6 +59,27 @@ def test_exit_code_mathematical_failure(tmp_path):
     )
 
 
+def test_exit_code_jacobi_failure(fixture_dir, tmp_path, capsys):
+    # [E1, E2] = E1 and [E1, E3] = E2: the cyclic sum on (E1, E2, E3) is E2
+    spec = json.loads((fixture_dir / "heis_n2.json").read_text(encoding="utf-8"))
+    spec["structure_constants"] = [
+        {"i": 1, "j": 2, "coeffs": ["1", "0", "0", "0"]},
+        {"i": 1, "j": 3, "coeffs": ["0", "1", "0", "0"]},
+    ]
+    assert main(["validate", str(write(tmp_path, "jacobi.json", spec))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Jacobi identity fails on basis triple (0,1,2)\n"
+
+
+def test_a_loaded_spec_is_a_hashable_value(fixture_dir):
+    path = str(fixture_dir / "heis_n2.json")
+    spec = load_spec(path)
+    assert hash(spec) == hash(load_spec(path))
+    assert spec == load_spec(path)
+    assert spec.bracket_table == spec.context.brackets == {(0, 1): (0, 0, 1, 0)}
+
+
 def test_exit_code_schema_failure_unknown_variable(tmp_path):
     spec = {
         "backend": "polynomial_chart",

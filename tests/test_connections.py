@@ -175,6 +175,23 @@ def test_law_rejects_fields_of_another_context(heis):
         law.nabla_of_field(0, other)
 
 
+def test_tensor_evaluation_rejects_fields_of_another_context(heis, aff):
+    # same dimension, other brackets; and a chart of another dimension
+    a = Analysis(heis)
+    t, r = a.torsion("canonical"), a.curvature("canonical")
+    for other in (aff.basis, flat_structure(1).basis):
+        with pytest.raises(ContextMismatch):
+            t.evaluate(*other[:2])
+        with pytest.raises(ContextMismatch):
+            t.evaluate(heis.basis[0], other[1])
+        with pytest.raises(ContextMismatch):
+            r.evaluate(heis.basis[0], heis.basis[1], other[0])
+    twin = algebra_context(heis.dim, heis.context.brackets)
+    assert twin is not heis.context
+    x, y = basis_fields(twin)[:2]
+    assert t.evaluate(x, y) == t.evaluate(*heis.basis[:2])
+
+
 def test_connection_law_linearity_properties():
     s = random_structure(1, "polynomial_chart", degree=2, seed=99)
     law = canonical_connection(s)
@@ -447,6 +464,14 @@ def test_well_adapted_routes_agree_on_fixtures(flat_n2, heis, aff):
     for s in (flat_n2, heis, aff):
         a = Analysis(s)
         assert well_adapted_routes_agree(a.well_adapted, a.christoffels("well-adapted"))
+
+
+def test_well_adapted_routes_agree_fails_on_the_canonical_table(aff):
+    # AFF is not integrable, so its canonical Christoffel table rebuilds a
+    # law that differs from the frame-free well-adapted one
+    a = Analysis(aff)
+    assert not well_adapted_routes_agree(a.well_adapted, a.christoffels("canonical"))
+    assert well_adapted_routes_agree(a.well_adapted, a.christoffels("well-adapted"))
 
 
 def test_well_adapted_parallelizes_structure(generated_pool):

@@ -28,6 +28,7 @@ from bipara import (
     affine_structure,
     algebra_context,
     chart_context,
+    connections,
     parse_poly,
     pushforward_structure,
     random_structure,
@@ -209,12 +210,21 @@ def test_gl2_is_a_curved_constant_frame(build, kind):
     assert any(not cell.is_zero for _, cell in a.torsion(kind).cells())
 
 
-def test_curved_chart_is_the_flat_verdict_witness_of_a_three_index_key(tmp_path, capsys):
+def test_curved_chart_is_the_flat_verdict_witness_of_a_three_index_key(tmp_path, monkeypatch, capsys):
     # integrable (T = 0), so the flat verdict's witness is the first nonzero
-    # curvature cell, keyed (i, j, k)
+    # curvature cell, keyed (i, j, k), and it is the only cell computed
+    calls = []
+    cell = connections._curvature_cell
+
+    def counted(law, i, j, k):
+        calls.append((i, j, k))
+        return cell(law, i, j, k)
+
+    monkeypatch.setattr(connections, "_curvature_cell", counted)
     path = tmp_path / "curved.json"
     path.write_text(json.dumps(chart_spec(curved_chart(1))), encoding="utf-8")
     assert main(["classify", str(path)]) == 0
+    assert calls == [(0, 1, 0)]
     verdicts = {v["name"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
     assert verdicts["integrable"]["holds"] is True
     assert verdicts["flat"] == {
